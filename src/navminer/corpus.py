@@ -76,8 +76,8 @@ class FileResolver:
         else:
             candidate = posixpath.join(posixpath.dirname(base), href)
         candidate = posixpath.normpath(candidate)
-        if candidate.startswith("..") or candidate in (".", ""):
-            return None
+        if candidate in ("..", ".", "") or candidate.startswith("../"):
+            return None  # escapes the mirror; "..data.html" is a plain name
         return candidate
 
     def fetch(self, page_id: PageId) -> str:
@@ -127,6 +127,9 @@ class HttpResolver:
             raise PageReadError(f"{page_id}: {exc}") from exc
         if response.status_code >= 400:
             raise PageReadError(f"{page_id}: HTTP {response.status_code}")
+        final = urlsplit(response.url)
+        if (final.scheme.lower(), final.netloc.lower()) != (self.scheme, self.netloc):
+            raise PageReadError(f"{page_id}: redirected off the site to {response.url}")
         return decode_markup(response.content)
 
 

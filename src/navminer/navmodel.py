@@ -6,7 +6,10 @@ first time are clustered (clone pairs + transitive closure, per parent
 page) and attached as child nodes; targets owned by an earlier node
 become back-references.  Clustering is strictly per level: linked
 pages are only ever compared with the other pages linked from the same
-node, never with the whole corpus.
+node, never with the whole corpus.  Pages with identical token
+sequences are grouped without a comparison and a pair already joined
+through other pages is skipped (``similarity.spanning_clone_pairs``);
+the clusters are those of comparing every pair.
 
 Refinement then walks the tree root-down and, for every node with two
 or more member pages, re-clusters the union of the members' outgoing
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 from . import schema as schema_mod
 from .corpus import Corpus, PageId
 from .normalize import pretty_print
-from .similarity import Partition, clone_pair, similarity, transclos
+from .similarity import Partition, similarity, spanning_clone_pairs, transclos
 
 METHODS = ("MMS", "STS")
 
@@ -77,13 +80,9 @@ def token_seq(corpus: Corpus, page_id: PageId, method: str):
 
 
 def pair_similarity(corpus: Corpus, method: str, a: PageId, b: PageId) -> float:
-    """Similarity of two pages, cached per unordered pair for the whole run."""
-    key = ("sim", method, clone_pair(a, b))
-    value = corpus.memo.get(key)
-    if value is None:
-        value = similarity(token_seq(corpus, a, method), token_seq(corpus, b, method))
-        corpus.memo[key] = value
-    return value
+    """Similarity of two pages' token sequences (not cached: clustering
+    compares each pair at most once)."""
+    return similarity(token_seq(corpus, a, method), token_seq(corpus, b, method))
 
 
 def page_size(corpus: Corpus, page_id: PageId) -> int:
@@ -102,11 +101,9 @@ def _cluster_ordered(corpus, method, pages, threshold) -> list[tuple[PageId, ...
     if not pages:
         return []
     order = {p: i for i, p in enumerate(pages)}
-    pairs = set()
-    for i, p in enumerate(pages):
-        for q in pages[i + 1:]:
-            if pair_similarity(corpus, method, p, q) >= threshold:
-                pairs.add(clone_pair(p, q))
+    seqs = {p: token_seq(corpus, p, method) for p in pages}
+    pairs = spanning_clone_pairs(pages, seqs, threshold,
+                                 lambda p, q: pair_similarity(corpus, method, p, q))
     partition = transclos(pairs, set(pages))
     clusters = [tuple(sorted(c, key=order.__getitem__)) for c in partition.clusters]
     clusters.sort(key=lambda c: order[c[0]])

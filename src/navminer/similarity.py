@@ -74,6 +74,46 @@ def find_clone_pairs(pages, seqs, threshold: float) -> set[tuple[PageId, PageId]
     return pairs
 
 
+def spanning_clone_pairs(pages, seqs, threshold: float, compare=None) -> list[tuple[PageId, PageId]]:
+    """Clone pairs spanning the same components as ``find_clone_pairs``,
+    at most one pair per merge, found with far fewer comparisons.
+
+    Pages with identical sequences (similarity 1.0) are joined to the
+    first page carrying that sequence without a comparison; only those
+    first pages are compared, with ``compare(p, q)`` (default: the
+    similarity of ``seqs[p]`` and ``seqs[q]``), and a pair already in one
+    union-find component is skipped.  Components do not depend on the
+    order in which pairs are joined, so ``transclos`` of the result gives
+    exactly the partition of the all-pairs oracle.
+    """
+    if not threshold <= 1.0:
+        return []  # nothing reaches a threshold above 1, not even equal pages
+    if compare is None:
+        compare = lambda p, q: similarity(seqs[p], seqs[q])  # noqa: E731
+    firsts: dict = {}  # sequence -> first page carrying it
+    pairs = []
+    for page in dict.fromkeys(pages):
+        first = firsts.setdefault(seqs[page], page)
+        if first != page:
+            pairs.append(clone_pair(first, page))
+    reps = list(firsts.values())
+    parent = list(range(len(reps)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, p in enumerate(reps):
+        for j in range(i + 1, len(reps)):
+            root_i, root_j = find(i), find(j)
+            if root_i != root_j and compare(p, reps[j]) >= threshold:
+                parent[root_j] = root_i
+                pairs.append(clone_pair(p, reps[j]))
+    return pairs
+
+
 @dataclass(frozen=True)
 class Partition:
     clusters: tuple[frozenset[PageId], ...]

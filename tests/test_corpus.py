@@ -1,6 +1,7 @@
 """Mirror loading and link extraction."""
 
 import threading
+from contextlib import contextmanager
 from functools import partial
 from http.server import SimpleHTTPRequestHandler, ThreadingHTTPServer
 
@@ -82,6 +83,23 @@ def test_relative_resolution_and_escape_rejection(tmp_path):
     assert resolver.resolve("sub/page.html", "deeper/x.html") == "sub/deeper/x.html"
     assert resolver.resolve("page.html", "../../outside.html") is None
     assert resolver.resolve("page.html", "a%20b.html") == "a b.html"
+
+
+def test_names_starting_with_two_dots_stay_in_the_mirror(tmp_path):
+    root = write_mirror(tmp_path / "site", {
+        "index.html": '<html><body><a href="..data.html">data</a>'
+                      '<a href="../x.html">out</a></body></html>',
+        "..data.html": "<html><body>data</body></html>",
+    })
+    write_mirror(tmp_path, {"x.html": "<html><body>outside</body></html>"})
+    resolver = FileResolver(tmp_path / "site")
+    assert resolver.resolve("index.html", "..data.html") == "..data.html"
+    assert resolver.resolve("sub/page.html", "..data.html") == "sub/..data.html"
+    assert resolver.resolve("index.html", "../x.html") is None
+    assert resolver.resolve("index.html", "..") is None
+    corpus = load_corpus(root, max_depth=2)
+    assert set(corpus.pages) == {"index.html", "..data.html"}
+    assert corpus.dangling == []
 
 
 def test_query_string_is_part_of_the_locator(tmp_path):
@@ -167,24 +185,47 @@ def test_directory_root_finds_index(demo_root):
     assert corpus.root == "index.html"
 
 
+@contextmanager
+def serving(handler):
+    """A loopback HTTP server on a free port, yielding its base URL."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def test_http_mode_same_authority_only(tmp_path):
     write_mirror(tmp_path, {
         "index.html": '<html><body><a href="a.html">a</a>'
                       '<a href="http://elsewhere.example/x.html">ext</a></body></html>',
         "a.html": '<html><body><a href="index.html">home</a></body></html>',
     })
-    handler = partial(SimpleHTTPRequestHandler, directory=str(tmp_path))
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        port = server.server_address[1]
-        corpus = load_corpus(f"http://127.0.0.1:{port}/index.html",
-                             max_depth=3, delay=0.0)
-        assert set(corpus.pages) == {
-            f"http://127.0.0.1:{port}/index.html",
-            f"http://127.0.0.1:{port}/a.html",
-        }
-    finally:
-        server.shutdown()
-        server.server_close()
+    with serving(partial(SimpleHTTPRequestHandler, directory=str(tmp_path))) as base:
+        corpus = load_corpus(f"{base}/index.html", max_depth=3, delay=0.0)
+        assert set(corpus.pages) == {f"{base}/index.html", f"{base}/a.html"}
+
+
+def test_http_redirect_off_the_site_is_dangling(tmp_path):
+    write_mirror(tmp_path / "other", {"x.html": "<html><body>elsewhere</body></html>"})
+    write_mirror(tmp_path / "site", {
+        "index.html": '<html><body><a href="a.html">a</a>'
+                      '<a href="jump.html">jump</a></body></html>',
+        "a.html": "<html><body>here</body></html>",
+    })
+    with serving(partial(SimpleHTTPRequestHandler, directory=str(tmp_path / "other"))) as other:
+        class Redirecting(SimpleHTTPRequestHandler):
+            def do_GET(self):
+                if self.path != "/jump.html":
+                    return super().do_GET()
+                self.send_response(302)
+                self.send_header("Location", f"{other}/x.html")
+                self.end_headers()
+
+        with serving(partial(Redirecting, directory=str(tmp_path / "site"))) as base:
+            corpus = load_corpus(f"{base}/index.html", max_depth=3, delay=0.0)
+            assert set(corpus.pages) == {f"{base}/index.html", f"{base}/a.html"}
+            assert corpus.dangling == [f"{base}/jump.html"]

@@ -1,12 +1,14 @@
 """Tree construction, refinement and reduction."""
 
+import random
 from pathlib import Path
 
 import pytest
 
 from navminer import load_corpus
-from navminer.navmodel import (build_nav_tree, collect_partition,
-                               reduce_to_snp, refine_clusters)
+from navminer.navmodel import (_cluster_ordered, build_nav_tree, collect_partition,
+                               reduce_to_snp, refine_clusters, token_seq)
+from navminer.similarity import clone_pair, similarity, transclos
 
 from conftest import DEMO_THRESHOLD, write_mirror
 
@@ -210,3 +212,45 @@ def test_demo_partition_is_valid_for_both_methods(demo_corpus):
         partition = collect_partition(tree)
         assert partition.is_valid()
         assert partition.universe == frozenset(demo_corpus.pages)
+
+
+def cluster_all_pairs(corpus, method, pages, threshold):
+    """The all-pairs clustering loop ``_cluster_ordered`` replaced, kept as
+    the oracle: every pair compared, clusters and members in discovery
+    order."""
+    if not pages:
+        return []
+    order = {p: i for i, p in enumerate(pages)}
+    pairs = set()
+    for i, p in enumerate(pages):
+        for q in pages[i + 1:]:
+            if similarity(token_seq(corpus, p, method),
+                          token_seq(corpus, q, method)) >= threshold:
+                pairs.add(clone_pair(p, q))
+    partition = transclos(pairs, set(pages))
+    clusters = [tuple(sorted(c, key=order.__getitem__)) for c in partition.clusters]
+    clusters.sort(key=lambda c: order[c[0]])
+    return clusters
+
+
+def test_cluster_ordered_matches_all_pairs_oracle(demo_corpus):
+    rng = random.Random(405)
+    pages = sorted(demo_corpus.pages)
+    for method in ("MMS", "STS"):
+        for _ in range(8):
+            sample = rng.sample(pages, rng.randint(0, len(pages)))
+            for threshold in (0.0, 0.5, 0.8, 0.95, 1.0):
+                assert _cluster_ordered(demo_corpus, method, sample, threshold) == \
+                    cluster_all_pairs(demo_corpus, method, sample, threshold)
+
+
+def test_memo_grows_with_pages_not_pairs(tmp_path):
+    items = [f"item-{i:02d}.html" for i in range(50)]
+    pages = {"index.html": linking("home", items)}
+    pages.update({name: leaf(name) for name in items})
+    corpus, tree = build(write_mirror(tmp_path, pages))
+    refine_clusters(tree, 0.9, "MMS")
+    assert [set(c.members) for c in tree.root.children] == [set(items)]
+    # every key names one page: (kind, page) or (kind, method, page)
+    assert all(isinstance(key[-1], str) and key[-1] in corpus.pages for key in corpus.memo)
+    assert len(corpus.memo) <= 2 * len(corpus.pages)

@@ -7,7 +7,8 @@ from functools import lru_cache
 import pytest
 
 from navminer.similarity import (Partition, clone_pair, find_clone_pairs,
-                                 levenshtein, similarity, transclos)
+                                 levenshtein, similarity, spanning_clone_pairs,
+                                 transclos)
 
 
 @lru_cache(maxsize=None)
@@ -167,3 +168,41 @@ def test_threshold_monotonicity_on_random_token_sets():
                       for t in range(11)]
         for low, high in zip(partitions, partitions[1:]):
             assert _refines(high, low)
+
+
+def test_spanning_clone_pairs_matches_all_pairs_oracle():
+    rng = random.Random(404)
+    for _ in range(60):
+        pages = [f"p{i}" for i in range(rng.randint(0, 14))]
+        pool = [tuple(random_seq(rng, max_len=6)) for _ in range(rng.randint(1, 5))]
+        pool.append(())
+        seqs = {p: rng.choice(pool) for p in pages}
+        rng.shuffle(pages)
+        for threshold in (0.0, 0.5, 0.8, 0.95, 1.0):
+            oracle = transclos(find_clone_pairs(pages, seqs, threshold), pages)
+            pairs = spanning_clone_pairs(pages, seqs, threshold)
+            assert transclos(pairs, pages) == oracle
+            assert len(pairs) == len(pages) - len(oracle.clusters)  # a spanning forest
+            assert all(similarity(seqs[a], seqs[b]) >= threshold for a, b in pairs)
+
+
+def test_spanning_clone_pairs_skips_duplicates_and_joined_pairs():
+    pages = [f"p{i}" for i in range(30)]
+    seqs = {p: ("x",) * (i % 4) for i, p in enumerate(pages)}
+    compared = []
+
+    def compare(p, q):
+        compared.append((p, q))
+        return similarity(seqs[p], seqs[q])
+
+    pairs = spanning_clone_pairs(pages, seqs, 0.0, compare)
+    # only the first page of each of the 4 sequences is compared; once p0
+    # has joined p1, p2 and p3, the pairs among those three are skipped
+    assert compared == [("p0", "p1"), ("p0", "p2"), ("p0", "p3")]
+    assert transclos(pairs, pages) == transclos(find_clone_pairs(pages, seqs, 0.0), pages)
+
+
+def test_spanning_clone_pairs_above_one_joins_nothing():
+    seqs = {"a": ("x",), "b": ("x",)}
+    assert spanning_clone_pairs(["a", "b"], seqs, 1.5) == []
+    assert find_clone_pairs(["a", "b"], seqs, 1.5) == set()
