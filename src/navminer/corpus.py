@@ -93,7 +93,6 @@ class HttpResolver:
 
     def __init__(self, root_url: str, delay: float = 0.1):
         parts = urlsplit(root_url)
-        self.scheme = parts.scheme.lower()
         self.netloc = parts.netloc.lower()
         self.delay = delay
         self._fetched_once = False
@@ -127,8 +126,8 @@ class HttpResolver:
             raise PageReadError(f"{page_id}: {exc}") from exc
         if response.status_code >= 400:
             raise PageReadError(f"{page_id}: HTTP {response.status_code}")
-        final = urlsplit(response.url)
-        if (final.scheme.lower(), final.netloc.lower()) != (self.scheme, self.netloc):
+        if urlsplit(response.url).netloc.lower() != self.netloc:
+            # same rule as resolve: http and https on this host are the site
             raise PageReadError(f"{page_id}: redirected off the site to {response.url}")
         return decode_markup(response.content)
 

@@ -80,8 +80,9 @@ def token_seq(corpus: Corpus, page_id: PageId, method: str):
 
 
 def pair_similarity(corpus: Corpus, method: str, a: PageId, b: PageId) -> float:
-    """Similarity of two pages' token sequences (not cached: clustering
-    compares each pair at most once)."""
+    """Similarity of two pages' token sequences, not cached: within one
+    clustering call a pair is compared at most once, but refinement
+    re-clusters a node's child targets and may compare a pair again."""
     return similarity(token_seq(corpus, a, method), token_seq(corpus, b, method))
 
 

@@ -74,22 +74,20 @@ def find_clone_pairs(pages, seqs, threshold: float) -> set[tuple[PageId, PageId]
     return pairs
 
 
-def spanning_clone_pairs(pages, seqs, threshold: float, compare=None) -> list[tuple[PageId, PageId]]:
+def spanning_clone_pairs(pages, seqs, threshold: float, compare) -> list[tuple[PageId, PageId]]:
     """Clone pairs spanning the same components as ``find_clone_pairs``,
     at most one pair per merge, found with far fewer comparisons.
 
     Pages with identical sequences (similarity 1.0) are joined to the
     first page carrying that sequence without a comparison; only those
-    first pages are compared, with ``compare(p, q)`` (default: the
-    similarity of ``seqs[p]`` and ``seqs[q]``), and a pair already in one
+    first pages are compared, with ``compare(p, q)`` (the similarity of
+    ``seqs[p]`` and ``seqs[q]``), and a pair already in one
     union-find component is skipped.  Components do not depend on the
     order in which pairs are joined, so ``transclos`` of the result gives
     exactly the partition of the all-pairs oracle.
     """
     if not threshold <= 1.0:
         return []  # nothing reaches a threshold above 1, not even equal pages
-    if compare is None:
-        compare = lambda p, q: similarity(seqs[p], seqs[q])  # noqa: E731
     firsts: dict = {}  # sequence -> first page carrying it
     pairs = []
     for page in dict.fromkeys(pages):

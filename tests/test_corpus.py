@@ -4,11 +4,12 @@ import threading
 from contextlib import contextmanager
 from functools import partial
 from http.server import SimpleHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
 
 import pytest
 
-from navminer.corpus import (CorpusError, FileResolver, LinkRef, extract_links,
-                             load_corpus, retrieve_page)
+from navminer.corpus import (CorpusError, FileResolver, HttpResolver, LinkRef,
+                             PageReadError, extract_links, load_corpus, retrieve_page)
 from navminer.normalize import to_xhtml
 
 from conftest import DEMO_PAGE_COUNT, write_mirror
@@ -229,3 +230,27 @@ def test_http_redirect_off_the_site_is_dangling(tmp_path):
             corpus = load_corpus(f"{base}/index.html", max_depth=3, delay=0.0)
             assert set(corpus.pages) == {f"{base}/index.html", f"{base}/a.html"}
             assert corpus.dangling == [f"{base}/jump.html"]
+
+
+def test_http_scheme_change_on_the_same_host_loads(monkeypatch):
+    requests = pytest.importorskip("requests")
+    resolver = HttpResolver("http://site.test/index.html", delay=0.0)
+    # a direct https link from an http root stays on the site
+    assert resolver.resolve("http://site.test/index.html",
+                            "https://site.test/p.html") == "https://site.test/p.html"
+    final_url = {}
+
+    def fake_get(url, timeout):
+        return SimpleNamespace(status_code=200, url=final_url[url],
+                               content=b"<html><body>ok</body></html>")
+
+    monkeypatch.setattr(requests, "get", fake_get)
+    final_url["https://site.test/p.html"] = "https://site.test/p.html"
+    assert "ok" in resolver.fetch("https://site.test/p.html")
+    # an http -> https upgrade redirect on the same host is still the site
+    final_url["http://site.test/index.html"] = "https://site.test/index.html"
+    assert "ok" in resolver.fetch("http://site.test/index.html")
+    # a redirect to another host is not
+    final_url["http://site.test/jump.html"] = "https://elsewhere.test/x.html"
+    with pytest.raises(PageReadError, match="off the site"):
+        resolver.fetch("http://site.test/jump.html")

@@ -180,7 +180,8 @@ def test_spanning_clone_pairs_matches_all_pairs_oracle():
         rng.shuffle(pages)
         for threshold in (0.0, 0.5, 0.8, 0.95, 1.0):
             oracle = transclos(find_clone_pairs(pages, seqs, threshold), pages)
-            pairs = spanning_clone_pairs(pages, seqs, threshold)
+            pairs = spanning_clone_pairs(pages, seqs, threshold,
+                                         lambda p, q: similarity(seqs[p], seqs[q]))
             assert transclos(pairs, pages) == oracle
             assert len(pairs) == len(pages) - len(oracle.clusters)  # a spanning forest
             assert all(similarity(seqs[a], seqs[b]) >= threshold for a, b in pairs)
@@ -204,5 +205,6 @@ def test_spanning_clone_pairs_skips_duplicates_and_joined_pairs():
 
 def test_spanning_clone_pairs_above_one_joins_nothing():
     seqs = {"a": ("x",), "b": ("x",)}
-    assert spanning_clone_pairs(["a", "b"], seqs, 1.5) == []
+    assert spanning_clone_pairs(["a", "b"], seqs, 1.5,
+                                lambda p, q: similarity(seqs[p], seqs[q])) == []
     assert find_clone_pairs(["a", "b"], seqs, 1.5) == set()
