@@ -9,8 +9,7 @@ single-page UI components.
 
 from .components import (CandidateComponent, Fragment, diff_oneway,
                          extract_candidates, identify_elements)
-from .corpus import (Corpus, CorpusError, LinkRef, RawPage, extract_links,
-                     load_corpus, retrieve_page)
+from .corpus import Corpus, CorpusError, LinkRef, RawPage, extract_links, load_corpus
 from .evaluate import (EvaluationResult, ReferenceClassification, evaluate,
                        load_reference, metrics_from_counts)
 from .navmodel import (NavNode, NavTree, build_nav_tree, collect_partition,

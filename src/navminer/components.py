@@ -17,9 +17,9 @@ import logging
 import re
 from dataclasses import dataclass, field
 
-from .corpus import Corpus, PageId
+from .corpus import PageId
 from .navmodel import NavTree
-from .normalize import LineText, stripped_lines
+from .normalize import LineText, stripped_lines, walk
 
 logger = logging.getLogger(__name__)
 
@@ -162,11 +162,11 @@ def identify_elements(component: CandidateComponent) -> dict[str, int]:
     return counts
 
 
-def extract_candidates(snp: NavTree, corpus: Corpus | None = None) -> list[CandidateComponent]:
+def extract_candidates(snp: NavTree) -> list[CandidateComponent]:
     """One candidate component per edge of the reduced tree, walking the
     tree depth-first and diffing parent representative -> child
     representative."""
-    corpus = corpus or snp.corpus
+    corpus = snp.corpus
 
     def lines_of(page_id: PageId) -> LineText:
         key = ("lines", page_id)
@@ -177,22 +177,19 @@ def extract_candidates(snp: NavTree, corpus: Corpus | None = None) -> list[Candi
         return cached
 
     out: list[CandidateComponent] = []
-
-    def visit(node):
+    path: list = []  # the open nodes from the root down
+    for node, _, closing in walk(snp.root):
+        if closing:
+            path.pop()
+            continue
         if node.representative is None:
             raise ValueError("tree is not reduced: representative missing")
-        for child in node.children:
-            if child.representative is None:
-                raise ValueError("tree is not reduced: representative missing")
-            fragments = diff_oneway(lines_of(node.representative),
-                                    lines_of(child.representative),
-                                    source=node.representative,
-                                    target=child.representative)
-            component = CandidateComponent(node.representative,
-                                           child.representative, fragments)
+        if path:
+            source, target = path[-1].representative, node.representative
+            fragments = diff_oneway(lines_of(source), lines_of(target),
+                                    source=source, target=target)
+            component = CandidateComponent(source, target, fragments)
             component.inventory = identify_elements(component)
             out.append(component)
-            visit(child)
-
-    visit(snp.root)
+        path.append(node)
     return out

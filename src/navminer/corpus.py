@@ -6,24 +6,29 @@ the internal links starting at the root page; every page is fetched
 exactly once and kept in memory, so later pipeline stages never touch
 the source again.
 
-Internal means: the resolved path stays under the mirror root
-(filesystem mode), or scheme, host and port match the root URL (HTTP
-mode).  Links are read from ``a/@href``, ``form/@action`` and
+Internal means: the resolved path stays under the mirror root and the
+file's real location, symlinks followed, does too (filesystem mode), or
+host and port match the root URL (HTTP mode; http and https on that
+host are both the site, and a redirect to another host is not followed).
+Links are read from ``a/@href``, ``form/@action`` and
 ``frame|iframe/@src``; fragments are stripped, query strings kept,
 ``mailto:``/``javascript:``/external targets dropped.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
+import os
 import posixpath
+import stat
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from urllib.parse import unquote, urljoin, urlsplit, urlunsplit
 
-from .normalize import Document, Element, EmptyDocumentError, Text, decode_markup, to_xhtml
+from .normalize import Document, EmptyDocumentError, Text, decode_markup, to_xhtml, walk
 
 logger = logging.getLogger(__name__)
 
@@ -49,7 +54,6 @@ class RawPage:
 class LinkRef:
     source: PageId
     target: PageId
-    anchor_text: str = ""
 
 
 # attributes that carry navigation targets, checked in this order per tag
@@ -63,6 +67,8 @@ class FileResolver:
 
     def __init__(self, root_dir: Path):
         self.root_dir = Path(root_dir).resolve()
+        self._prefix = os.path.join(self.root_dir, "")
+        self._real_dir = functools.lru_cache(maxsize=None)(os.path.realpath)
 
     def resolve(self, base: PageId, href: str) -> PageId | None:
         href = href.split("#", 1)[0].strip()
@@ -81,10 +87,19 @@ class FileResolver:
         return candidate
 
     def fetch(self, page_id: PageId) -> str:
-        path = self.root_dir / Path(page_id)
+        path = os.path.join(self.root_dir, page_id)
+        directory, name = os.path.split(path)
         try:
-            return decode_markup(path.read_bytes())
-        except OSError as exc:
+            # the real location, symlinks followed: one realpath per
+            # directory, and per file only when the file is a symlink
+            real = os.path.join(self._real_dir(directory), name)
+            if stat.S_ISLNK(os.lstat(real).st_mode):
+                real = os.path.realpath(real)
+            if not real.startswith(self._prefix):
+                raise PageReadError(f"{page_id}: symlinked outside the mirror")
+            with open(path, "rb") as handle:
+                return decode_markup(handle.read())
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
             raise PageReadError(f"{page_id}: {exc}") from exc
 
 
@@ -120,30 +135,25 @@ class HttpResolver:
         if self._fetched_once and self.delay > 0:
             time.sleep(self.delay)
         self._fetched_once = True
+        url = page_id
         try:
-            response = requests.get(page_id, timeout=30)
+            # redirects are followed by hand so that one leaving the site
+            # is refused before its target is requested
+            for _ in range(requests.models.DEFAULT_REDIRECT_LIMIT + 1):
+                response = requests.get(url, timeout=30, allow_redirects=False)
+                location = response.headers.get("Location")
+                if response.status_code not in requests.models.REDIRECT_STATI or not location:
+                    break
+                url = urljoin(url, location)
+                if urlsplit(url).netloc.lower() != self.netloc:  # as in resolve
+                    raise PageReadError(f"{page_id}: redirected off the site to {url}")
+            else:
+                raise PageReadError(f"{page_id}: too many redirects")
         except requests.RequestException as exc:
             raise PageReadError(f"{page_id}: {exc}") from exc
         if response.status_code >= 400:
             raise PageReadError(f"{page_id}: HTTP {response.status_code}")
-        if urlsplit(response.url).netloc.lower() != self.netloc:
-            # same rule as resolve: http and https on this host are the site
-            raise PageReadError(f"{page_id}: redirected off the site to {response.url}")
         return decode_markup(response.content)
-
-
-def _anchor_text(element: Element) -> str:
-    parts: list[str] = []
-
-    def walk(node):
-        for child in node.children:
-            if isinstance(child, Text):
-                parts.append(child.content)
-            else:
-                walk(child)
-
-    walk(element)
-    return " ".join(" ".join(parts).split())
 
 
 def extract_links(doc: Document, base: PageId, resolver) -> list[LinkRef]:
@@ -151,24 +161,17 @@ def extract_links(doc: Document, base: PageId, resolver) -> list[LinkRef]:
     target (first occurrence wins)."""
     links: list[LinkRef] = []
     seen: set[PageId] = set()
-
-    def walk(element: Element):
-        attr_name = _LINK_ATTRS.get(element.name)
-        if attr_name is not None:
-            value = next((v for k, v in element.attrs if k == attr_name), None)
-            if value is not None:
-                target = resolver.resolve(base, value)
-                if target is not None and target not in seen:
-                    seen.add(target)
-                    text = _anchor_text(element) if element.name == "a" else ""
-                    links.append(LinkRef(base, target, text))
-                elif target is None and value.strip():
-                    logger.debug("unresolvable reference %r on %s", value, base)
-        for child in element.children:
-            if isinstance(child, Element):
-                walk(child)
-
-    walk(doc.root)
+    for element, _, closing in walk(doc.root):
+        if closing or element.__class__ is Text or element.name not in _LINK_ATTRS:
+            continue
+        attr_name = _LINK_ATTRS[element.name]
+        value = next((v for k, v in element.attrs if k == attr_name), None)
+        target = None if value is None else resolver.resolve(base, value)
+        if target is not None and target not in seen:
+            seen.add(target)
+            links.append(LinkRef(base, target))
+        elif target is None and value and value.strip():
+            logger.debug("unresolvable reference %r on %s", value, base)
     return links
 
 
@@ -196,17 +199,6 @@ class Corpus:
             cached = extract_links(self.document(page_id), page_id, self.resolver)
             self._links[page_id] = cached
         return cached
-
-    def retrieve(self, target: PageId) -> RawPage | None:
-        return self.pages.get(target)
-
-
-def retrieve_page(link: LinkRef, corpus: Corpus) -> RawPage | None:
-    """Cached page for a link target; ``None`` marks a dangling link."""
-    page = corpus.retrieve(link.target)
-    if page is None:
-        logger.warning("dangling link %s -> %s", link.source, link.target)
-    return page
 
 
 def _open_root(root, delay: float):

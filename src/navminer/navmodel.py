@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from . import schema as schema_mod
 from .corpus import Corpus, PageId
-from .normalize import pretty_print
+from .normalize import pretty_print, walk
 from .similarity import Partition, similarity, spanning_clone_pairs, transclos
 
 METHODS = ("MMS", "STS")
@@ -56,13 +56,8 @@ class NavTree:
     page_backrefs: dict[PageId, tuple[PageId, ...]] = field(default_factory=dict)
 
     def nodes(self) -> list[NavNode]:
-        out: list[NavNode] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            stack.extend(reversed(node.children))
-        return out
+        """Every node, parents before children, siblings in order."""
+        return [node for node, _, closing in walk(self.root) if not closing]
 
 
 def token_seq(corpus: Corpus, page_id: PageId, method: str):
@@ -91,7 +86,10 @@ def page_size(corpus: Corpus, page_id: PageId) -> int:
     key = ("size", page_id)
     size = corpus.memo.get(key)
     if size is None:
-        size = len(pretty_print(corpus.document(page_id)).text.encode("utf-8"))
+        # summed per line: the indentation makes a deep page's text
+        # quadratic in its depth, so it is not joined into one string
+        lines = pretty_print(corpus.document(page_id)).lines
+        size = sum(map(len, map(str.encode, lines))) + len(lines)
         corpus.memo[key] = size
     return size
 
@@ -149,18 +147,17 @@ def build_nav_tree(root: PageId, corpus: Corpus, threshold: float,
         page_backrefs[page_id] = tuple(back)
         page_children[page_id] = _cluster_ordered(corpus, method, new, threshold)
 
-    def expand_node(node: NavNode):
+    root_node = NavNode((root,), 0)
+    # walk reads a node's children after yielding it, so each node is
+    # expanded before its subtree, in depth-first order
+    for node, _, closing in walk(root_node):
+        if closing:
+            continue
         for page_id in node.members:
             expand_page(page_id, node.level)
-        for page_id in node.members:
-            for cluster in page_children[page_id]:
-                node.children.append(NavNode(cluster, node.level + 1))
+        node.children = [NavNode(cluster, node.level + 1)
+                         for page_id in node.members for cluster in page_children[page_id]]
         node.backrefs = _node_backrefs(node.members, page_backrefs)
-        for child in node.children:
-            expand_node(child)
-
-    root_node = NavNode((root,), 0)
-    expand_node(root_node)
     return NavTree(root_node, corpus, method, threshold, max_depth,
                    page_children, page_backrefs)
 
@@ -169,19 +166,18 @@ def refine_clusters(tree: NavTree, threshold: float, method: str) -> NavTree:
     """Root-down refinement: the union of a multi-page node's outgoing
     pages is re-clustered jointly and replaces its per-page child sets."""
     corpus = tree.corpus
-
-    def rebuild(members: tuple[PageId, ...], level: int) -> NavNode:
-        node = NavNode(members, level)
+    root = NavNode(tree.root.members, 0)
+    for node, _, closing in walk(root):
+        if closing:
+            continue
+        members = node.members
         if len(members) >= 2:
             union = [q for p in members for c in tree.page_children.get(p, []) for q in c]
             clusters = _cluster_ordered(corpus, method, union, threshold)
         else:
             clusters = tree.page_children.get(members[0], [])
-        node.children = [rebuild(c, level + 1) for c in clusters]
+        node.children = [NavNode(c, node.level + 1) for c in clusters]
         node.backrefs = _node_backrefs(members, tree.page_backrefs)
-        return node
-
-    root = rebuild(tree.root.members, 0)
     return NavTree(root, corpus, method, threshold, tree.max_depth,
                    tree.page_children, tree.page_backrefs)
 
@@ -191,14 +187,9 @@ def reduce_to_snp(tree: NavTree) -> NavTree:
     broken towards the lexicographically smaller id.  Shape, members
     and children stay untouched."""
     corpus = tree.corpus
-
-    def visit(node: NavNode):
+    for node in tree.nodes():
         node.representative = min(node.members,
                                   key=lambda p: (-page_size(corpus, p), p))
-        for child in node.children:
-            visit(child)
-
-    visit(tree.root)
     return tree
 
 

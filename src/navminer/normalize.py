@@ -188,6 +188,50 @@ def _open_tag(element: Element, self_close: bool = False) -> str:
     return "<" + " ".join(parts) + ("/>" if self_close else ">")
 
 
+def walk(root):
+    """Depth-first walk of an element or nav node tree on an explicit stack.
+
+    Yields ``(node, depth, closing)``: each node once opening, in
+    document order, and each node with ``children`` (not a text run)
+    again, closing, after its subtree.  A node's children are read only
+    after the caller has seen it open, so the caller may fill them in then.
+    """
+    yield root, 0, False
+    stack = [(root, iter(root.children))]
+    depth = 1  # of the children under stack[-1]
+    while depth:
+        node, children = stack[-1]
+        for child in children:
+            yield child, depth, False
+            if child.__class__ is not Text:
+                stack.append((child, iter(child.children)))
+                depth += 1
+                break
+        else:
+            stack.pop()
+            depth -= 1
+            yield node, depth, True
+
+
+def _lines(root: Element, with_text: bool) -> LineText:
+    lines: list[str] = []
+    append = lines.append
+    for node, depth, closing in walk(root):
+        if node.__class__ is Text:
+            if with_text:
+                append("  " * depth + _escape(node.content))
+            continue
+        one_line = node.self_closing and not (
+            node.children if with_text
+            else any(c.__class__ is not Text for c in node.children))
+        if closing:
+            if not one_line:
+                append("  " * depth + f"</{node.name}>")
+        else:
+            append("  " * depth + _open_tag(node, self_close=one_line))
+    return LineText(lines)
+
+
 def pretty_print(doc: Document) -> LineText:
     """Serialize with one tag per line, children indented two spaces.
 
@@ -195,23 +239,7 @@ def pretty_print(doc: Document) -> LineText:
     single line; everything else gets an open and a close line, even
     when childless.
     """
-    lines: list[str] = []
-
-    def walk(node, depth):
-        pad = "  " * depth
-        if isinstance(node, Text):
-            lines.append(pad + _escape(node.content))
-            return
-        if node.self_closing and not node.children:
-            lines.append(pad + _open_tag(node, self_close=True))
-            return
-        lines.append(pad + _open_tag(node))
-        for child in node.children:
-            walk(child, depth + 1)
-        lines.append(pad + f"</{node.name}>")
-
-    walk(doc.root, 0)
-    return LineText(lines)
+    return _lines(doc.root, with_text=True)
 
 
 def serialize(doc: Document) -> str:
@@ -221,14 +249,19 @@ def serialize(doc: Document) -> str:
 
 def remove_textual_content(doc: Document) -> Document:
     """Drop every text node; element structure and attributes stay put."""
-
-    def strip(element: Element) -> Element:
-        children = [strip(c) for c in element.children if isinstance(c, Element)]
-        return Element(element.name, list(element.attrs), children, element.self_closing)
-
-    return Document(strip(doc.root))
+    open_copies: list[Element] = []
+    for node, _, closing in walk(doc.root):
+        if closing:
+            root = open_copies.pop()
+        elif node.__class__ is not Text:
+            copy = Element(node.name, list(node.attrs), [], node.self_closing)
+            if open_copies:
+                open_copies[-1].children.append(copy)
+            open_copies.append(copy)
+    return Document(root)
 
 
 def stripped_lines(doc: Document) -> LineText:
-    """Text-free pretty-print, the input form the line diff works on."""
-    return pretty_print(remove_textual_content(doc))
+    """Text-free pretty-print, the input form the line diff works on:
+    ``pretty_print(remove_textual_content(doc))`` without the copy."""
+    return _lines(doc.root, with_text=False)

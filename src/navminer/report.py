@@ -21,7 +21,6 @@ from __future__ import annotations
 import html as html_escape
 import logging
 import shutil
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +29,7 @@ from .components import KINDS, CandidateComponent, extract_candidates
 from .corpus import Corpus, CorpusError, load_corpus
 from .evaluate import EvaluationResult, evaluate, load_reference
 from .navmodel import NavTree, build_nav_tree, collect_partition, reduce_to_snp, refine_clusters
+from .normalize import walk
 
 logger = logging.getLogger(__name__)
 
@@ -113,45 +113,54 @@ def _component_file(index: int) -> str:
     return f"components/edge-{index:03d}.html"
 
 
+# ElementTree's attribute escaping, in one pass
+_XML_ATTR_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+                                   "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"})
+
+
+def _xml_tag(depth: int, name: str, attrs: dict[str, str], empty: bool = False) -> str:
+    parts = "".join(f' {key}="{value.translate(_XML_ATTR_ESCAPES)}"'
+                    for key, value in attrs.items())
+    return "  " * depth + f"<{name}{parts}{' />' if empty else '>'}"
+
+
 def emit_xml(tree: NavTree, components: list[CandidateComponent],
              evaluation: EvaluationResult | None = None) -> str:
     """Well-formed XML with the node tree, the per-edge components and
-    the optional evaluation block."""
-    root = ET.Element("navmodel")
+    the optional evaluation block, one element per line and children
+    indented two spaces (the layout of ElementTree's ``indent``)."""
+    lines = ["<navmodel>"]
+    for node, depth, closing in walk(tree.root):
+        empty = not node.children and not node.backrefs
+        if not closing:
+            lines.append(_xml_tag(depth + 1, "node", {
+                "representative": node.representative or "",
+                "members": " ".join(sorted(node.members)),
+            }, empty))
+        elif not empty:
+            lines.extend(_xml_tag(depth + 2, "backref", {"target": target}, True)
+                         for target in node.backrefs)
+            lines.append("  " * (depth + 1) + "</node>")
 
-    def add_node(node, parent):
-        elem = ET.SubElement(parent, "node", {
-            "representative": node.representative or "",
-            "members": " ".join(sorted(node.members)),
-        })
-        for child in node.children:
-            add_node(child, elem)
-        for target in node.backrefs:
-            ET.SubElement(elem, "backref", {"target": target})
-
-    add_node(tree.root, root)
-
-    comps = ET.SubElement(root, "components")
+    lines.append(_xml_tag(1, "components", {}, not components))
     for index, component in enumerate(components):
-        elem = ET.SubElement(comps, "component", {
+        lines.append(_xml_tag(2, "component", {
             "source": component.source,
             "target": component.target,
             "file": _component_file(index),
             "fragments": str(len(component.fragments)),
-        })
-        ET.SubElement(elem, "inventory",
-                      {kind.lower(): str(component.inventory.get(kind, 0)) for kind in KINDS})
-
+        }))
+        lines.append(_xml_tag(3, "inventory", {
+            kind.lower(): str(component.inventory.get(kind, 0)) for kind in KINDS}, True))
+        lines.append("    </component>")
+    if components:
+        lines.append("  </components>")
     if evaluation is not None:
-        ET.SubElement(root, "evaluation", {
-            "rcr": str(evaluation.rcr),
-            "icr": str(evaluation.icr),
-            "precision": str(evaluation.precision),
-            "recall": str(evaluation.recall),
-        })
-
-    ET.indent(root, space="  ")
-    return '<?xml version="1.0" encoding="UTF-8"?>\n' + ET.tostring(root, encoding="unicode") + "\n"
+        lines.append(_xml_tag(1, "evaluation", {
+            name: str(getattr(evaluation, name)) for name in ("rcr", "icr", "precision", "recall")
+        }, True))
+    lines.append("</navmodel>")
+    return '<?xml version="1.0" encoding="UTF-8"?>\n' + "\n".join(lines) + "\n"
 
 
 def _edge_html(index: int, component: CandidateComponent) -> str:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .normalize import Document, Element, Text
+from .normalize import Document, Text, walk
 
 EMPTY = "EMPTY"
 PCDATA = "PCDATA"
@@ -38,9 +38,7 @@ MIXED = "MIXED"
 SEQUENCE = "SEQUENCE"
 CHOICE_STAR = "CHOICE-STAR"
 
-ONE = "one"
 PLUS = "plus"
-OPTIONAL = "optional"
 STAR = "star"
 
 REQUIRED = "REQUIRED"
@@ -89,17 +87,8 @@ def _embed_left(seq, spine):
 
 
 def _embed_right(seq, spine):
-    positions = []
-    k = len(spine) - 1
-    for item in reversed(seq):
-        while k >= 0 and spine[k] != item:
-            k -= 1
-        if k < 0:
-            return None
-        positions.append(k)
-        k -= 1
-    positions.reverse()
-    return positions
+    mirrored = _embed_left(seq[::-1], spine[::-1])
+    return None if mirrored is None else [len(spine) - 1 - k for k in reversed(mirrored)]
 
 
 def _infer_model(seqs: list[tuple[str, ...]], has_text: bool) -> ContentModel:
@@ -141,21 +130,18 @@ def extract_schema(doc: Document) -> Schema:
     attr_counts: dict[str, Counter] = {}
     instances: Counter = Counter()
 
-    def walk(element: Element):
+    for element, _, closing in walk(doc.root):
+        if closing or element.__class__ is Text:
+            continue
         name = element.name
         instances[name] += 1
-        seq = tuple(c.name for c in element.children if isinstance(c, Element))
+        seq = tuple(c.name for c in element.children if c.__class__ is not Text)
         sequences.setdefault(name, []).append(seq)
-        if any(isinstance(c, Text) for c in element.children):
+        if len(seq) != len(element.children):
             has_text[name] = True
         counts = attr_counts.setdefault(name, Counter())
         for attr_name, _ in element.attrs:
             counts[attr_name] += 1
-        for child in element.children:
-            if isinstance(child, Element):
-                walk(child)
-
-    walk(doc.root)
 
     schema = Schema()
     for name in sorted(sequences):
@@ -202,20 +188,11 @@ def serialize_schema(schema: Schema) -> TokenSeq:
 
 def sts_serialize(doc: Document) -> TokenSeq:
     """Baseline substrate: the tag tree as open/close tokens, text ignored."""
-    tokens: list[str] = []
-
-    def walk(element: Element):
-        tokens.append("open:" + element.name)
-        for child in element.children:
-            if isinstance(child, Element):
-                walk(child)
-        tokens.append("close:" + element.name)
-
-    walk(doc.root)
-    return tuple(tokens)
+    return tuple(("close:" if closing else "open:") + node.name
+                 for node, _, closing in walk(doc.root) if node.__class__ is not Text)
 
 
-_FLAG_SUFFIX = {ONE: "", PLUS: "+", OPTIONAL: "?", STAR: "*"}
+_FLAG_SUFFIX = {PLUS: "+", STAR: "*"}
 
 
 def dtd_text(schema: Schema) -> str:

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from navminer.corpus import (CorpusError, FileResolver, HttpResolver, LinkRef,
-                             PageReadError, extract_links, load_corpus, retrieve_page)
+                             PageReadError, extract_links, load_corpus)
 from navminer.normalize import to_xhtml
 
 from conftest import DEMO_PAGE_COUNT, write_mirror
@@ -44,7 +44,7 @@ def test_extract_links_filters_and_orders(tmp_path):
         "</body></html>"
     )
     links = extract_links(doc, "index.html", resolver)
-    assert links == [LinkRef("index.html", "a.html", "first")]
+    assert links == [LinkRef("index.html", "a.html")]
 
 
 def test_extract_links_dedupes_and_strips_fragments(tmp_path):
@@ -155,18 +155,30 @@ def test_markup_free_linked_page_excluded(tmp_path):
     assert "plain.html" not in corpus.pages
 
 
-def test_retrieve_page_cache_semantics(tmp_path):
-    root = write_mirror(tmp_path, {
-        "index.html": '<html><body><a href="a.html">a</a></body></html>',
-        "a.html": "<html><body>target</body></html>",
+def test_symlink_leaving_the_mirror_is_dangling(tmp_path):
+    root = write_mirror(tmp_path / "site", {
+        "index.html": '<html><body><a href="leak.html">leak</a>'
+                      '<a href="alias.html">alias</a><a href="sub/up.html">up</a>'
+                      '<a href="out/secret.html">dir</a></body></html>',
+        "a.html": "<html><body>inside</body></html>",
+        "sub/keep.txt": "",
     })
+    write_mirror(tmp_path / "outside", {"secret.html": "<html><body>secret</body></html>"})
+    site = tmp_path / "site"
+    (site / "leak.html").symlink_to("../outside/secret.html")
+    (site / "alias.html").symlink_to("a.html")
+    (site / "sub" / "up.html").symlink_to("../a.html")
+    (site / "out").symlink_to(tmp_path / "outside", target_is_directory=True)
     corpus = load_corpus(root, max_depth=2)
-    link = corpus.links("index.html")[0]
-    first = retrieve_page(link, corpus)
-    second = retrieve_page(link, corpus)
-    assert first is second
-    assert first.text == (tmp_path / "a.html").read_text()
-    assert retrieve_page(LinkRef("index.html", "gone.html"), corpus) is None
+    assert set(corpus.pages) == {"index.html", "alias.html", "sub/up.html"}
+    assert corpus.dangling == ["leak.html", "out/secret.html"]
+
+
+def test_nul_in_a_link_is_dangling(tmp_path):
+    root = write_mirror(tmp_path, {
+        "index.html": '<html><body><a href="a%00.html">nul</a></body></html>',
+    })
+    assert load_corpus(root, max_depth=2).dangling == ["a\x00.html"]
 
 
 def test_depth_equals_shortest_chain(demo_corpus):
@@ -217,7 +229,14 @@ def test_http_redirect_off_the_site_is_dangling(tmp_path):
                       '<a href="jump.html">jump</a></body></html>',
         "a.html": "<html><body>here</body></html>",
     })
-    with serving(partial(SimpleHTTPRequestHandler, directory=str(tmp_path / "other"))) as other:
+    foreign_requests = []
+
+    class Recording(SimpleHTTPRequestHandler):
+        def do_GET(self):
+            foreign_requests.append(self.path)
+            return super().do_GET()
+
+    with serving(partial(Recording, directory=str(tmp_path / "other"))) as other:
         class Redirecting(SimpleHTTPRequestHandler):
             def do_GET(self):
                 if self.path != "/jump.html":
@@ -230,6 +249,7 @@ def test_http_redirect_off_the_site_is_dangling(tmp_path):
             corpus = load_corpus(f"{base}/index.html", max_depth=3, delay=0.0)
             assert set(corpus.pages) == {f"{base}/index.html", f"{base}/a.html"}
             assert corpus.dangling == [f"{base}/jump.html"]
+    assert foreign_requests == []  # the redirect was refused, not followed
 
 
 def test_http_scheme_change_on_the_same_host_loads(monkeypatch):
@@ -238,19 +258,31 @@ def test_http_scheme_change_on_the_same_host_loads(monkeypatch):
     # a direct https link from an http root stays on the site
     assert resolver.resolve("http://site.test/index.html",
                             "https://site.test/p.html") == "https://site.test/p.html"
-    final_url = {}
+    moved = {}  # url -> Location of its 301
+    requested = []
 
-    def fake_get(url, timeout):
-        return SimpleNamespace(status_code=200, url=final_url[url],
+    def fake_get(url, timeout, allow_redirects):
+        assert allow_redirects is False
+        requested.append(url)
+        if url in moved:
+            return SimpleNamespace(status_code=301, headers={"Location": moved[url]},
+                                   content=b"")
+        return SimpleNamespace(status_code=200, headers={},
                                content=b"<html><body>ok</body></html>")
 
     monkeypatch.setattr(requests, "get", fake_get)
-    final_url["https://site.test/p.html"] = "https://site.test/p.html"
     assert "ok" in resolver.fetch("https://site.test/p.html")
     # an http -> https upgrade redirect on the same host is still the site
-    final_url["http://site.test/index.html"] = "https://site.test/index.html"
+    moved["http://site.test/index.html"] = "https://site.test/index.html"
     assert "ok" in resolver.fetch("http://site.test/index.html")
-    # a redirect to another host is not
-    final_url["http://site.test/jump.html"] = "https://elsewhere.test/x.html"
+    # a redirect to another host is not, and is not requested
+    moved["http://site.test/jump.html"] = "https://elsewhere.test/x.html"
     with pytest.raises(PageReadError, match="off the site"):
         resolver.fetch("http://site.test/jump.html")
+    assert "https://elsewhere.test/x.html" not in requested
+    # a same-host redirect loop ends at the library's redirect limit
+    moved["http://site.test/loop.html"] = "/loop.html"
+    with pytest.raises(PageReadError, match="too many redirects"):
+        resolver.fetch("http://site.test/loop.html")
+    assert requested.count("http://site.test/loop.html") == \
+        requests.models.DEFAULT_REDIRECT_LIMIT + 1

@@ -1,14 +1,16 @@
 """Repair, pretty-printing and text stripping."""
 
+import ast
 import random
 
 import pytest
 
+from navminer.cli import main
 from navminer.normalize import (EmptyDocumentError, Element, Text, parse_html,
                                 pretty_print, remove_textual_content,
-                                serialize, to_xhtml)
+                                serialize, stripped_lines, to_xhtml, walk)
 
-from conftest import all_elements, random_document
+from conftest import DEMO_CORPUS, REPO_ROOT, all_elements, random_document, write_mirror
 
 
 def test_unclosed_tag_equals_closed_form():
@@ -158,3 +160,86 @@ def test_latin1_fallback():
 
     data = "<p>caf\xe9</p>".encode("latin-1")
     assert "caf\xe9" in decode_markup(data)
+
+
+def _walk_reference(node, depth=0):
+    """The recursive definition ``walk`` must agree with."""
+    events = [(node, depth, False)]
+    if not isinstance(node, Text):
+        for child in node.children:
+            events.extend(_walk_reference(child, depth + 1))
+        events.append((node, depth, True))
+    return events
+
+
+def _ids(events):
+    return [(id(node), depth, closing) for node, depth, closing in events]
+
+
+def test_walk_matches_recursive_reference_random():
+    rng = random.Random(203)
+    for _ in range(40):
+        doc = random_document(rng, depth=rng.randint(0, 5))
+        assert _ids(walk(doc.root)) == _ids(_walk_reference(doc.root))
+
+
+def test_walk_reads_children_after_yielding_the_node():
+    root = Element("a")
+    seen = []
+    for node, depth, closing in walk(root):
+        seen.append((node.name, depth, closing))
+        if not closing and depth < 2:  # grow the tree while walking it
+            node.children = [Element(node.name + "0"), Element(node.name + "1")]
+    opening = [name for name, _, closing in seen if not closing]
+    assert opening == ["a", "a0", "a00", "a01", "a1", "a10", "a11"]
+    assert seen[-1] == ("a", 0, True)
+
+
+def test_stripped_lines_equals_pretty_print_of_stripped_copy():
+    rng = random.Random(204)
+    for _ in range(60):
+        doc = random_document(rng, depth=4)
+        for element in all_elements(doc.root):  # the parser never does this
+            element.self_closing = rng.random() < 0.2
+        assert stripped_lines(doc) == pretty_print(remove_textual_content(doc))
+    pages = sorted(DEMO_CORPUS.rglob("*.html"))
+    assert pages
+    for page in pages:
+        doc = to_xhtml(page.read_text(encoding="utf-8"))
+        assert stripped_lines(doc) == pretty_print(remove_textual_content(doc))
+
+
+def test_deeply_nested_page_runs(tmp_path, capsys):
+    root = write_mirror(tmp_path / "mirror", {
+        "index.html": "<html><body>" + "<div>x" * 10_000 + '<a href="b.html">b</a>',
+        "b.html": "<html><body><p>end",
+    })
+    out = tmp_path / "out"
+    assert main(["--root", str(root), "--out", str(out), "--verbose"]) == 0
+    assert "pages: 2  nodes: 2  components: 1" in capsys.readouterr().out
+    assert len(list((out / "schemas").glob("*.dtd"))) == 2
+
+
+def _callee(call):
+    """Name of a function called directly or as a method of ``self``."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "self":
+        return func.attr
+    return None
+
+
+def test_package_has_no_recursive_function_and_no_elementtree():
+    """Deep input must not meet Python's recursion limit: every tree is
+    walked by ``walk``, so no function calls itself by name."""
+    package = REPO_ROOT / "src" / "navminer"
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                assert not any(n.startswith("xml.etree") for n in names), path.name
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                called = {_callee(call) for call in ast.walk(node) if isinstance(call, ast.Call)}
+                assert node.name not in called, f"{path.name}: {node.name} calls itself"

@@ -1,13 +1,15 @@
 """Pipeline orchestration, DOT/XML emission, CLI behaviour."""
 
+import random
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from navminer import load_corpus
 from navminer.cli import main
-from navminer.components import extract_candidates
-from navminer.navmodel import build_nav_tree, reduce_to_snp, refine_clusters
+from navminer.components import KINDS, CandidateComponent, extract_candidates
+from navminer.evaluate import EvaluationResult
+from navminer.navmodel import NavNode, NavTree, build_nav_tree, reduce_to_snp, refine_clusters
 from navminer.report import Config, ConfigError, emit_dot, emit_xml, run_pipeline
 
 from conftest import DEMO_THRESHOLD, write_mirror
@@ -180,3 +182,97 @@ def test_cli_internal_error_exit_code(tmp_path, demo_root, monkeypatch):
 
     monkeypatch.setattr(cli, "run_pipeline", boom)
     assert main(["--root", str(demo_root), "--out", str(tmp_path / "out")]) == 3
+
+
+def _emit_xml_etree(tree, components, evaluation=None):
+    """The ElementTree serializer ``emit_xml`` replaced, kept as its oracle."""
+    root = ET.Element("navmodel")
+
+    def add_node(node, parent):
+        elem = ET.SubElement(parent, "node", {
+            "representative": node.representative or "",
+            "members": " ".join(sorted(node.members)),
+        })
+        for child in node.children:
+            add_node(child, elem)
+        for target in node.backrefs:
+            ET.SubElement(elem, "backref", {"target": target})
+
+    add_node(tree.root, root)
+    comps = ET.SubElement(root, "components")
+    for index, component in enumerate(components):
+        elem = ET.SubElement(comps, "component", {
+            "source": component.source,
+            "target": component.target,
+            "file": f"components/edge-{index:03d}.html",
+            "fragments": str(len(component.fragments)),
+        })
+        ET.SubElement(elem, "inventory",
+                      {kind.lower(): str(component.inventory.get(kind, 0)) for kind in KINDS})
+    if evaluation is not None:
+        ET.SubElement(root, "evaluation", {
+            "rcr": str(evaluation.rcr),
+            "icr": str(evaluation.icr),
+            "precision": str(evaluation.precision),
+            "recall": str(evaluation.recall),
+        })
+    ET.indent(root, space="  ")
+    return '<?xml version="1.0" encoding="UTF-8"?>\n' + ET.tostring(root, encoding="unicode") + "\n"
+
+
+_ODD = ("&", "<", ">", '"', "'", "\n", "\r", "\t", "\x00", "\x1f", "\xe9", "a", "b.html", " ")
+
+
+def _odd_id(rng):
+    return "".join(rng.choice(_ODD) for _ in range(rng.randint(0, 6)))
+
+
+def _random_nav_tree(rng):
+    root = NavNode((_odd_id(rng),), 0)
+    nodes = [root]
+    for _ in range(rng.randint(0, 12)):
+        parent = rng.choice(nodes)
+        child = NavNode(tuple(_odd_id(rng) for _ in range(rng.randint(1, 3))), parent.level + 1)
+        parent.children.append(child)
+        nodes.append(child)
+    for node in nodes:
+        node.backrefs = tuple(_odd_id(rng) for _ in range(rng.randint(0, 2)))
+        node.representative = rng.choice(node.members + (None,))
+    return NavTree(root, None, "MMS", 0.9, 10)
+
+
+def test_emit_xml_matches_elementtree_random():
+    rng = random.Random(301)
+    for _ in range(400):
+        tree = _random_nav_tree(rng)
+        components = [
+            CandidateComponent(_odd_id(rng), _odd_id(rng), [None] * rng.randint(0, 3),
+                               {kind: rng.randint(0, 2) for kind in rng.sample(KINDS, 3)})
+            for _ in range(rng.randint(0, 3))]
+        evaluation = (EvaluationResult(*(rng.randint(0, 100) for _ in range(4)))
+                      if rng.random() < 0.5 else None)
+        assert emit_xml(tree, components, evaluation) == \
+            _emit_xml_etree(tree, components, evaluation)
+
+
+def test_emit_xml_matches_elementtree_on_demo(demo_root, demo_reference, tmp_path):
+    cfg = Config(root=str(demo_root), threshold=DEMO_THRESHOLD,
+                 out_dir=str(tmp_path / "out"), reference=str(demo_reference))
+    result = run_pipeline(cfg)
+    expected = _emit_xml_etree(result.tree, result.components, result.evaluation)
+    assert (result.out_dir / "navmodel.xml").read_text(encoding="utf-8") == expected
+
+
+def test_long_link_chain_runs(tmp_path, capsys):
+    pages = 2_000
+    mirror = {}
+    for index in range(pages):
+        name = "index.html" if index == 0 else f"p{index}.html"
+        link = f'<a href="p{index + 1}.html">next</a>' if index + 1 < pages else ""
+        mirror[name] = f"<html><body><h1>p{index}</h1>{link}</body></html>"
+    root = write_mirror(tmp_path / "mirror", mirror)
+    out = tmp_path / "out"
+    assert main(["--root", str(root), "--out", str(out), "--depth", str(pages + 500)]) == 0
+    assert f"pages: {pages}  nodes: {pages}  components: {pages - 1}" in capsys.readouterr().out
+    parsed = ET.parse(out / "navmodel.xml").getroot()
+    assert sum(1 for _ in parsed.iter("node")) == pages
