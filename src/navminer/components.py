@@ -9,6 +9,11 @@ discarded; the question is what *appears*, not what goes away.
 
 Line equality ignores leading whitespace, so indentation depth
 differences between the two pages never register as change.
+
+The alignment table is bit-parallel: one int per line of A, one bit per
+line of B, built a machine word at a time instead of cell by cell, and
+read back by counting bits.  The backtrack over it is the canonical one
+of the full table, so the fragments are those of the classic DP.
 """
 
 from __future__ import annotations
@@ -46,9 +51,13 @@ def lcs_pairs(a: list[str], b: list[str]) -> list[tuple[int, int]]:
     """Longest-common-subsequence alignment as (index-in-a, index-in-b)
     pairs, with leading whitespace ignored for equality.
 
-    The backtrack is canonical and symmetric: running it on (b, a)
-    yields the mirrored pair set, which keeps the two one-sided diffs of
-    a page pair consistent with a single alignment.
+    The table is bit-parallel (Allison and Dix; Hyyro, "Bit-parallel
+    LCS-length computation revisited", 2004): row ``i`` is one int whose
+    bits are ``b``'s columns, and ``dp[i][j]`` is ``j`` minus the set
+    bits of the row's lowest ``j``, so the table takes n*m/8 bytes.
+    The backtrack over it is canonical and symmetric: running it on
+    (b, a) yields the mirrored pair set, which keeps the two one-sided
+    diffs of a page pair consistent with a single alignment.
     """
     ka = [line.lstrip() for line in a]
     kb = [line.lstrip() for line in b]
@@ -63,18 +72,19 @@ def lcs_pairs(a: list[str], b: list[str]) -> list[tuple[int, int]]:
     ma = ka[start:la - end]
     mb = kb[start:lb - end]
     n, m = len(ma), len(mb)
-    dp = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        row = dp[i]
-        above = dp[i - 1]
-        ai = ma[i - 1]
-        for j in range(1, m + 1):
-            if ai == mb[j - 1]:
-                row[j] = above[j - 1] + 1
-            else:
-                up = above[j]
-                left = row[j - 1]
-                row[j] = up if up >= left else left
+    match: dict[str, int] = {}  # line -> bit j set where mb[j] is that line
+    for j, line in enumerate(mb):
+        match[line] = match.get(line, 0) | (1 << j)
+    full = (1 << m) - 1
+    rows = [full]  # a zero bit j in row i: dp[i][j + 1] == dp[i][j] + 1
+    v = full
+    for line in ma:
+        u = v & match.get(line, 0)
+        v = ((v + u) | (v - u)) & full
+        rows.append(v)
+
+    def dp(i: int, j: int) -> int:
+        return j - (rows[i] & ((1 << j) - 1)).bit_count()
 
     middle: list[tuple[int, int]] = []
     i, j = n, m
@@ -83,14 +93,16 @@ def lcs_pairs(a: list[str], b: list[str]) -> list[tuple[int, int]]:
             middle.append((i - 1, j - 1))
             i -= 1
             j -= 1
-        elif dp[i - 1][j] > dp[i][j - 1]:
-            i -= 1
-        elif dp[i - 1][j] < dp[i][j - 1]:
-            j -= 1
-        elif ma[i - 1] > mb[j - 1]:  # tie: drop the larger line, keeps it symmetric
-            i -= 1
         else:
-            j -= 1
+            up, left = dp(i - 1, j), dp(i, j - 1)
+            if up > left:
+                i -= 1
+            elif up < left:
+                j -= 1
+            elif ma[i - 1] > mb[j - 1]:  # tie: drop the larger line, keeps it symmetric
+                i -= 1
+            else:
+                j -= 1
     middle.reverse()
 
     pairs = [(k, k) for k in range(start)]

@@ -12,7 +12,10 @@ host and port match the root URL (HTTP mode; http and https on that
 host are both the site, and a redirect to another host is not followed).
 Links are read from ``a/@href``, ``form/@action`` and
 ``frame|iframe/@src``; fragments are stripped, query strings kept,
-``mailto:``/``javascript:``/external targets dropped.
+``mailto:``/``javascript:``/external targets dropped.  In filesystem
+mode a link to a directory of the mirror (``sub/`` or ``sub``) stands
+for its ``index.html`` (or ``index.htm``), as the root does and as an
+HTTP server answers; a directory without one is dangling.
 """
 
 from __future__ import annotations
@@ -62,6 +65,16 @@ _LINK_ATTRS = {"a": "href", "form": "action", "frame": "src", "iframe": "src"}
 _SKIP_PREFIXES = ("mailto:", "javascript:", "tel:", "data:")
 
 
+def _directory_index(path) -> str | None:
+    """The index page name inside directory ``path``, None when ``path``
+    is not a directory or holds no index page."""
+    if os.path.isdir(path):
+        for name in ("index.html", "index.htm"):
+            if os.path.isfile(os.path.join(path, name)):
+                return name
+    return None
+
+
 class FileResolver:
     """Locators inside a directory-tree mirror, as root-relative paths."""
 
@@ -69,6 +82,7 @@ class FileResolver:
         self.root_dir = Path(root_dir).resolve()
         self._prefix = os.path.join(self.root_dir, "")
         self._real_dir = functools.lru_cache(maxsize=None)(os.path.realpath)
+        self._index_of = functools.lru_cache(maxsize=None)(_directory_index)
 
     def resolve(self, base: PageId, href: str) -> PageId | None:
         href = href.split("#", 1)[0].strip()
@@ -84,7 +98,9 @@ class FileResolver:
         candidate = posixpath.normpath(candidate)
         if candidate in ("..", ".", "") or candidate.startswith("../"):
             return None  # escapes the mirror; "..data.html" is a plain name
-        return candidate
+        # a directory stands for its index page, as on an HTTP server
+        index = self._index_of(self._prefix + candidate)
+        return candidate if index is None else posixpath.join(candidate, index)
 
     def fetch(self, page_id: PageId) -> str:
         path = os.path.join(self.root_dir, page_id)
@@ -208,10 +224,10 @@ def _open_root(root, delay: float):
         return resolver, resolver.normalize(root)
     path = Path(root)
     if path.is_dir():
-        for name in ("index.html", "index.htm"):
-            if (path / name).is_file():
-                return FileResolver(path), name
-        raise CorpusError(f"{root}: no index.html in mirror directory")
+        index = _directory_index(path)
+        if index is None:
+            raise CorpusError(f"{root}: no index.html in mirror directory")
+        return FileResolver(path), index
     if path.is_file():
         return FileResolver(path.parent), path.name
     raise CorpusError(f"{root}: no such file or directory")

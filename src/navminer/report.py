@@ -220,9 +220,10 @@ def _build_artifacts(cfg: Config, result: PipelineResult) -> dict[str, str]:
         artifacts[_component_file(index)] = _edge_html(index, component)
     if cfg.verbose:
         for page_id in sorted(result.corpus.pages):
-            doc = result.corpus.document(page_id)
+            # an MMS run has the page's schema tokens cached already
+            tokens = navmodel.token_seq(result.corpus, page_id, "MMS")
             artifacts[f"schemas/{_safe_name(page_id)}.dtd"] = \
-                schema_mod.dtd_text(schema_mod.extract_schema(doc))
+                schema_mod.dtd_text(schema_mod.deserialize_schema(tokens))
     return artifacts
 
 

@@ -186,6 +186,30 @@ def serialize_schema(schema: Schema) -> TokenSeq:
     return tuple(tokens)
 
 
+def deserialize_schema(tokens: TokenSeq) -> Schema:
+    """The schema that ``serialize_schema`` turned into ``tokens``.
+
+    Tokens come in pairs (``elem``/``model``, ``child``/``rep``,
+    ``attr``/``use``), so the cached MMS tokens of a page give back its
+    schema without extracting it again.
+    """
+    kinds: dict[str, str] = {}
+    items: dict[str, list[tuple[str, str]]] = {}
+    attributes: dict[str, list[tuple[str, str]]] = {}
+    for head, tail in zip(tokens[::2], tokens[1::2]):
+        tag, _, value = head.partition(":")
+        detail = tail.partition(":")[2]
+        if tag == "elem":
+            name = value
+            kinds[name], items[name] = detail, []
+        elif tag == "child":
+            items[name].append((value, detail))
+        else:
+            attributes.setdefault(name, []).append((value, detail))
+    return Schema({name: ContentModel(kind, tuple(items[name])) for name, kind in kinds.items()},
+                  {name: tuple(specs) for name, specs in attributes.items()})
+
+
 def sts_serialize(doc: Document) -> TokenSeq:
     """Baseline substrate: the tag tree as open/close tokens, text ignored."""
     return tuple(("close:" if closing else "open:") + node.name

@@ -1,6 +1,7 @@
 """One-sided diffing and element inventories."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -16,6 +17,79 @@ from conftest import DEMO_THRESHOLD, mutate_document, random_document, write_mir
 
 def lines_of(text: str) -> LineText:
     return stripped_lines(to_xhtml(text))
+
+
+def lcs_pairs_dp(a: list[str], b: list[str]) -> list[tuple[int, int]]:
+    """The full-table LCS that ``lcs_pairs`` replaced, kept as its oracle:
+    an (n+1)x(m+1) list of ints and the same canonical backtrack."""
+    ka = [line.lstrip() for line in a]
+    kb = [line.lstrip() for line in b]
+    la, lb = len(ka), len(kb)
+    start = 0
+    while start < la and start < lb and ka[start] == kb[start]:
+        start += 1
+    end = 0
+    while end < la - start and end < lb - start and ka[la - 1 - end] == kb[lb - 1 - end]:
+        end += 1
+
+    ma = ka[start:la - end]
+    mb = kb[start:lb - end]
+    n, m = len(ma), len(mb)
+    dp = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        row = dp[i]
+        above = dp[i - 1]
+        ai = ma[i - 1]
+        for j in range(1, m + 1):
+            if ai == mb[j - 1]:
+                row[j] = above[j - 1] + 1
+            else:
+                up = above[j]
+                left = row[j - 1]
+                row[j] = up if up >= left else left
+
+    middle: list[tuple[int, int]] = []
+    i, j = n, m
+    while i > 0 and j > 0:
+        if ma[i - 1] == mb[j - 1]:
+            middle.append((i - 1, j - 1))
+            i -= 1
+            j -= 1
+        elif dp[i - 1][j] > dp[i][j - 1]:
+            i -= 1
+        elif dp[i - 1][j] < dp[i][j - 1]:
+            j -= 1
+        elif ma[i - 1] > mb[j - 1]:
+            i -= 1
+        else:
+            j -= 1
+    middle.reverse()
+
+    pairs = [(k, k) for k in range(start)]
+    pairs.extend((start + pi, start + pj) for pi, pj in middle)
+    pairs.extend((la - end + k, lb - end + k) for k in range(end))
+    return pairs
+
+
+def assert_same_as_dp(a: list[str], b: list[str]):
+    assert lcs_pairs(a, b) == lcs_pairs_dp(a, b)
+    assert lcs_pairs(b, a) == lcs_pairs_dp(b, a)
+
+
+def table_lines(rng: random.Random, rows: int, editable: bool) -> list[str]:
+    """A long table page: the section view, or its edit form with an
+    input cell on every seventh row and a different wrapper, so the
+    common head and tail trim cannot skip the table."""
+    body = ["<tr><th>Key</th><th>Value</th></tr>"]
+    for r in range(rows):
+        edit = '<td><input name="v" type="text"></td>' if editable and r % 7 == 6 else ""
+        body.append(f'<tr class="r{rng.randrange(3)}"><td>{r}</td><td>x</td>{edit}</tr>')
+    table = '<table class="t">' + "".join(body) + "</table>"
+    if editable:
+        page = f'<form action="s.html"><h2>Edit</h2>{table}<input type="submit"></form>'
+    else:
+        page = f'<div class="view"><a class="edit" href="e.html">Edit</a>{table}</div>'
+    return lines_of(f"<html><head><title>t</title></head><body>{page}</body></html>").lines
 
 
 def lcs_length_recursive(a, b) -> int:
@@ -217,3 +291,71 @@ def test_demo_index_to_category_component(demo_corpus):
     assert not skeleton & set(got)
     assert component.inventory["Table"] == 1
     assert component.inventory["Link"] == 6  # home anchor + five item anchors
+
+
+def _random_line_lists(rng: random.Random) -> tuple[list[str], list[str]]:
+    shape = rng.choice(("few", "many", "equal", "disjoint", "edited"))
+    size = 1 if shape == "equal" else rng.randint(1, 3) if shape == "few" else rng.randint(2, 30)
+    alphabet = [f"<t{k}>" for k in range(size)]
+    other = [f"<u{k}>" for k in range(size)] if shape == "disjoint" else alphabet
+
+    def indent(line):
+        return rng.choice(("", " ", "  ", "\t")) + line
+
+    a = [indent(rng.choice(alphabet)) for _ in range(rng.randint(0, 40))]
+    if shape == "edited":  # long shared head and tail with edits inside
+        b = [indent(line.lstrip()) for line in a]
+        for _ in range(rng.randint(0, 4)):
+            if b and rng.random() < 0.5:
+                del b[rng.randrange(len(b))]
+            else:
+                b.insert(rng.randint(0, len(b)), indent(f"<t{rng.randint(0, 5)}>"))
+    else:
+        b = [indent(rng.choice(other)) for _ in range(rng.randint(0, 40))]
+    if rng.random() < 0.1:
+        a, b = ([], b) if rng.random() < 0.5 else (a, [])
+    return a, b
+
+
+def test_lcs_pairs_equals_dp_oracle_on_random_line_lists():
+    rng = random.Random(503)
+    for _ in range(3000):
+        assert_same_as_dp(*_random_line_lists(rng))
+
+
+def test_lcs_pairs_equals_dp_oracle_on_demo_edges(demo_corpus):
+    edges = set()
+    for method in ("MMS", "STS"):
+        tree = build_nav_tree(demo_corpus.root, demo_corpus, DEMO_THRESHOLD, method, 10)
+        snp = reduce_to_snp(refine_clusters(tree, DEMO_THRESHOLD, method))
+        edges.update((c.source, c.target) for c in extract_candidates(snp))
+    assert len(edges) >= 10
+    for source, target in sorted(edges):
+        assert_same_as_dp(stripped_lines(demo_corpus.document(source)).lines,
+                          stripped_lines(demo_corpus.document(target)).lines)
+
+
+def test_lcs_pairs_equals_dp_oracle_on_a_long_table_pair():
+    rng = random.Random(504)
+    view, edit = table_lines(rng, 147, False), table_lines(rng, 147, True)
+    assert 850 <= len(view) < len(edit) <= 1000
+    assert_same_as_dp(view, edit)
+
+
+def test_diff_of_two_long_pages_stays_small_in_memory():
+    """Two pages of about 3.5k lines each.  The full table of ints took
+    about 180 MB and 2 s for this pair; one int of m bits per line of a
+    takes about n*m/8 bytes, 1.5 MB."""
+    rng = random.Random(505)
+    view = LineText(table_lines(rng, 590, False))
+    edit = LineText(table_lines(rng, 540, True))
+    assert 3400 <= min(len(view.lines), len(edit.lines))
+    tracemalloc.start()
+    try:
+        fragments = diff_oneway(view, edit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
+    inputs = [l.strip() for f in fragments for l in f.lines]
+    assert inputs.count('<input name="v" type="text"/>') >= 540 // 7

@@ -181,6 +181,39 @@ def test_nul_in_a_link_is_dangling(tmp_path):
     assert load_corpus(root, max_depth=2).dangling == ["a\x00.html"]
 
 
+def test_directory_href_with_a_slash_loads_its_index(tmp_path):
+    root = write_mirror(tmp_path, {
+        "index.html": '<html><body><a href="sub/">sub</a></body></html>',
+        "sub/index.html": '<html><body><a href="page.html">p</a></body></html>',
+        "sub/page.html": "<html><body>leaf</body></html>",
+    })
+    corpus = load_corpus(root, max_depth=3)
+    assert set(corpus.pages) == {"index.html", "sub/index.html", "sub/page.html"}
+    assert corpus.dangling == []
+
+
+def test_directory_href_without_a_slash_loads_its_index(tmp_path):
+    root = write_mirror(tmp_path, {
+        "index.html": '<html><body><a href="sub">sub</a>'
+                      '<a href="sub/index.html">same</a></body></html>',
+        "sub/index.html": '<html><body><a href="../index.html">home</a></body></html>',
+    })
+    corpus = load_corpus(root, max_depth=3)
+    assert set(corpus.pages) == {"index.html", "sub/index.html"}
+    assert [l.target for l in corpus.links("index.html")] == ["sub/index.html"]
+    assert corpus.dangling == []
+
+
+def test_directory_href_without_an_index_is_dangling(tmp_path):
+    root = write_mirror(tmp_path, {
+        "index.html": '<html><body><a href="bare/">b</a><a href="bare">c</a></body></html>',
+        "bare/notes.html": "<html><body>unlisted</body></html>",
+    })
+    corpus = load_corpus(root, max_depth=3)
+    assert set(corpus.pages) == {"index.html"}
+    assert corpus.dangling == ["bare"]
+
+
 def test_depth_equals_shortest_chain(demo_corpus):
     assert demo_corpus.pages["cat-fish.html"].depth == 1
     assert demo_corpus.pages["items/item-f5.html"].depth == 2

@@ -6,11 +6,13 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from navminer import load_corpus
+from navminer import schema as schema_mod
 from navminer.cli import main
 from navminer.components import KINDS, CandidateComponent, extract_candidates
 from navminer.evaluate import EvaluationResult
 from navminer.navmodel import NavNode, NavTree, build_nav_tree, reduce_to_snp, refine_clusters
-from navminer.report import Config, ConfigError, emit_dot, emit_xml, run_pipeline
+from navminer.report import (Config, ConfigError, _safe_name, emit_dot, emit_xml,
+                             run_pipeline)
 
 from conftest import DEMO_THRESHOLD, write_mirror
 
@@ -127,6 +129,25 @@ def test_pipeline_verbose_dumps_schemas(demo_root, tmp_path):
     result = run_pipeline(cfg)
     dumps = list((result.out_dir / "schemas").glob("*.dtd"))
     assert len(dumps) == len(result.corpus.pages)
+
+
+@pytest.mark.parametrize("method", ["MMS", "STS"])
+def test_verbose_run_extracts_each_schema_once(method, demo_root, tmp_path, monkeypatch):
+    """The DTD dump reads the MMS tokens an MMS run has cached already,
+    and its bytes are those of the page's own extracted schema."""
+    calls = []
+    extract = schema_mod.extract_schema
+    monkeypatch.setattr(schema_mod, "extract_schema",
+                        lambda doc: calls.append(doc) or extract(doc))
+    cfg = Config(root=str(demo_root), threshold=DEMO_THRESHOLD, method=method,
+                 out_dir=str(tmp_path / "out"), verbose=True)
+    result = run_pipeline(cfg)
+    pages = result.corpus.pages
+    assert len(calls) == len(pages)
+    assert len({id(doc) for doc in calls}) == len(pages)
+    for page_id in pages:
+        dump = result.out_dir / "schemas" / f"{_safe_name(page_id)}.dtd"
+        assert dump.read_text() == schema_mod.dtd_text(extract(result.corpus.document(page_id)))
 
 
 def test_invalid_threshold_rejected(tmp_path):

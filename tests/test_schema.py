@@ -5,11 +5,11 @@ import random
 from navminer.normalize import to_xhtml
 from navminer.schema import (CHOICE_STAR, EMPTY, IMPLIED, MIXED, PCDATA, PLUS,
                              REQUIRED, SEQUENCE, STAR, ContentModel, Schema,
-                             dtd_text, extract_schema, is_closed,
-                             serialize_schema, sts_serialize)
+                             deserialize_schema, dtd_text, extract_schema,
+                             is_closed, serialize_schema, sts_serialize)
 from navminer.similarity import levenshtein, similarity
 
-from conftest import twin_docs_with_repeated_block
+from conftest import DEMO_CORPUS, random_document, twin_docs_with_repeated_block
 
 
 def _table(rows: int) -> str:
@@ -129,3 +129,14 @@ def test_dtd_dump_mentions_every_element():
     for name in ("html", "body", "ul", "li", "img"):
         assert f"<!ELEMENT {name} " in text
     assert "<!ATTLIST img src CDATA #REQUIRED>" in text
+
+
+def test_deserialize_schema_inverts_serialize_schema():
+    rng = random.Random(206)
+    docs = [random_document(rng, rng.randint(0, 4)) for _ in range(300)]
+    docs += [to_xhtml(path.read_bytes().decode("utf-8"))
+             for path in sorted(DEMO_CORPUS.rglob("*.html"))]
+    docs.append(to_xhtml('<svg:g x:a="1"><svg:path/></svg:g>'))
+    for doc in docs:
+        schema = extract_schema(doc)
+        assert deserialize_schema(serialize_schema(schema)) == schema
