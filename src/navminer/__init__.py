@@ -9,16 +9,15 @@ single-page UI components.
 
 from .components import (CandidateComponent, Fragment, diff_oneway,
                          extract_candidates, identify_elements)
-from .corpus import Corpus, CorpusError, LinkRef, RawPage, extract_links, load_corpus
+from .corpus import Corpus, CorpusError, Page, extract_links, load_corpus
 from .evaluate import (EvaluationResult, ReferenceClassification, evaluate,
                        load_reference, metrics_from_counts)
 from .navmodel import (NavNode, NavTree, build_nav_tree, collect_partition,
                        reduce_to_snp, refine_clusters)
 from .normalize import (Document, Element, EmptyDocumentError, LineText, Text,
-                        pretty_print, remove_textual_content, to_xhtml)
+                        pretty_print, to_xhtml)
 from .report import Config, ConfigError, PipelineResult, emit_dot, emit_xml, run_pipeline
 from .schema import Schema, extract_schema, serialize_schema, sts_serialize
-from .similarity import (Partition, find_clone_pairs, levenshtein, similarity,
-                         transclos)
+from .similarity import Partition, levenshtein, similarity, transclos
 
 __version__ = "0.1.0"

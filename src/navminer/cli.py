@@ -95,12 +95,13 @@ def _build_config(args) -> Config:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
         cfg = _build_config(args)
+        # the built configuration decides, so a config file's verbose counts too
+        logging.basicConfig(
+            level=logging.DEBUG if cfg.verbose else logging.INFO,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
         result = run_pipeline(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

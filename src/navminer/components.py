@@ -184,7 +184,7 @@ def extract_candidates(snp: NavTree) -> list[CandidateComponent]:
         key = ("lines", page_id)
         cached = corpus.memo.get(key)
         if cached is None:
-            cached = stripped_lines(corpus.document(page_id))
+            cached = stripped_lines(corpus.pages[page_id].document)
             corpus.memo[key] = cached
         return cached
 

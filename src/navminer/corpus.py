@@ -2,9 +2,10 @@
 
 A corpus is either a directory tree of saved pages (filesystem mode) or
 a live site reached over HTTP.  Retrieval is a breadth-first walk of
-the internal links starting at the root page; every page is fetched
-exactly once and kept in memory, so later pipeline stages never touch
-the source again.
+the internal links starting at the root page.  Every page is fetched
+exactly once and, as it arrives, parsed and link-scanned once into a
+``Page``: its repaired tree and its internal link targets.  Later
+pipeline stages read those records and never touch the source again.
 
 Internal means: the resolved path stays under the mirror root and the
 file's real location, symlinks followed, does too (filesystem mode), or
@@ -47,16 +48,10 @@ class PageReadError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RawPage:
-    id: PageId
-    text: str
+class Page:
     depth: int  # link hops from the root page
-
-
-@dataclass(frozen=True)
-class LinkRef:
-    source: PageId
-    target: PageId
+    document: Document
+    links: tuple[PageId, ...]  # internal link targets, as ``extract_links`` gives them
 
 
 # attributes that carry navigation targets, checked in this order per tag
@@ -172,10 +167,10 @@ class HttpResolver:
         return decode_markup(response.content)
 
 
-def extract_links(doc: Document, base: PageId, resolver) -> list[LinkRef]:
-    """Internal links of one page, in document order, de-duplicated by
-    target (first occurrence wins)."""
-    links: list[LinkRef] = []
+def extract_links(doc: Document, base: PageId, resolver) -> list[PageId]:
+    """Internal link targets of one page, in document order, without
+    duplicates (first occurrence wins)."""
+    links: list[PageId] = []
     seen: set[PageId] = set()
     for element, _, closing in walk(doc.root):
         if closing or element.__class__ is Text or element.name not in _LINK_ATTRS:
@@ -185,7 +180,7 @@ def extract_links(doc: Document, base: PageId, resolver) -> list[LinkRef]:
         target = None if value is None else resolver.resolve(base, value)
         if target is not None and target not in seen:
             seen.add(target)
-            links.append(LinkRef(base, target))
+            links.append(target)
         elif target is None and value and value.strip():
             logger.debug("unresolvable reference %r on %s", value, base)
     return links
@@ -194,27 +189,10 @@ def extract_links(doc: Document, base: PageId, resolver) -> list[LinkRef]:
 @dataclass
 class Corpus:
     root: PageId
-    pages: dict[PageId, RawPage]
-    resolver: FileResolver | HttpResolver
+    pages: dict[PageId, Page]
     dangling: list[PageId] = field(default_factory=list)
     excluded: list[PageId] = field(default_factory=list)  # fetched but markup-free
-    memo: dict = field(default_factory=dict)  # analysis-layer cache
-    _docs: dict[PageId, Document] = field(default_factory=dict)
-    _links: dict[PageId, list[LinkRef]] = field(default_factory=dict)
-
-    def document(self, page_id: PageId) -> Document:
-        doc = self._docs.get(page_id)
-        if doc is None:
-            doc = to_xhtml(self.pages[page_id])
-            self._docs[page_id] = doc
-        return doc
-
-    def links(self, page_id: PageId) -> list[LinkRef]:
-        cached = self._links.get(page_id)
-        if cached is None:
-            cached = extract_links(self.document(page_id), page_id, self.resolver)
-            self._links[page_id] = cached
-        return cached
+    memo: dict = field(default_factory=dict)  # analysis-layer cache: tokens, stripped lines
 
 
 def _open_root(root, delay: float):
@@ -237,8 +215,10 @@ def load_corpus(root, max_depth: int = 10, delay: float = 0.1) -> Corpus:
     """Breadth-first retrieval of the mirror reachable from ``root``.
 
     The root page plus every page within ``max_depth`` internal link
-    hops, each fetched exactly once.  An unreadable root is fatal; an
-    unreadable linked page is recorded as dangling and skipped.
+    hops, each fetched, parsed and link-scanned exactly once.  An
+    unreadable or markup-free root is fatal; an unreadable linked page
+    is recorded as dangling and a markup-free one as excluded, and
+    neither becomes a ``Page``.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be non-negative")
@@ -248,46 +228,39 @@ def load_corpus(root, max_depth: int = 10, delay: float = 0.1) -> Corpus:
     except PageReadError as exc:
         raise CorpusError(f"root page unreadable: {exc}") from exc
 
-    corpus = Corpus(root=root_id, pages={}, resolver=resolver)
+    def analyse(page_id: PageId, text: str, depth: int) -> Page:
+        document = to_xhtml(text)  # raises EmptyDocumentError
+        return Page(depth, document, tuple(extract_links(document, page_id, resolver)))
+
+    corpus = Corpus(root=root_id, pages={})
     try:
-        corpus.pages[root_id] = RawPage(root_id, root_text, 0)
-        corpus.document(root_id)
+        corpus.pages[root_id] = analyse(root_id, root_text, 0)
     except EmptyDocumentError as exc:
         raise CorpusError(f"root page has no markup: {exc}") from exc
 
     queue = deque([root_id])
-    known = {root_id}
+    known = {root_id}  # fetched or tried: loaded, excluded or dangling
     dangling: set[PageId] = set()
     while queue:
-        page_id = queue.popleft()
-        page = corpus.pages[page_id]
+        page = corpus.pages[queue.popleft()]
         if page.depth >= max_depth:
             continue
-        try:
-            links = corpus.links(page_id)
-        except EmptyDocumentError:
-            continue
-        for link in links:
-            target = link.target
-            if target in known or target in dangling:
+        for target in page.links:
+            if target in known:
                 continue
+            known.add(target)
             try:
                 text = resolver.fetch(target)
             except PageReadError as exc:
                 logger.warning("dangling link: %s", exc)
                 dangling.add(target)
                 continue
-            raw = RawPage(target, text, page.depth + 1)
             try:
-                corpus.pages[target] = raw
-                corpus.document(target)
+                corpus.pages[target] = analyse(target, text, page.depth + 1)
             except EmptyDocumentError:
                 logger.warning("excluded (no markup): %s", target)
-                del corpus.pages[target]
                 corpus.excluded.append(target)
-                known.add(target)
                 continue
-            known.add(target)
             queue.append(target)
 
     corpus.dangling = sorted(dangling)

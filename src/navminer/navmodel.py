@@ -65,7 +65,7 @@ def token_seq(corpus: Corpus, page_id: PageId, method: str):
     key = ("tokens", method, page_id)
     seq = corpus.memo.get(key)
     if seq is None:
-        doc = corpus.document(page_id)
+        doc = corpus.pages[page_id].document
         if method == "MMS":
             seq = schema_mod.serialize_schema(schema_mod.extract_schema(doc))
         else:
@@ -82,16 +82,12 @@ def pair_similarity(corpus: Corpus, method: str, a: PageId, b: PageId) -> float:
 
 
 def page_size(corpus: Corpus, page_id: PageId) -> int:
-    """Byte length of the pretty-printed normalized page."""
-    key = ("size", page_id)
-    size = corpus.memo.get(key)
-    if size is None:
-        # summed per line: the indentation makes a deep page's text
-        # quadratic in its depth, so it is not joined into one string
-        lines = pretty_print(corpus.document(page_id)).lines
-        size = sum(map(len, map(str.encode, lines))) + len(lines)
-        corpus.memo[key] = size
-    return size
+    """Byte length of the pretty-printed normalized page, not cached:
+    reduction sizes each page once."""
+    # summed per line: the indentation makes a deep page's text
+    # quadratic in its depth, so it is not joined into one string
+    lines = pretty_print(corpus.pages[page_id].document).lines
+    return sum(map(len, map(str.encode, lines))) + len(lines)
 
 
 def _cluster_ordered(corpus, method, pages, threshold) -> list[tuple[PageId, ...]]:
@@ -135,8 +131,7 @@ def build_nav_tree(root: PageId, corpus: Corpus, threshold: float,
         new: list[PageId] = []
         back: list[PageId] = []
         if level < max_depth:
-            for link in corpus.links(page_id):
-                target = link.target
+            for target in corpus.pages[page_id].links:
                 if target not in corpus.pages:
                     continue  # dangling or beyond the crawl depth, logged at load
                 if target in visited:
@@ -162,10 +157,11 @@ def build_nav_tree(root: PageId, corpus: Corpus, threshold: float,
                    page_children, page_backrefs)
 
 
-def refine_clusters(tree: NavTree, threshold: float, method: str) -> NavTree:
+def refine_clusters(tree: NavTree) -> NavTree:
     """Root-down refinement: the union of a multi-page node's outgoing
-    pages is re-clustered jointly and replaces its per-page child sets."""
-    corpus = tree.corpus
+    pages is re-clustered jointly, with the tree's method and threshold,
+    and replaces its per-page child sets."""
+    corpus, method, threshold = tree.corpus, tree.method, tree.threshold
     root = NavNode(tree.root.members, 0)
     for node, _, closing in walk(root):
         if closing:

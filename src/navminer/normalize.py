@@ -145,8 +145,8 @@ class _TreeBuilder(HTMLParser):
             self._append(Text(collapsed))
 
 
-def parse_html(text: str) -> Document:
-    """Parse possibly faulty markup into a well-formed Document."""
+def to_xhtml(text: str) -> Document:
+    """Repair one page's possibly faulty markup into a well-formed Document."""
     builder = _TreeBuilder()
     builder.feed(text)
     builder.close()
@@ -157,12 +157,6 @@ def parse_html(text: str) -> Document:
         return Document(elements[0])
     # several top-level nodes: give the tree a single root
     return Document(Element("html", [], list(builder.top)))
-
-
-def to_xhtml(raw) -> Document:
-    """Repair one raw page (``RawPage`` or plain string) into a Document."""
-    text = raw if isinstance(raw, str) else raw.text
-    return parse_html(text)
 
 
 def decode_markup(data: bytes) -> str:
@@ -242,26 +236,7 @@ def pretty_print(doc: Document) -> LineText:
     return _lines(doc.root, with_text=True)
 
 
-def serialize(doc: Document) -> str:
-    """Round-trippable text form of a Document (the pretty-print)."""
-    return pretty_print(doc).text
-
-
-def remove_textual_content(doc: Document) -> Document:
-    """Drop every text node; element structure and attributes stay put."""
-    open_copies: list[Element] = []
-    for node, _, closing in walk(doc.root):
-        if closing:
-            root = open_copies.pop()
-        elif node.__class__ is not Text:
-            copy = Element(node.name, list(node.attrs), [], node.self_closing)
-            if open_copies:
-                open_copies[-1].children.append(copy)
-            open_copies.append(copy)
-    return Document(root)
-
-
 def stripped_lines(doc: Document) -> LineText:
     """Text-free pretty-print, the input form the line diff works on:
-    ``pretty_print(remove_textual_content(doc))`` without the copy."""
+    the pretty-print of ``doc`` with every text node dropped."""
     return _lines(doc.root, with_text=False)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import html as html_escape
 import logging
+import math
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,8 +59,8 @@ class Config:
             raise ConfigError(f"max_depth {self.max_depth} is negative")
         if self.method not in navmodel.METHODS:
             raise ConfigError(f"method must be one of {', '.join(navmodel.METHODS)}")
-        if self.http_delay < 0:
-            raise ConfigError("http delay is negative")
+        if not (math.isfinite(self.http_delay) and self.http_delay >= 0):
+            raise ConfigError(f"http delay {self.http_delay} is not a finite non-negative number")
 
 
 @dataclass
@@ -257,7 +258,7 @@ def run_pipeline(cfg: Config) -> PipelineResult:
                 len(corpus.pages), len(corpus.dangling))
 
     tree = build_nav_tree(corpus.root, corpus, cfg.threshold, cfg.method, cfg.max_depth)
-    tree = refine_clusters(tree, cfg.threshold, cfg.method)
+    tree = refine_clusters(tree)
     tree = reduce_to_snp(tree)
     components = extract_candidates(tree)
 

@@ -155,16 +155,6 @@ def extract_schema(doc: Document) -> Schema:
     return schema
 
 
-def is_closed(schema: Schema) -> bool:
-    """Every child name mentioned by a content model has a declaration."""
-    declared = set(schema.declarations)
-    return all(
-        child in declared
-        for model in schema.declarations.values()
-        for child, _ in model.items
-    )
-
-
 def serialize_schema(schema: Schema) -> TokenSeq:
     """Canonical token stream: declarations in lexicographic name order.
 

@@ -62,21 +62,11 @@ def clone_pair(a: PageId, b: PageId) -> tuple[PageId, PageId]:
     return (a, b) if a <= b else (b, a)
 
 
-def find_clone_pairs(pages, seqs, threshold: float) -> set[tuple[PageId, PageId]]:
-    """Pairwise comparison over ``pages``; a pair is a clone when its
-    similarity meets the threshold."""
-    items = list(dict.fromkeys(pages))
-    pairs: set[tuple[PageId, PageId]] = set()
-    for i, p in enumerate(items):
-        for q in items[i + 1:]:
-            if similarity(seqs[p], seqs[q]) >= threshold:
-                pairs.add(clone_pair(p, q))
-    return pairs
-
-
 def spanning_clone_pairs(pages, seqs, threshold: float, compare) -> list[tuple[PageId, PageId]]:
-    """Clone pairs spanning the same components as ``find_clone_pairs``,
-    at most one pair per merge, found with far fewer comparisons.
+    """Clone pairs spanning the same components as comparing every pair
+    of ``pages`` (a pair is a clone when its similarity meets the
+    threshold), at most one pair per merge, found with far fewer
+    comparisons.
 
     Pages with identical sequences (similarity 1.0) are joined to the
     first page carrying that sequence without a comparison; only those
@@ -84,7 +74,7 @@ def spanning_clone_pairs(pages, seqs, threshold: float, compare) -> list[tuple[P
     ``seqs[p]`` and ``seqs[q]``), and a pair already in one
     union-find component is skipped.  Components do not depend on the
     order in which pairs are joined, so ``transclos`` of the result gives
-    exactly the partition of the all-pairs oracle.
+    exactly the partition of the all-pairs comparison.
     """
     if not threshold <= 1.0:
         return []  # nothing reaches a threshold above 1, not even equal pages

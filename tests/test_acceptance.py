@@ -17,8 +17,7 @@ from navminer.navmodel import (build_nav_tree, collect_partition,
 from navminer.normalize import stripped_lines
 from navminer.report import Config, run_pipeline
 from navminer.schema import extract_schema, serialize_schema, sts_serialize
-from navminer.similarity import (clone_pair, find_clone_pairs, levenshtein,
-                                 similarity, transclos)
+from navminer.similarity import clone_pair, levenshtein, similarity, transclos
 
 from conftest import (DEMO_CORPUS, DEMO_REFERENCE, DEMO_THRESHOLD,
                       mutate_document, random_document,
@@ -42,7 +41,7 @@ def criterion(number, description, budget_seconds):
 
 def _snp(corpus, threshold, method):
     tree = build_nav_tree(corpus.root, corpus, threshold, method, 10)
-    return reduce_to_snp(refine_clusters(tree, threshold, method))
+    return reduce_to_snp(refine_clusters(tree))
 
 
 def test_criterion_1_metric_arithmetic():

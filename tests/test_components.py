@@ -229,7 +229,7 @@ def _chain_mirror(tmp_path):
 def test_chain_of_three_yields_two_components(tmp_path):
     corpus = load_corpus(_chain_mirror(tmp_path), max_depth=5)
     tree = build_nav_tree(corpus.root, corpus, 1.0, "MMS", 5)
-    snp = reduce_to_snp(refine_clusters(tree, 1.0, "MMS"))
+    snp = reduce_to_snp(refine_clusters(tree))
     components = extract_candidates(snp)
     assert [(c.source, c.target) for c in components] == \
         [("index.html", "b.html"), ("b.html", "c.html")]
@@ -257,7 +257,7 @@ def test_identical_representatives_yield_empty_edge(tmp_path):
     })
     corpus = load_corpus(root, max_depth=5)
     snp = reduce_to_snp(refine_clusters(
-        build_nav_tree(corpus.root, corpus, 0.9, "MMS", 5), 0.9, "MMS"))
+        build_nav_tree(corpus.root, corpus, 0.9, "MMS", 5)))
     components = extract_candidates(snp)
     assert len(components) == 1
     assert components[0].fragments == []  # stripped forms are line-identical
@@ -268,12 +268,12 @@ def test_demo_index_to_category_component(demo_corpus):
     markup: the home anchor and the items table, minus the five anchor
     close lines the alignment shares with the index page's own links."""
     tree = build_nav_tree(demo_corpus.root, demo_corpus, DEMO_THRESHOLD, "MMS", 10)
-    snp = reduce_to_snp(refine_clusters(tree, DEMO_THRESHOLD, "MMS"))
+    snp = reduce_to_snp(refine_clusters(tree))
     component = extract_candidates(snp)[0]
     assert (component.source, component.target) == ("index.html", "cat-fish.html")
 
     target_lines = [l.strip() for l in stripped_lines(
-        demo_corpus.document("cat-fish.html")).lines]
+        demo_corpus.pages["cat-fish.html"].document).lines]
     # hand-derived: the category middle spans the home anchor through
     # </table>; index aligns the skeleton around it plus five </a> lines
     middle = target_lines[8:-4]
@@ -327,12 +327,12 @@ def test_lcs_pairs_equals_dp_oracle_on_demo_edges(demo_corpus):
     edges = set()
     for method in ("MMS", "STS"):
         tree = build_nav_tree(demo_corpus.root, demo_corpus, DEMO_THRESHOLD, method, 10)
-        snp = reduce_to_snp(refine_clusters(tree, DEMO_THRESHOLD, method))
+        snp = reduce_to_snp(refine_clusters(tree))
         edges.update((c.source, c.target) for c in extract_candidates(snp))
     assert len(edges) >= 10
     for source, target in sorted(edges):
-        assert_same_as_dp(stripped_lines(demo_corpus.document(source)).lines,
-                          stripped_lines(demo_corpus.document(target)).lines)
+        assert_same_as_dp(stripped_lines(demo_corpus.pages[source].document).lines,
+                          stripped_lines(demo_corpus.pages[target].document).lines)
 
 
 def test_lcs_pairs_equals_dp_oracle_on_a_long_table_pair():

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from navminer.corpus import (CorpusError, FileResolver, HttpResolver, LinkRef,
+from navminer.corpus import (CorpusError, FileResolver, HttpResolver,
                              PageReadError, extract_links, load_corpus)
 from navminer.normalize import to_xhtml
 
@@ -44,7 +44,7 @@ def test_extract_links_filters_and_orders(tmp_path):
         "</body></html>"
     )
     links = extract_links(doc, "index.html", resolver)
-    assert links == [LinkRef("index.html", "a.html")]
+    assert links == ["a.html"]
 
 
 def test_extract_links_dedupes_and_strips_fragments(tmp_path):
@@ -57,7 +57,7 @@ def test_extract_links_dedupes_and_strips_fragments(tmp_path):
         "</body></html>"
     )
     links = extract_links(doc, "index.html", resolver)
-    assert [l.target for l in links] == ["b.html"]
+    assert links == ["b.html"]
 
 
 def test_extract_links_no_anchors():
@@ -74,7 +74,7 @@ def test_extract_links_sees_forms_and_frames(tmp_path):
         '<iframe src="inner.html"></iframe>'
         "</body></html>"
     )
-    assert [l.target for l in extract_links(doc, "index.html", resolver)] == \
+    assert extract_links(doc, "index.html", resolver) == \
         ["submit.html", "inner.html"]
 
 
@@ -200,7 +200,7 @@ def test_directory_href_without_a_slash_loads_its_index(tmp_path):
     })
     corpus = load_corpus(root, max_depth=3)
     assert set(corpus.pages) == {"index.html", "sub/index.html"}
-    assert [l.target for l in corpus.links("index.html")] == ["sub/index.html"]
+    assert corpus.pages["index.html"].links == ("sub/index.html",)
     assert corpus.dangling == []
 
 

@@ -110,7 +110,7 @@ def test_build_keeps_per_page_child_sets(tmp_path):
 
 def test_refine_joins_next_level_across_cluster_members(tmp_path):
     corpus, tree = build(_figure_mirror(tmp_path))
-    refined = refine_clusters(tree, 0.9, "MMS")
+    refined = refine_clusters(tree)
     cluster = refined.root.children[0]
     assert [set(c.members) for c in cluster.children] == [{"f.html", "g.html", "h.html"}]
 
@@ -123,7 +123,7 @@ def test_refine_leaves_singleton_nodes_alone(tmp_path):
         "g.html": leaf("g"),
     })
     corpus, tree = build(root)
-    refined = refine_clusters(tree, 0.9, "MMS")
+    refined = refine_clusters(tree)
     assert [c.members for c in refined.root.children] == \
         [c.members for c in tree.root.children]
     b_node = refined.root.children[0]
@@ -140,7 +140,7 @@ def test_refine_keeps_dissimilar_sets_apart(tmp_path):
                   "</form></body></html>",
     })
     _, tree = build(root)
-    refined = refine_clusters(tree, 0.9, "MMS")
+    refined = refine_clusters(tree)
     cluster = refined.root.children[0]
     assert [set(c.members) for c in cluster.children] == [{"f.html"}, {"h.html"}]
 
@@ -154,7 +154,7 @@ def test_reduce_picks_largest_member(tmp_path):
                        "</body></html>"),
     })
     _, tree = build(root, threshold=0.5)
-    snp = reduce_to_snp(refine_clusters(tree, 0.5, "MMS"))
+    snp = reduce_to_snp(refine_clusters(tree))
     cluster = snp.root.children[0]
     assert set(cluster.members) == {"large.html", "small.html"}
     assert cluster.representative == "large.html"
@@ -167,7 +167,7 @@ def test_reduce_tie_breaks_to_smaller_page_id(tmp_path):
         "aa.html": leaf("y"),  # byte-identical size to bb.html
     })
     corpus, tree = build(root)
-    snp = reduce_to_snp(refine_clusters(tree, 0.9, "MMS"))
+    snp = reduce_to_snp(refine_clusters(tree))
     cluster = snp.root.children[0]
     from navminer.navmodel import page_size
 
@@ -177,7 +177,7 @@ def test_reduce_tie_breaks_to_smaller_page_id(tmp_path):
 
 def test_reduce_never_changes_shape(tmp_path):
     _, tree = build(_figure_mirror(tmp_path))
-    refined = refine_clusters(tree, 0.9, "MMS")
+    refined = refine_clusters(tree)
     before = [(node.members, len(node.children)) for node in refined.nodes()]
     snp = reduce_to_snp(refined)
     after = [(node.members, len(node.children)) for node in snp.nodes()]
@@ -201,14 +201,14 @@ def _layout(node, indent=0):
 
 def test_demo_corpus_matches_golden_tree(demo_corpus):
     tree = build_nav_tree(demo_corpus.root, demo_corpus, DEMO_THRESHOLD, "MMS", 10)
-    tree = refine_clusters(tree, DEMO_THRESHOLD, "MMS")
+    tree = refine_clusters(tree)
     assert _layout(tree.root) + "\n" == GOLDEN_TREE.read_text(encoding="utf-8")
 
 
 def test_demo_partition_is_valid_for_both_methods(demo_corpus):
     for method in ("MMS", "STS"):
         tree = build_nav_tree(demo_corpus.root, demo_corpus, 0.8, method, 10)
-        tree = refine_clusters(tree, 0.8, method)
+        tree = refine_clusters(tree)
         partition = collect_partition(tree)
         assert partition.is_valid()
         assert partition.universe == frozenset(demo_corpus.pages)
@@ -249,7 +249,7 @@ def test_memo_grows_with_pages_not_pairs(tmp_path):
     pages = {"index.html": linking("home", items)}
     pages.update({name: leaf(name) for name in items})
     corpus, tree = build(write_mirror(tmp_path, pages))
-    refine_clusters(tree, 0.9, "MMS")
+    refine_clusters(tree)
     assert [set(c.members) for c in tree.root.children] == [set(items)]
     # every key names one page: (kind, page) or (kind, method, page)
     assert all(isinstance(key[-1], str) and key[-1] in corpus.pages for key in corpus.memo)

@@ -6,11 +6,30 @@ import random
 import pytest
 
 from navminer.cli import main
-from navminer.normalize import (EmptyDocumentError, Element, Text, parse_html,
-                                pretty_print, remove_textual_content,
-                                serialize, stripped_lines, to_xhtml, walk)
+from navminer.normalize import (Document, EmptyDocumentError, Element, Text,
+                                pretty_print, stripped_lines, to_xhtml, walk)
 
 from conftest import DEMO_CORPUS, REPO_ROOT, all_elements, random_document, write_mirror
+
+
+# oracles: the text form for round trips, and the copying form of stripped_lines
+def serialize(doc: Document) -> str:
+    """Round-trippable text form of a Document (the pretty-print)."""
+    return pretty_print(doc).text
+
+
+def remove_textual_content(doc: Document) -> Document:
+    """Drop every text node; element structure and attributes stay put."""
+    open_copies: list[Element] = []
+    for node, _, closing in walk(doc.root):
+        if closing:
+            root = open_copies.pop()
+        elif node.__class__ is not Text:
+            copy = Element(node.name, list(node.attrs), [], node.self_closing)
+            if open_copies:
+                open_copies[-1].children.append(copy)
+            open_copies.append(copy)
+    return Document(root)
 
 
 def test_unclosed_tag_equals_closed_form():
@@ -77,7 +96,7 @@ def test_script_and_comment_bodies_dropped():
 
 def test_no_markup_raises():
     with pytest.raises(EmptyDocumentError):
-        parse_html("just plain words, no tags at all")
+        to_xhtml("just plain words, no tags at all")
 
 
 def test_multiple_top_level_elements_get_single_root():

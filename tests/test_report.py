@@ -1,10 +1,14 @@
 """Pipeline orchestration, DOT/XML emission, CLI behaviour."""
 
+import os
 import random
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from navminer import corpus as corpus_mod
 from navminer import load_corpus
 from navminer import schema as schema_mod
 from navminer.cli import main
@@ -14,13 +18,13 @@ from navminer.navmodel import NavNode, NavTree, build_nav_tree, reduce_to_snp, r
 from navminer.report import (Config, ConfigError, _safe_name, emit_dot, emit_xml,
                              run_pipeline)
 
-from conftest import DEMO_THRESHOLD, write_mirror
+from conftest import DEMO_THRESHOLD, REPO_ROOT, write_mirror
 
 
 def snp_of(root, threshold=0.9, method="MMS", depth=10):
     corpus = load_corpus(root, max_depth=depth)
     tree = build_nav_tree(corpus.root, corpus, threshold, method, depth)
-    return reduce_to_snp(refine_clusters(tree, threshold, method))
+    return reduce_to_snp(refine_clusters(tree))
 
 
 def _page(title, *targets):
@@ -147,7 +151,7 @@ def test_verbose_run_extracts_each_schema_once(method, demo_root, tmp_path, monk
     assert len({id(doc) for doc in calls}) == len(pages)
     for page_id in pages:
         dump = result.out_dir / "schemas" / f"{_safe_name(page_id)}.dtd"
-        assert dump.read_text() == schema_mod.dtd_text(extract(result.corpus.document(page_id)))
+        assert dump.read_text() == schema_mod.dtd_text(extract(pages[page_id].document))
 
 
 def test_invalid_threshold_rejected(tmp_path):
@@ -203,6 +207,67 @@ def test_cli_internal_error_exit_code(tmp_path, demo_root, monkeypatch):
 
     monkeypatch.setattr(cli, "run_pipeline", boom)
     assert main(["--root", str(demo_root), "--out", str(tmp_path / "out")]) == 3
+
+
+@pytest.mark.parametrize("delay", ["inf", "nan", "-1"])
+def test_delay_must_be_finite_and_non_negative(delay, tmp_path, demo_root):
+    with pytest.raises(ConfigError):
+        Config(root="x", http_delay=float(delay)).validate()
+    out = tmp_path / "out"
+    assert main(["--root", str(demo_root), "--out", str(out), "--delay", delay]) == 1
+    assert not out.exists()
+
+
+def _cli_stderr(config_text: str, tmp_path) -> str:
+    """Run the CLI in a fresh interpreter, so that its logging setup is
+    not the test runner's, and return what it wrote to stderr."""
+    config = tmp_path / "run.conf"
+    config.write_text(config_text, encoding="utf-8")
+    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    run = subprocess.run([sys.executable, "-m", "navminer.cli", "--config", str(config)],
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths))))
+    assert run.returncode == 0, run.stderr
+    return run.stderr
+
+
+def test_config_file_verbose_turns_on_debug_logging(tmp_path):
+    root = write_mirror(tmp_path / "site", {
+        "index.html": '<html><body><a href="http://elsewhere.example/">out</a></body></html>',
+    })
+    config = f"root = {root}\nout = {tmp_path / 'out'}\n"
+    unresolvable = "DEBUG navminer.corpus: unresolvable reference"
+    assert unresolvable in _cli_stderr(config + "verbose = true\n", tmp_path)
+    assert unresolvable not in _cli_stderr(config + "verbose = false\n", tmp_path)
+
+
+@pytest.mark.parametrize("method", ["MMS", "STS"])
+def test_each_page_is_parsed_and_link_scanned_once(method, demo_root, tmp_path, monkeypatch):
+    """One parse and one link scan per fetched page, at load, in a whole
+    run: later stages, the component diff of the representatives
+    included, read the loaded records."""
+    calls = {"to_xhtml": [], "extract_links": []}
+    for name, log in calls.items():
+        original = getattr(corpus_mod, name)
+
+        def counting(*args, _original=original, _log=log):
+            _log.append(args)
+            return _original(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "navminer" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    cfg = Config(root=str(demo_root), threshold=DEMO_THRESHOLD, method=method,
+                 out_dir=str(tmp_path / "out"))
+    result = run_pipeline(cfg)
+    corpus = result.corpus
+    assert len(calls["to_xhtml"]) == len(corpus.pages) + len(corpus.excluded)
+    assert sorted(args[1] for args in calls["extract_links"]) == sorted(corpus.pages)
+    # the memo holds tokens and the diffed representatives' lines, nothing else
+    representatives = {node.representative for node in result.tree.nodes()}
+    lines = {("lines", page) for page in representatives}
+    tokens = {("tokens", method, page) for page in corpus.pages}
+    assert lines <= set(corpus.memo) <= lines | tokens
 
 
 def _emit_xml_etree(tree, components, evaluation=None):

@@ -6,10 +6,20 @@ from navminer.normalize import to_xhtml
 from navminer.schema import (CHOICE_STAR, EMPTY, IMPLIED, MIXED, PCDATA, PLUS,
                              REQUIRED, SEQUENCE, STAR, ContentModel, Schema,
                              deserialize_schema, dtd_text, extract_schema,
-                             is_closed, serialize_schema, sts_serialize)
+                             serialize_schema, sts_serialize)
 from navminer.similarity import levenshtein, similarity
 
 from conftest import DEMO_CORPUS, random_document, twin_docs_with_repeated_block
+
+
+def is_closed(schema: Schema) -> bool:
+    """Every child name mentioned by a content model has a declaration."""
+    declared = set(schema.declarations)
+    return all(
+        child in declared
+        for model in schema.declarations.values()
+        for child, _ in model.items
+    )
 
 
 def _table(rows: int) -> str:

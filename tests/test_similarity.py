@@ -6,9 +6,21 @@ from functools import lru_cache
 
 import pytest
 
-from navminer.similarity import (Partition, clone_pair, find_clone_pairs,
-                                 levenshtein, similarity, spanning_clone_pairs,
-                                 transclos)
+from navminer.similarity import (PageId, Partition, clone_pair, levenshtein,
+                                 similarity, spanning_clone_pairs, transclos)
+
+
+# the all-pairs oracle for spanning_clone_pairs
+def find_clone_pairs(pages, seqs, threshold: float) -> set[tuple[PageId, PageId]]:
+    """Pairwise comparison over ``pages``; a pair is a clone when its
+    similarity meets the threshold."""
+    items = list(dict.fromkeys(pages))
+    pairs: set[tuple[PageId, PageId]] = set()
+    for i, p in enumerate(items):
+        for q in items[i + 1:]:
+            if similarity(seqs[p], seqs[q]) >= threshold:
+                pairs.add(clone_pair(p, q))
+    return pairs
 
 
 @lru_cache(maxsize=None)
