@@ -25,8 +25,12 @@ _CONFIG_KEYS = {
 def _read_config_file(path: str) -> dict:
     """Parse the key=value configuration file (one assignment per line,
     ``#`` comments allowed)."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     values = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -8,11 +8,22 @@ yields a normalized, deterministic element tree.  The only promises the
 repair makes are well-formedness, determinism and idempotence: feeding
 a repaired tree's serialization back through the parser reproduces the
 same tree.
+
+Every page tree stays alive for the whole run, so its nodes are kept
+small: ``Text``, ``Element`` and ``Document`` are slotted (no per-node
+``__dict__``), and the builder interns every tag name and attribute
+name, so all pages share one copy of each.  Attribute values and text
+are kept as parsed.
+
+Input whose first KB holds a binary-data control byte (a linked PDF or
+image, say) is not markup and is refused like a page without tags.
 """
 
 from __future__ import annotations
 
 import logging
+import re
+import sys
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
 
@@ -50,17 +61,22 @@ IMPLIED_END = {
 
 _RAW_TEXT_TAGS = frozenset({"script", "style"})
 
+# the WHATWG binary data bytes: a file with one of these in its first
+# 1,024 characters is not a text document
+_BINARY_BYTE = re.compile("[\x00-\x08\x0b\x0e-\x1a\x1c-\x1f]")
+_SNIFF_CHARS = 1024
+
 
 class EmptyDocumentError(ValueError):
     """No element structure could be recovered from the input."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Text:
     content: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Element:
     name: str
     attrs: list[tuple[str, str]] = field(default_factory=list)
@@ -68,7 +84,7 @@ class Element:
     self_closing: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class Document:
     root: Element
 
@@ -91,6 +107,7 @@ class _TreeBuilder(HTMLParser):
         super().__init__(convert_charrefs=True)
         self.top: list[Element | Text] = []
         self.stack: list[Element] = []
+        self.open_count: dict[str, int] = {}  # tag name -> elements of it on the stack
 
     def _append(self, node):
         target = self.stack[-1].children if self.stack else self.top
@@ -100,9 +117,12 @@ class _TreeBuilder(HTMLParser):
         else:
             target.append(node)
 
+    def _pop(self):
+        self.open_count[self.stack.pop().name] -= 1
+
     def _close_implied(self, tag):
         while self.stack and tag in IMPLIED_END.get(self.stack[-1].name, ()):
-            self.stack.pop()
+            self._pop()
 
     @staticmethod
     def _clean_attrs(attrs):
@@ -112,11 +132,12 @@ class _TreeBuilder(HTMLParser):
             if name in seen:  # HTML5 keeps the first duplicate
                 continue
             seen.add(name)
-            cleaned.append((name, value if value is not None else ""))
+            cleaned.append((sys.intern(name), value if value is not None else ""))
         return cleaned
 
     def handle_starttag(self, tag, attrs):
         self._close_implied(tag)
+        tag = sys.intern(tag)
         element = Element(tag, self._clean_attrs(attrs))
         if tag in VOID_ELEMENTS:
             element.self_closing = True
@@ -124,17 +145,19 @@ class _TreeBuilder(HTMLParser):
         else:
             self._append(element)
             self.stack.append(element)
+            self.open_count[tag] = self.open_count.get(tag, 0) + 1
 
     def handle_startendtag(self, tag, attrs):
         self._close_implied(tag)
-        self._append(Element(tag, self._clean_attrs(attrs), self_closing=True))
+        self._append(Element(sys.intern(tag), self._clean_attrs(attrs), self_closing=True))
 
     def handle_endtag(self, tag):
         if tag in VOID_ELEMENTS:
             return
-        if tag in [e.name for e in self.stack]:
-            while self.stack and self.stack.pop().name != tag:
-                pass
+        if self.open_count.get(tag):
+            while self.stack[-1].name != tag:
+                self._pop()
+            self._pop()
         # else: stray close tag, dropped
 
     def handle_data(self, data):
@@ -147,6 +170,8 @@ class _TreeBuilder(HTMLParser):
 
 def to_xhtml(text: str) -> Document:
     """Repair one page's possibly faulty markup into a well-formed Document."""
+    if _BINARY_BYTE.search(text, 0, _SNIFF_CHARS):
+        raise EmptyDocumentError("binary data, not markup")
     builder = _TreeBuilder()
     builder.feed(text)
     builder.close()

@@ -27,6 +27,7 @@ IMPLIED otherwise.  Attribute *values* never enter the schema.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -161,6 +162,7 @@ def serialize_schema(schema: Schema) -> TokenSeq:
     Token granularity is one token per name or marker, so the distance
     between two schemas counts structural differences rather than
     character counts.  Each attribute contributes exactly two tokens.
+    Tokens are interned: pages share one copy of each.
     """
     tokens: list[str] = []
     for name in sorted(schema.declarations):
@@ -173,7 +175,7 @@ def serialize_schema(schema: Schema) -> TokenSeq:
         for attr, use in schema.attributes.get(name, ()):
             tokens.append("attr:" + attr)
             tokens.append("use:" + use)
-    return tuple(tokens)
+    return tuple(map(sys.intern, tokens))
 
 
 def deserialize_schema(tokens: TokenSeq) -> Schema:
@@ -201,8 +203,10 @@ def deserialize_schema(tokens: TokenSeq) -> Schema:
 
 
 def sts_serialize(doc: Document) -> TokenSeq:
-    """Baseline substrate: the tag tree as open/close tokens, text ignored."""
-    return tuple(("close:" if closing else "open:") + node.name
+    """Baseline substrate: the tag tree as open/close tokens, text
+    ignored; interned, like ``serialize_schema``'s."""
+    intern = sys.intern
+    return tuple(intern(("close:" if closing else "open:") + node.name)
                  for node, _, closing in walk(doc.root) if node.__class__ is not Text)
 
 

@@ -1,6 +1,8 @@
 """Mirror loading and link extraction."""
 
+import gc
 import threading
+import tracemalloc
 from contextlib import contextmanager
 from functools import partial
 from http.server import SimpleHTTPRequestHandler, ThreadingHTTPServer
@@ -8,8 +10,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from navminer.cli import main
 from navminer.corpus import (CorpusError, FileResolver, HttpResolver,
                              PageReadError, extract_links, load_corpus)
+from navminer.navmodel import token_seq
 from navminer.normalize import to_xhtml
 
 from conftest import DEMO_PAGE_COUNT, write_mirror
@@ -155,6 +159,41 @@ def test_markup_free_linked_page_excluded(tmp_path):
     assert "plain.html" not in corpus.pages
 
 
+# linked files that are not text; the PDF's bytes hold tag-like runs
+_PDF = (b"%PDF-1.4\n%\xe2\xe3\xcf\xd3\n1 0 obj\n<< /Type /Catalog >>\nstream\n"
+        b"<x\x00\x01\x02<q r=1>\x9c\x03<body>\nendstream\nendobj\n%%EOF\n")
+_PNG = b"\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR\x00\x00\x00\x01<a\x08b>"
+
+
+def _mirror_linking_binaries(root):
+    write_mirror(root, {
+        "index.html": '<html><body><a href="doc.pdf">pdf</a><img src="img.png">'
+                      '<a href="img.png">png</a><a href="a.html">a</a></body></html>',
+        "a.html": "<html><body>text</body></html>",
+    })
+    (root / "doc.pdf").write_bytes(_PDF)
+    (root / "img.png").write_bytes(_PNG)
+    return root / "index.html"
+
+
+def test_binary_linked_files_are_excluded(tmp_path, capsys):
+    root = _mirror_linking_binaries(tmp_path / "site")
+    corpus = load_corpus(root, max_depth=2)
+    assert set(corpus.pages) == {"index.html", "a.html"}
+    assert corpus.excluded == ["doc.pdf", "img.png"]
+    assert corpus.dangling == []
+    # end to end: neither file becomes a node, and the run succeeds
+    assert main(["--root", str(root), "--out", str(tmp_path / "out")]) == 0
+    assert "pages: 2  nodes: 2" in capsys.readouterr().out
+
+
+def test_binary_root_is_fatal(tmp_path):
+    root = _mirror_linking_binaries(tmp_path)
+    for name in ("doc.pdf", "img.png"):
+        with pytest.raises(CorpusError, match="no markup"):
+            load_corpus(root.parent / name, max_depth=1)
+
+
 def test_symlink_leaving_the_mirror_is_dangling(tmp_path):
     root = write_mirror(tmp_path / "site", {
         "index.html": '<html><body><a href="leak.html">leak</a>'
@@ -255,6 +294,16 @@ def test_http_mode_same_authority_only(tmp_path):
         assert set(corpus.pages) == {f"{base}/index.html", f"{base}/a.html"}
 
 
+def test_http_binary_linked_files_are_excluded(tmp_path):
+    _mirror_linking_binaries(tmp_path)
+    with serving(partial(SimpleHTTPRequestHandler, directory=str(tmp_path))) as base:
+        corpus = load_corpus(f"{base}/index.html", max_depth=2, delay=0.0)
+        assert set(corpus.pages) == {f"{base}/index.html", f"{base}/a.html"}
+        assert corpus.excluded == [f"{base}/doc.pdf", f"{base}/img.png"]
+        with pytest.raises(CorpusError, match="no markup"):
+            load_corpus(f"{base}/img.png", max_depth=1, delay=0.0)
+
+
 def test_http_redirect_off_the_site_is_dangling(tmp_path):
     write_mirror(tmp_path / "other", {"x.html": "<html><body>elsewhere</body></html>"})
     write_mirror(tmp_path / "site", {
@@ -319,3 +368,26 @@ def test_http_scheme_change_on_the_same_host_loads(monkeypatch):
         resolver.fetch("http://site.test/loop.html")
     assert requested.count("http://site.test/loop.html") == \
         requests.models.DEFAULT_REDIRECT_LIMIT + 1
+
+
+def test_loaded_demo_corpus_with_mms_tokens_stays_small(demo_root):
+    """Slotted tree nodes, interned names and interned tokens: the demo
+    mirror's 29 trees and MMS token tuples fit in 350 KB (about 420 KB
+    with a ``__dict__`` per node and a string copy per name and token)."""
+    def load():
+        corpus = load_corpus(demo_root, max_depth=10)
+        for page_id in corpus.pages:
+            token_seq(corpus, page_id, "MMS")
+        return corpus
+
+    load()  # the first load fills module-level caches; those are not the corpus
+    gc.collect()
+    tracemalloc.start()
+    try:
+        corpus = load()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(corpus.pages) == DEMO_PAGE_COUNT
+    assert held < 350_000

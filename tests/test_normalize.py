@@ -2,12 +2,14 @@
 
 import ast
 import random
+from html.parser import HTMLParser
 
 import pytest
 
+from navminer import normalize
 from navminer.cli import main
-from navminer.normalize import (Document, EmptyDocumentError, Element, Text,
-                                pretty_print, stripped_lines, to_xhtml, walk)
+from navminer.normalize import (IMPLIED_END, VOID_ELEMENTS, Document, EmptyDocumentError,
+                                Element, Text, pretty_print, stripped_lines, to_xhtml, walk)
 
 from conftest import DEMO_CORPUS, REPO_ROOT, all_elements, random_document, write_mirror
 
@@ -30,6 +32,173 @@ def remove_textual_content(doc: Document) -> Document:
                 open_copies[-1].children.append(copy)
             open_copies.append(copy)
     return Document(root)
+
+
+class _StackScanBuilder(HTMLParser):
+    """Oracle: the tree builder that finds a close tag's element by
+    scanning the whole open stack (O(depth) per close tag)."""
+
+    def __init__(self):
+        super().__init__(convert_charrefs=True)
+        self.top = []
+        self.stack = []
+
+    def _append(self, node):
+        target = self.stack[-1].children if self.stack else self.top
+        if isinstance(node, Text) and target and isinstance(target[-1], Text):
+            target[-1].content = target[-1].content + " " + node.content
+        else:
+            target.append(node)
+
+    def _close_implied(self, tag):
+        while self.stack and tag in IMPLIED_END.get(self.stack[-1].name, ()):
+            self.stack.pop()
+
+    @staticmethod
+    def _clean_attrs(attrs):
+        seen = set()
+        cleaned = []
+        for name, value in attrs:
+            if name in seen:
+                continue
+            seen.add(name)
+            cleaned.append((name, value if value is not None else ""))
+        return cleaned
+
+    def handle_starttag(self, tag, attrs):
+        self._close_implied(tag)
+        element = Element(tag, self._clean_attrs(attrs))
+        if tag in VOID_ELEMENTS:
+            element.self_closing = True
+            self._append(element)
+        else:
+            self._append(element)
+            self.stack.append(element)
+
+    def handle_startendtag(self, tag, attrs):
+        self._close_implied(tag)
+        self._append(Element(tag, self._clean_attrs(attrs), self_closing=True))
+
+    def handle_endtag(self, tag):
+        if tag in VOID_ELEMENTS:
+            return
+        if tag in [e.name for e in self.stack]:
+            while self.stack and self.stack.pop().name != tag:
+                pass
+
+    def handle_data(self, data):
+        if self.stack and self.stack[-1].name in ("script", "style"):
+            return
+        collapsed = " ".join(data.split())
+        if collapsed:
+            self._append(Text(collapsed))
+
+
+def _events(doc):
+    """Every node of ``doc`` with its depth, in walk order: equal for two
+    trees exactly when they are equal, and without recursion."""
+    return [(depth, closing, node.content) if node.__class__ is Text
+            else (depth, closing, node.name, node.attrs, node.self_closing)
+            for node, depth, closing in walk(doc.root)]
+
+
+def _parse_both(text):
+    """``to_xhtml`` with the program's builder and with the oracle's, as
+    ``_events`` lists, or None when it finds no markup."""
+    results = []
+    for builder in (normalize._TreeBuilder, _StackScanBuilder):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(normalize, "_TreeBuilder", builder)
+            try:
+                results.append(_events(to_xhtml(text)))
+            except EmptyDocumentError:
+                results.append(None)
+    return results
+
+
+_MARKUP_TAGS = ("div", "p", "span", "b", "i", "ul", "li", "table", "thead", "tbody",
+                "tr", "td", "th", "dl", "dt", "dd", "select", "option", "form",
+                "br", "img", "hr", "input", "script", "h2")
+
+
+def _random_malformed_markup(rng: random.Random) -> str:
+    """Unclosed tags, stray and interleaved closes, void closes,
+    self-closing forms and text, in random order."""
+    parts = []
+    for _ in range(rng.randint(0, 80)):
+        tag = rng.choice(_MARKUP_TAGS)
+        roll = rng.random()
+        if roll < 0.45:
+            attr = f' class="{rng.choice("xyz")}"' if rng.random() < 0.3 else ""
+            parts.append(f"<{tag}{attr}>")
+        elif roll < 0.8:
+            parts.append(f"</{tag}>")
+        elif roll < 0.88:
+            parts.append(f"<{tag}/>")
+        else:
+            parts.append(rng.choice(("word", " ", "a < b", "&amp;")))
+    return "".join(parts)
+
+
+def test_open_count_builder_matches_stack_scan_oracle_random():
+    rng = random.Random(205)
+    for _ in range(1500):
+        text = _random_malformed_markup(rng)
+        mine, oracle = _parse_both(text)
+        assert mine == oracle, text
+
+
+def test_open_count_builder_matches_stack_scan_oracle_on_demo_pages():
+    pages = sorted(DEMO_CORPUS.rglob("*.html"))
+    assert pages
+    for page in pages:
+        mine, oracle = _parse_both(page.read_text(encoding="utf-8"))
+        assert mine is not None and mine == oracle, page
+
+
+def test_deep_and_stray_closes_match_oracle():
+    for text in ("<div>" * 3000 + "</div>" * 3000,
+                 "<div>" * 3000 + "</p>" * 3000 + "</div>",
+                 "<ul>" + "<li><b>" * 500 + "</ul>" + "</b>" * 600):
+        mine, oracle = _parse_both(text)
+        assert mine == oracle
+
+
+def test_tree_nodes_have_no_instance_dict():
+    doc = to_xhtml("<div>text<br></div>")
+    for node in (doc, doc.root, doc.root.children[0], doc.root.children[1]):
+        assert not hasattr(node, "__dict__"), type(node).__name__
+
+
+def test_pages_share_one_copy_of_each_tag_and_attribute_name():
+    first, second = (to_xhtml((DEMO_CORPUS / name).read_text(encoding="utf-8"))
+                     for name in ("items/item-d1.html", "items/item-f5.html"))
+
+    def first_named(doc, name):
+        return next(node for node, _, closing in walk(doc.root)
+                    if not closing and node.__class__ is Element and node.name == name)
+
+    # names of more than one character: CPython shares single characters anyway
+    for tag, attr in (("body", None), ("form", "action"), ("div", "class")):
+        a, b = first_named(first, tag), first_named(second, tag)
+        assert a.name is b.name
+        if attr is not None:
+            assert [k for k, _ in a.attrs if k == attr][0] is \
+                [k for k, _ in b.attrs if k == attr][0]
+
+
+def test_binary_data_in_the_first_kb_is_not_markup():
+    for byte in [*range(0x00, 0x09), 0x0B, *range(0x0E, 0x1B), *range(0x1C, 0x20)]:
+        with pytest.raises(EmptyDocumentError):
+            to_xhtml("<html><body>" + chr(byte) + "</body></html>")
+    with pytest.raises(EmptyDocumentError):
+        to_xhtml("\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR<b>x</b>")
+    # tab, newline, form feed, carriage return and escape are text
+    assert to_xhtml("<p>a\tb\n\x0c\r\x1b</p>").root.name == "p"
+    # only the first 1,024 characters are sniffed
+    assert to_xhtml("<p>" + "x" * 1021 + "\x00</p>").root.name == "p"
+    with pytest.raises(EmptyDocumentError):
+        to_xhtml("<p>" + "x" * 1020 + "\x00</p>")
 
 
 def test_unclosed_tag_equals_closed_form():

@@ -199,6 +199,18 @@ def test_cli_rejects_bad_config_file(tmp_path):
     assert main(["--config", str(config)]) == 1
 
 
+def test_cli_unreadable_config_file_is_a_configuration_error(tmp_path, capsys):
+    missing = tmp_path / "missing.conf"
+    assert main(["--config", str(missing)]) == 1
+    undecodable = tmp_path / "latin1.conf"
+    undecodable.write_bytes("root = caf\xe9.html\n".encode("latin-1"))
+    assert main(["--config", str(undecodable)]) == 1
+    assert main(["--config", str(tmp_path)]) == 1  # a directory
+    stderr = capsys.readouterr().err
+    assert stderr.count("configuration error:") == 3
+    assert "internal error" not in stderr
+
+
 def test_cli_internal_error_exit_code(tmp_path, demo_root, monkeypatch):
     import navminer.cli as cli
 

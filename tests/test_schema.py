@@ -150,3 +150,20 @@ def test_deserialize_schema_inverts_serialize_schema():
     for doc in docs:
         schema = extract_schema(doc)
         assert deserialize_schema(serialize_schema(schema)) == schema
+
+
+def test_equal_tokens_of_different_pages_are_one_object():
+    def tokens(name):
+        doc = to_xhtml((DEMO_CORPUS / name).read_text(encoding="utf-8"))
+        return serialize_schema(extract_schema(doc)), sts_serialize(doc)
+
+    # two item pages with the same schema and the same tag tree
+    for mine, theirs in zip(tokens("items/item-d1.html"), tokens("items/item-f2.html")):
+        assert mine == theirs
+        assert all(a is b for a, b in zip(mine, theirs))
+    # pages of different kinds still share the tokens they have in common
+    for mine, theirs in zip(tokens("items/item-d1.html"), tokens("cat-fish.html")):
+        first = {token: token for token in mine}
+        shared = [token for token in theirs if token in first]
+        assert shared
+        assert all(first[token] is token for token in shared)
