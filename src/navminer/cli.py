@@ -5,26 +5,36 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
+from . import navmodel
 from .corpus import CorpusError
 from .report import Config, ConfigError, run_pipeline
 
-_CONFIG_KEYS = {
-    "root": str,
-    "threshold": float,
-    "depth": int,
-    "method": str,
-    "out": str,
-    "reference": str,
-    "verbose": lambda v: v.strip().lower() in ("1", "true", "yes", "on"),
-    "delay": float,
+
+def _truthy(value: str) -> bool:
+    return value.strip().lower() in ("1", "true", "yes", "on")
+
+
+# every setting once: config-file key (and flag --key) -> (Config field,
+# value parser, help text); the default is the Config field's own
+_SETTINGS = {
+    "root": ("root", str, "root page: mirror file/directory or http(s) URL"),
+    "threshold": ("threshold", float, "similarity threshold in [0,1]"),
+    "depth": ("max_depth", int, "maximum link depth"),
+    "method": ("method", str,
+               "similarity substrate: page schemas (MMS) or syntax trees (STS)"),
+    "out": ("out_dir", str, "output directory"),
+    "reference": ("reference", str, "reference classification file to score against"),
+    "verbose": ("verbose", _truthy, "chatty logging plus per-page schema dumps"),
+    "delay": ("http_delay", float, "delay between HTTP requests in seconds"),
 }
 
 
 def _read_config_file(path: str) -> dict:
     """Parse the key=value configuration file (one assignment per line,
-    ``#`` comments allowed)."""
+    ``#`` comments allowed) into ``Config`` field values."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -38,10 +48,11 @@ def _read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        field_name, parse, _ = _SETTINGS[key]
         try:
-            values[key] = _CONFIG_KEYS[key](value.strip().strip('"'))
+            values[field_name] = parse(value.strip().strip('"'))
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return values
@@ -52,49 +63,28 @@ def _parser() -> argparse.ArgumentParser:
         prog="navminer",
         description="Recover the navigational model of a multi-page web "
                     "application and mine candidate UI components.")
-    parser.add_argument("--root", help="root page: mirror file/directory or http(s) URL")
-    parser.add_argument("--threshold", type=float, help="similarity threshold in [0,1] (default 0.95)")
-    parser.add_argument("--depth", type=int, help="maximum link depth (default 10)")
-    parser.add_argument("--method", choices=("MMS", "STS"),
-                        help="similarity substrate: page schemas (MMS) or syntax trees (STS)")
-    parser.add_argument("--out", help="output directory (default: out)")
-    parser.add_argument("--reference", help="reference classification file to score against")
-    parser.add_argument("--verbose", action="store_true", default=None,
-                        help="chatty logging plus per-page schema dumps")
-    parser.add_argument("--delay", type=float, help="delay between HTTP requests in seconds")
+    defaults = {f.name: f.default for f in fields(Config)}
+    for key, (field_name, parse, help_text) in _SETTINGS.items():
+        if parse is _truthy:  # a flag; None leaves a config file's value standing
+            parser.add_argument(f"--{key}", action="store_true", default=None, help=help_text)
+            continue
+        default = defaults[field_name]
+        if default is not MISSING and default is not None:
+            help_text += f" (default: {default})"
+        parser.add_argument(f"--{key}", type=parse, help=help_text,
+                            choices=navmodel.METHODS if key == "method" else None)
     parser.add_argument("--config", help="key=value configuration file (flags win)")
     return parser
 
 
 def _build_config(args) -> Config:
     values = _read_config_file(args.config) if args.config else {}
-    overrides = {
-        "root": args.root,
-        "threshold": args.threshold,
-        "depth": args.depth,
-        "method": args.method,
-        "out": args.out,
-        "reference": args.reference,
-        "verbose": args.verbose,
-        "delay": args.delay,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            values[key] = value
+    for key, (field_name, _, _) in _SETTINGS.items():
+        if (value := getattr(args, key)) is not None:
+            values[field_name] = value
     if "root" not in values:
         raise ConfigError("no root given (use --root or a config file)")
-    cfg = Config(
-        root=values["root"],
-        threshold=values.get("threshold", 0.95),
-        max_depth=values.get("depth", 10),
-        method=values.get("method", "MMS"),
-        out_dir=values.get("out", "out"),
-        reference=values.get("reference"),
-        verbose=bool(values.get("verbose", False)),
-        http_delay=values.get("delay", 0.1),
-    )
-    cfg.validate()
-    return cfg
+    return Config(**values)
 
 
 def main(argv=None) -> int:

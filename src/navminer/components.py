@@ -14,19 +14,20 @@ The alignment table is bit-parallel: one int per line of A, one bit per
 line of B, built a machine word at a time instead of cell by cell, and
 read back by counting bits.  The backtrack over it is the canonical one
 of the full table, so the fragments are those of the classic DP.
+
+Each fragment keeps, beside its lines, the elements they open, as
+``normalize`` recorded them while printing.  A component's inventory
+counts those elements by tag name and, for an ``input``, by its first
+``type`` attribute (``text`` when it has none); no line is parsed back.
 """
 
 from __future__ import annotations
 
-import logging
-import re
 from dataclasses import dataclass, field
 
 from .corpus import PageId
 from .navmodel import NavTree
-from .normalize import LineText, stripped_lines, walk
-
-logger = logging.getLogger(__name__)
+from .normalize import Element, LineText, stripped_lines, walk
 
 KINDS = ("Button", "Text", "Textarea", "Select", "Link", "Image", "Table", "Form", "Other")
 
@@ -37,6 +38,7 @@ class Fragment:
     target: PageId
     start: int  # line index into the target's stripped pretty-print
     lines: tuple[str, ...]
+    opens: tuple[Element | None, ...]  # the element each line opens, as in LineText
 
 
 @dataclass
@@ -122,21 +124,28 @@ def diff_oneway(a: LineText, b: LineText, source: PageId = "", target: PageId = 
             run_start = j
         elif not inserted and run_start is not None:
             fragments.append(Fragment(source, target, run_start,
-                                      tuple(b.lines[run_start:j])))
+                                      tuple(b.lines[run_start:j]),
+                                      tuple(b.opens[run_start:j])))
             run_start = None
     return fragments
 
 
-_TAG_LINE = re.compile(r"^<([a-zA-Z][a-zA-Z0-9:-]*)((?:\s[^<>]*)?)(/?)>$")
-_TYPE_ATTR = re.compile(r'\btype="([^"]*)"')
+_KIND_OF_TAG = {
+    "button": "Button",
+    "textarea": "Textarea",
+    "select": "Select",
+    "a": "Link",
+    "img": "Image",
+    "table": "Table",
+    "form": "Form",
+}
 
 
-def _classify_tag(name: str, attrs_text: str) -> str | None:
-    """Map one opening tag to its inventory kind; None means not counted."""
-    name = name.lower()
-    if name == "input":
-        match = _TYPE_ATTR.search(attrs_text)
-        input_type = (match.group(1) if match else "text").lower()
+def _classify(element: Element) -> str | None:
+    """Map one opened element to its inventory kind; None means not counted."""
+    if element.name == "input":
+        input_type = next((value for name, value in element.attrs if name == "type"),
+                          "text").lower()
         if input_type in ("submit", "button", "reset"):
             return "Button"
         if input_type == "hidden":
@@ -144,33 +153,18 @@ def _classify_tag(name: str, attrs_text: str) -> str | None:
         if input_type in ("text", "password"):
             return "Text"
         return "Other"
-    return {
-        "button": "Button",
-        "textarea": "Textarea",
-        "select": "Select",
-        "a": "Link",
-        "img": "Image",
-        "table": "Table",
-        "form": "Form",
-    }.get(name, "Other")
+    return _KIND_OF_TAG.get(element.name, "Other")
 
 
 def identify_elements(component: CandidateComponent) -> dict[str, int]:
-    """Tally the opening/self-closed tags of the component's fragments."""
+    """Tally the elements the component's fragment lines open."""
     counts = {kind: 0 for kind in KINDS}
     for fragment in component.fragments:
-        for line in fragment.lines:
-            stripped = line.strip()
-            if stripped.startswith("</"):
-                continue
-            match = _TAG_LINE.match(stripped)
-            if match is None:
-                logger.warning("unparseable fragment line %r", stripped)
-                counts["Other"] += 1
-                continue
-            kind = _classify_tag(match.group(1), match.group(2))
-            if kind is not None:
-                counts[kind] += 1
+        for element in fragment.opens:
+            if element is not None:
+                kind = _classify(element)
+                if kind is not None:
+                    counts[kind] += 1
     return counts
 
 
@@ -178,14 +172,13 @@ def extract_candidates(snp: NavTree) -> list[CandidateComponent]:
     """One candidate component per edge of the reduced tree, walking the
     tree depth-first and diffing parent representative -> child
     representative."""
-    corpus = snp.corpus
+    pages = snp.corpus.pages
+    lines: dict[PageId, LineText] = {}  # a representative is diffed as target and as source
 
     def lines_of(page_id: PageId) -> LineText:
-        key = ("lines", page_id)
-        cached = corpus.memo.get(key)
+        cached = lines.get(page_id)
         if cached is None:
-            cached = stripped_lines(corpus.pages[page_id].document)
-            corpus.memo[key] = cached
+            cached = lines[page_id] = stripped_lines(pages[page_id].document)
         return cached
 
     out: list[CandidateComponent] = []

@@ -192,7 +192,7 @@ class Corpus:
     pages: dict[PageId, Page]
     dangling: list[PageId] = field(default_factory=list)
     excluded: list[PageId] = field(default_factory=list)  # fetched but markup-free
-    memo: dict = field(default_factory=dict)  # analysis-layer cache: tokens, stripped lines
+    memo: dict = field(default_factory=dict)  # navmodel.token_seq: ("tokens", method, page)
 
 
 def _open_root(root, delay: float):

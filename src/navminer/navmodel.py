@@ -50,7 +50,6 @@ class NavTree:
     corpus: Corpus
     method: str
     threshold: float
-    max_depth: int
     # per-page discovery records from the build, reused by refinement
     page_children: dict[PageId, list[tuple[PageId, ...]]] = field(default_factory=dict)
     page_backrefs: dict[PageId, tuple[PageId, ...]] = field(default_factory=dict)
@@ -153,8 +152,7 @@ def build_nav_tree(root: PageId, corpus: Corpus, threshold: float,
         node.children = [NavNode(cluster, node.level + 1)
                          for page_id in node.members for cluster in page_children[page_id]]
         node.backrefs = _node_backrefs(node.members, page_backrefs)
-    return NavTree(root_node, corpus, method, threshold, max_depth,
-                   page_children, page_backrefs)
+    return NavTree(root_node, corpus, method, threshold, page_children, page_backrefs)
 
 
 def refine_clusters(tree: NavTree) -> NavTree:
@@ -174,8 +172,7 @@ def refine_clusters(tree: NavTree) -> NavTree:
             clusters = tree.page_children.get(members[0], [])
         node.children = [NavNode(c, node.level + 1) for c in clusters]
         node.backrefs = _node_backrefs(members, tree.page_backrefs)
-    return NavTree(root, corpus, method, threshold, tree.max_depth,
-                   tree.page_children, tree.page_backrefs)
+    return NavTree(root, corpus, method, threshold, tree.page_children, tree.page_backrefs)
 
 
 def reduce_to_snp(tree: NavTree) -> NavTree:

@@ -17,6 +17,11 @@ are kept as parsed.
 
 Input whose first KB holds a binary-data control byte (a linked PDF or
 image, say) is not markup and is refused like a page without tags.
+
+The one-tag-per-line text of ``pretty_print`` and ``stripped_lines`` is
+this module's format alone: each ``LineText`` also records the element
+every line opens, so later stages read elements and never parse the
+lines back.
 """
 
 from __future__ import annotations
@@ -91,13 +96,11 @@ class Document:
 
 @dataclass
 class LineText:
-    """One tag (or text run) per line, as produced by ``pretty_print``."""
+    """One tag (or text run) per line, as produced by ``pretty_print``,
+    with the element each line opens (``None`` on close and text lines)."""
 
     lines: list[str]
-
-    @property
-    def text(self) -> str:
-        return "\n".join(self.lines) + "\n" if self.lines else ""
+    opens: list[Element | None]
 
 
 class _TreeBuilder(HTMLParser):
@@ -234,11 +237,13 @@ def walk(root):
 
 def _lines(root: Element, with_text: bool) -> LineText:
     lines: list[str] = []
-    append = lines.append
+    opens: list[Element | None] = []
+    append, opened = lines.append, opens.append
     for node, depth, closing in walk(root):
         if node.__class__ is Text:
             if with_text:
                 append("  " * depth + _escape(node.content))
+                opened(None)
             continue
         one_line = node.self_closing and not (
             node.children if with_text
@@ -246,9 +251,11 @@ def _lines(root: Element, with_text: bool) -> LineText:
         if closing:
             if not one_line:
                 append("  " * depth + f"</{node.name}>")
+                opened(None)
         else:
             append("  " * depth + _open_tag(node, self_close=one_line))
-    return LineText(lines)
+            opened(node)
+    return LineText(lines, opens)
 
 
 def pretty_print(doc: Document) -> LineText:

@@ -10,7 +10,8 @@ Artifacts land in the output directory:
     components/edge-NNN.html  one browsable fragment file per tree edge
     report/index.html         static index over the component files
     dangling.txt              unresolvable link targets, one per line
-    schemas/*.dtd             per-page schema dumps (verbose mode only)
+    schemas/<page>.dtd        per-page schema dumps (verbose mode only),
+                              named by the percent-encoded page id
 
 Everything set-like is sorted before emission, so identical inputs and
 configuration produce byte-identical artifacts.
@@ -24,13 +25,15 @@ import math
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
+from urllib.parse import quote
 
-from . import navmodel, schema as schema_mod
+from . import navmodel
 from .components import KINDS, CandidateComponent, extract_candidates
 from .corpus import Corpus, CorpusError, load_corpus
-from .evaluate import EvaluationResult, evaluate, load_reference
+from .evaluate import EvaluationError, EvaluationResult, evaluate, load_reference
 from .navmodel import NavTree, build_nav_tree, collect_partition, reduce_to_snp, refine_clusters
 from .normalize import walk
+from .schema import dtd_text
 
 logger = logging.getLogger(__name__)
 
@@ -206,10 +209,6 @@ def _report_index(components: list[CandidateComponent], evaluation) -> str:
             + eval_block + table + "</body>\n</html>\n")
 
 
-def _safe_name(page_id: str) -> str:
-    return "".join(c if c.isalnum() or c in "._-" else "_" for c in page_id)
-
-
 def _build_artifacts(cfg: Config, result: PipelineResult) -> dict[str, str]:
     artifacts = {
         "navmodel.dot": emit_dot(result.tree),
@@ -221,10 +220,10 @@ def _build_artifacts(cfg: Config, result: PipelineResult) -> dict[str, str]:
         artifacts[_component_file(index)] = _edge_html(index, component)
     if cfg.verbose:
         for page_id in sorted(result.corpus.pages):
-            # an MMS run has the page's schema tokens cached already
+            # an MMS run has the page's schema tokens cached already;
+            # quoting keeps distinct page ids on distinct file names
             tokens = navmodel.token_seq(result.corpus, page_id, "MMS")
-            artifacts[f"schemas/{_safe_name(page_id)}.dtd"] = \
-                schema_mod.dtd_text(schema_mod.deserialize_schema(tokens))
+            artifacts[f"schemas/{quote(page_id, safe='')}.dtd"] = dtd_text(tokens)
     return artifacts
 
 
@@ -249,10 +248,19 @@ def _write_artifacts(out_dir: Path, artifacts: dict[str, str]) -> list[Path]:
 def run_pipeline(cfg: Config) -> PipelineResult:
     """Execute the whole pipeline and write all artifacts.
 
-    Raises ConfigError for a bad configuration and CorpusError when the
-    mirror cannot be loaded; nothing is written in either case.
+    Raises ConfigError for a bad configuration, an unreadable or malformed
+    reference file or an output directory that cannot be written, and
+    CorpusError when the mirror cannot be loaded; none of the run's
+    artifact files is left behind in any of these cases.  The reference is
+    read before the crawl.
     """
     cfg.validate()
+    reference = None
+    if cfg.reference:
+        try:
+            reference = load_reference(cfg.reference)
+        except (OSError, UnicodeDecodeError, EvaluationError) as exc:
+            raise ConfigError(f"reference {cfg.reference}: {exc}") from exc
     corpus = load_corpus(cfg.root, max_depth=cfg.max_depth, delay=cfg.http_delay)
     logger.info("loaded %d page(s), %d dangling link(s)",
                 len(corpus.pages), len(corpus.dangling))
@@ -263,14 +271,17 @@ def run_pipeline(cfg: Config) -> PipelineResult:
     components = extract_candidates(tree)
 
     evaluation = None
-    if cfg.reference:
-        reference = load_reference(cfg.reference)
+    if reference is not None:
         evaluation = evaluate(collect_partition(tree), reference)
         logger.info("evaluation: rcr=%d icr=%d precision=%d%% recall=%d%%",
                     evaluation.rcr, evaluation.icr, evaluation.precision, evaluation.recall)
 
     result = PipelineResult(corpus, tree, components, evaluation, Path(cfg.out_dir))
-    result.files = _write_artifacts(result.out_dir, _build_artifacts(cfg, result))
+    artifacts = _build_artifacts(cfg, result)
+    try:
+        result.files = _write_artifacts(result.out_dir, artifacts)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output directory {result.out_dir}: {exc}") from exc
     return result
 
 

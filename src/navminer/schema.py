@@ -23,6 +23,11 @@ one document:
 
 An attribute is REQUIRED when every instance of the element carries it,
 IMPLIED otherwise.  Attribute *values* never enter the schema.
+
+The token stream of ``serialize_schema`` is this module's format alone:
+the distance compares it, the clustering caches it per page and the
+verbose DTD dump (``dtd_text``) renders it directly, so no other module
+reads a token apart or needs the ``Schema`` object back.
 """
 
 from __future__ import annotations
@@ -69,11 +74,6 @@ def _collapse(seq: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _is_subsequence(needle, haystack) -> bool:
-    it = iter(haystack)
-    return all(item in it for item in needle)
-
-
 def _embed_left(seq, spine):
     positions = []
     k = 0
@@ -104,7 +104,7 @@ def _infer_model(seqs: list[tuple[str, ...]], has_text: bool) -> ContentModel:
         return ContentModel(SEQUENCE, tuple((n, PLUS) for n in seq))
     # one observed sequence may contain all the others: use it as the
     # spine and mark items missing from some instances as star
-    spines = [s for s in collapsed if all(_is_subsequence(t, s) for t in collapsed)]
+    spines = [s for s in collapsed if all(_embed_left(t, s) is not None for t in collapsed)]
     if len(spines) == 1:
         spine = spines[0]
         covered = [0] * len(spine)
@@ -178,30 +178,6 @@ def serialize_schema(schema: Schema) -> TokenSeq:
     return tuple(map(sys.intern, tokens))
 
 
-def deserialize_schema(tokens: TokenSeq) -> Schema:
-    """The schema that ``serialize_schema`` turned into ``tokens``.
-
-    Tokens come in pairs (``elem``/``model``, ``child``/``rep``,
-    ``attr``/``use``), so the cached MMS tokens of a page give back its
-    schema without extracting it again.
-    """
-    kinds: dict[str, str] = {}
-    items: dict[str, list[tuple[str, str]]] = {}
-    attributes: dict[str, list[tuple[str, str]]] = {}
-    for head, tail in zip(tokens[::2], tokens[1::2]):
-        tag, _, value = head.partition(":")
-        detail = tail.partition(":")[2]
-        if tag == "elem":
-            name = value
-            kinds[name], items[name] = detail, []
-        elif tag == "child":
-            items[name].append((value, detail))
-        else:
-            attributes.setdefault(name, []).append((value, detail))
-    return Schema({name: ContentModel(kind, tuple(items[name])) for name, kind in kinds.items()},
-                  {name: tuple(specs) for name, specs in attributes.items()})
-
-
 def sts_serialize(doc: Document) -> TokenSeq:
     """Baseline substrate: the tag tree as open/close tokens, text
     ignored; interned, like ``serialize_schema``'s."""
@@ -213,22 +189,38 @@ def sts_serialize(doc: Document) -> TokenSeq:
 _FLAG_SUFFIX = {PLUS: "+", STAR: "*"}
 
 
-def dtd_text(schema: Schema) -> str:
-    """DTD-flavoured dump of a schema, for the verbose debug output."""
-    lines = []
-    for name in sorted(schema.declarations):
-        model = schema.declarations[name]
-        if model.kind == EMPTY:
-            body = "EMPTY"
-        elif model.kind == PCDATA:
-            body = "(#PCDATA)"
-        elif model.kind == MIXED:
-            body = "(#PCDATA | " + " | ".join(c for c, _ in model.items) + ")*"
-        elif model.kind == SEQUENCE:
-            body = "(" + ", ".join(c + _FLAG_SUFFIX[f] for c, f in model.items) + ")"
+def _element_decl(name: str, kind: str, items: list[tuple[str, str]]) -> str:
+    if kind == EMPTY:
+        body = "EMPTY"
+    elif kind == PCDATA:
+        body = "(#PCDATA)"
+    elif kind == MIXED:
+        body = "(#PCDATA | " + " | ".join(c for c, _ in items) + ")*"
+    elif kind == SEQUENCE:
+        body = "(" + ", ".join(c + _FLAG_SUFFIX[f] for c, f in items) + ")"
+    else:
+        body = "(" + " | ".join(c for c, _ in items) + ")*"
+    return f"<!ELEMENT {name} {body}>"
+
+
+def dtd_text(tokens: TokenSeq) -> str:
+    """DTD-flavoured dump of a page's ``serialize_schema`` tokens, for the
+    verbose debug output.
+
+    Tokens come in pairs: ``elem``/``model`` opens an element's
+    declaration, the ``child``/``rep`` pairs after it are its content
+    model's items and the ``attr``/``use`` pairs its attributes.
+    """
+    lines: list = []  # an element's declaration stays a tuple until its items are read
+    for head, tail in zip(tokens[::2], tokens[1::2]):
+        tag, _, value = head.partition(":")
+        detail = tail.partition(":")[2]
+        if tag == "elem":
+            name, items = value, []
+            lines.append((name, detail, items))
+        elif tag == "child":
+            items.append((value, detail))
         else:
-            body = "(" + " | ".join(c for c, _ in model.items) + ")*"
-        lines.append(f"<!ELEMENT {name} {body}>")
-        for attr, use in schema.attributes.get(name, ()):
-            lines.append(f"<!ATTLIST {name} {attr} CDATA #{use}>")
-    return "\n".join(lines) + ("\n" if lines else "")
+            lines.append(f"<!ATTLIST {name} {value} CDATA #{detail}>")
+    return "".join((line if isinstance(line, str) else _element_decl(*line)) + "\n"
+                   for line in lines)

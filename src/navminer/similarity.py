@@ -107,14 +107,6 @@ class Partition:
     clusters: tuple[frozenset[PageId], ...]
     universe: frozenset[PageId]
 
-    def is_valid(self) -> bool:
-        seen: set[PageId] = set()
-        for cluster in self.clusters:
-            if not cluster or cluster & seen:
-                return False
-            seen |= cluster
-        return seen == set(self.universe)
-
 
 def transclos(pairs, universe) -> Partition:
     """Clusters are the connected components of the clone graph; pages

@@ -36,6 +36,16 @@ def demo_corpus():
     return load_corpus(DEMO_CORPUS / "index.html", max_depth=10)
 
 
+def partition_is_valid(partition) -> bool:
+    """The clusters are non-empty, pairwise disjoint and cover the universe."""
+    seen: set = set()
+    for cluster in partition.clusters:
+        if not cluster or cluster & seen:
+            return False
+        seen |= cluster
+    return seen == set(partition.universe)
+
+
 def write_mirror(root: Path, pages: dict[str, str]) -> Path:
     """Write a throwaway mirror; returns the root page path."""
     for name, text in pages.items():

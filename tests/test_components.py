@@ -213,6 +213,36 @@ def test_empty_component_has_all_zero_inventory():
     assert all(v == 0 for v in counts.values())
 
 
+def _inventory(markup: str) -> dict[str, int]:
+    component = CandidateComponent("a", "b", diff_oneway(
+        lines_of("<div></div>"), lines_of(f"<div>{markup}</div>"), "a", "b"))
+    return identify_elements(component)
+
+
+def test_inventory_reads_the_type_attribute_not_a_suffix_of_another():
+    counts = _inventory('<input data-type="submit" type="text">'
+                        '<input aria-type="hidden" type="text">')
+    assert (counts["Button"], counts["Text"]) == (0, 2)
+    # the first type attribute counts, as the parser keeps it
+    assert _inventory('<input type="Hidden" type="submit">')["Button"] == 0
+
+
+def test_inventory_counts_every_opened_element_the_parser_accepts(caplog):
+    counts = _inventory('<a x<y="1" href="q">go</a><my_widget><img src="i.gif"></my_widget>')
+    assert (counts["Link"], counts["Image"], counts["Other"]) == (1, 1, 1)
+    assert sum(counts.values()) == 3
+    assert not caplog.records
+
+
+def test_fragments_carry_the_elements_their_lines_open():
+    b = lines_of('<div><form><input type="text"><p>x</p></form></div>')
+    for fragment in diff_oneway(lines_of("<div></div>"), b):
+        assert len(fragment.opens) == len(fragment.lines)
+        for line, element in zip(fragment.lines, fragment.opens):
+            assert (element is None) == line.lstrip().startswith("</")
+            assert element is None or line.lstrip().startswith("<" + element.name)
+
+
 def _chain_mirror(tmp_path):
     def page(title, target=None):
         anchor = f'<a href="{target}">next</a>' if target else "<span>end</span>"
@@ -347,8 +377,9 @@ def test_diff_of_two_long_pages_stays_small_in_memory():
     about 180 MB and 2 s for this pair; one int of m bits per line of a
     takes about n*m/8 bytes, 1.5 MB."""
     rng = random.Random(505)
-    view = LineText(table_lines(rng, 590, False))
-    edit = LineText(table_lines(rng, 540, True))
+    view_lines, edit_lines = table_lines(rng, 590, False), table_lines(rng, 540, True)
+    view = LineText(view_lines, [None] * len(view_lines))
+    edit = LineText(edit_lines, [None] * len(edit_lines))
     assert 3400 <= min(len(view.lines), len(edit.lines))
     tracemalloc.start()
     try:

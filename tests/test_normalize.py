@@ -17,7 +17,8 @@ from conftest import DEMO_CORPUS, REPO_ROOT, all_elements, random_document, writ
 # oracles: the text form for round trips, and the copying form of stripped_lines
 def serialize(doc: Document) -> str:
     """Round-trippable text form of a Document (the pretty-print)."""
-    return pretty_print(doc).text
+    lines = pretty_print(doc).lines
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 def remove_textual_content(doc: Document) -> Document:
@@ -292,7 +293,7 @@ def test_pretty_print_deterministic():
 def test_pretty_print_roundtrip_up_to_whitespace():
     text = '<div class="c"><p>hello <b>bold</b> tail</p><ul><li>x</li></ul></div>'
     doc = to_xhtml(text)
-    assert to_xhtml(pretty_print(doc).text) == doc
+    assert to_xhtml(serialize(doc)) == doc
 
 
 def test_strip_examples():
@@ -383,18 +384,38 @@ def test_walk_reads_children_after_yielding_the_node():
     assert seen[-1] == ("a", 0, True)
 
 
+def test_each_element_opens_exactly_one_line_in_document_order():
+    rng = random.Random(207)
+    for _ in range(60):
+        doc = random_document(rng, depth=4)
+        for element in all_elements(doc.root):
+            element.self_closing = rng.random() < 0.2
+        elements = [node for node, _, closing in walk(doc.root)
+                    if not closing and isinstance(node, Element)]
+        for printed in (pretty_print(doc), stripped_lines(doc)):
+            assert len(printed.opens) == len(printed.lines)
+            opened = [e for e in printed.opens if e is not None]
+            assert len(opened) == len(elements)
+            assert all(a is b for a, b in zip(opened, elements))
+            for line, element in zip(printed.lines, printed.opens):
+                if element is not None:
+                    assert line.lstrip().startswith("<" + element.name)
+                else:
+                    assert not line.lstrip().startswith("<") or line.lstrip().startswith("</")
+
+
 def test_stripped_lines_equals_pretty_print_of_stripped_copy():
     rng = random.Random(204)
     for _ in range(60):
         doc = random_document(rng, depth=4)
         for element in all_elements(doc.root):  # the parser never does this
             element.self_closing = rng.random() < 0.2
-        assert stripped_lines(doc) == pretty_print(remove_textual_content(doc))
+        assert stripped_lines(doc).lines == pretty_print(remove_textual_content(doc)).lines
     pages = sorted(DEMO_CORPUS.rglob("*.html"))
     assert pages
     for page in pages:
         doc = to_xhtml(page.read_text(encoding="utf-8"))
-        assert stripped_lines(doc) == pretty_print(remove_textual_content(doc))
+        assert stripped_lines(doc).lines == pretty_print(remove_textual_content(doc)).lines
 
 
 def test_deeply_nested_page_runs(tmp_path, capsys):

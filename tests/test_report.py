@@ -1,22 +1,24 @@
 """Pipeline orchestration, DOT/XML emission, CLI behaviour."""
 
+import dataclasses
 import os
 import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from urllib.parse import quote
 
 import pytest
 
 from navminer import corpus as corpus_mod
 from navminer import load_corpus
+from navminer import navmodel as navmodel_mod
 from navminer import schema as schema_mod
 from navminer.cli import main
 from navminer.components import KINDS, CandidateComponent, extract_candidates
 from navminer.evaluate import EvaluationResult
 from navminer.navmodel import NavNode, NavTree, build_nav_tree, reduce_to_snp, refine_clusters
-from navminer.report import (Config, ConfigError, _safe_name, emit_dot, emit_xml,
-                             run_pipeline)
+from navminer.report import Config, ConfigError, emit_dot, emit_xml, run_pipeline
 
 from conftest import DEMO_THRESHOLD, REPO_ROOT, write_mirror
 
@@ -150,8 +152,9 @@ def test_verbose_run_extracts_each_schema_once(method, demo_root, tmp_path, monk
     assert len(calls) == len(pages)
     assert len({id(doc) for doc in calls}) == len(pages)
     for page_id in pages:
-        dump = result.out_dir / "schemas" / f"{_safe_name(page_id)}.dtd"
-        assert dump.read_text() == schema_mod.dtd_text(extract(pages[page_id].document))
+        dump = result.out_dir / "schemas" / f"{quote(page_id, safe='')}.dtd"
+        assert dump.read_text() == schema_mod.dtd_text(
+            schema_mod.serialize_schema(extract(pages[page_id].document)))
 
 
 def test_invalid_threshold_rejected(tmp_path):
@@ -275,11 +278,9 @@ def test_each_page_is_parsed_and_link_scanned_once(method, demo_root, tmp_path, 
     corpus = result.corpus
     assert len(calls["to_xhtml"]) == len(corpus.pages) + len(corpus.excluded)
     assert sorted(args[1] for args in calls["extract_links"]) == sorted(corpus.pages)
-    # the memo holds tokens and the diffed representatives' lines, nothing else
-    representatives = {node.representative for node in result.tree.nodes()}
-    lines = {("lines", page) for page in representatives}
+    # the memo holds token keys only
     tokens = {("tokens", method, page) for page in corpus.pages}
-    assert lines <= set(corpus.memo) <= lines | tokens
+    assert corpus.memo and set(corpus.memo) <= tokens
 
 
 def _emit_xml_etree(tree, components, evaluation=None):
@@ -336,7 +337,7 @@ def _random_nav_tree(rng):
     for node in nodes:
         node.backrefs = tuple(_odd_id(rng) for _ in range(rng.randint(0, 2)))
         node.representative = rng.choice(node.members + (None,))
-    return NavTree(root, None, "MMS", 0.9, 10)
+    return NavTree(root, None, "MMS", 0.9)
 
 
 def test_emit_xml_matches_elementtree_random():
@@ -374,3 +375,98 @@ def test_long_link_chain_runs(tmp_path, capsys):
     assert f"pages: {pages}  nodes: {pages}  components: {pages - 1}" in capsys.readouterr().out
     parsed = ET.parse(out / "navmodel.xml").getroot()
     assert sum(1 for _ in parsed.iter("node")) == pages
+
+
+def test_cli_bad_reference_is_a_configuration_error_before_the_crawl(tmp_path, demo_root, capsys):
+    out = tmp_path / "out"
+    missing = tmp_path / "missing.txt"
+    # the reference is read first, so a missing root is not even looked at
+    assert main(["--root", str(tmp_path / "nope.html"), "--reference", str(missing),
+                 "--out", str(out)]) == 1
+    malformed = tmp_path / "malformed.txt"
+    malformed.write_text("no class separator here\n", encoding="utf-8")
+    undecodable = tmp_path / "latin1.txt"
+    undecodable.write_bytes("Home: caf\xe9.html\n".encode("latin-1"))
+    for reference in (malformed, undecodable, tmp_path):  # tmp_path: a directory
+        assert main(["--root", str(demo_root), "--reference", str(reference),
+                     "--out", str(out)]) == 1
+    assert not out.exists()
+    stderr = capsys.readouterr().err
+    assert stderr.count("configuration error: reference") == 4
+    assert "internal error" not in stderr
+
+
+def test_cli_unwritable_out_is_a_configuration_error(tmp_path, demo_root, capsys):
+    blocker = tmp_path / "afile"
+    blocker.write_text("not a directory", encoding="utf-8")
+    assert main(["--root", str(demo_root), "--out", str(blocker / "sub")]) == 1
+    # a file where the report directory goes: what was written is rolled back
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "report").write_text("in the way", encoding="utf-8")
+    assert main(["--root", str(demo_root), "--out", str(out)]) == 1
+    assert sorted(path.name for path in out.rglob("*")) == ["components", "report"]
+    stderr = capsys.readouterr().err
+    assert f"configuration error: cannot write output directory {blocker / 'sub'}" in stderr
+    assert f"configuration error: cannot write output directory {out}" in stderr
+    assert "internal error" not in stderr
+
+
+def test_verbose_dtd_names_are_one_per_page(tmp_path):
+    root = write_mirror(tmp_path / "site", {
+        "index.html": _page("home", "a/b.html", "a_b.html"),
+        "a/b.html": _page("nested"),
+        "a_b.html": '<html><body><form action="x"><input name="q"></form></body></html>',
+    })
+    result = run_pipeline(Config(root=str(root), out_dir=str(tmp_path / "out"), verbose=True))
+    names = sorted(path.name for path in (result.out_dir / "schemas").iterdir())
+    assert names == ["a%2Fb.html.dtd", "a_b.html.dtd", "index.html.dtd"]
+    for page_id, page in result.corpus.pages.items():
+        dump = result.out_dir / "schemas" / f"{quote(page_id, safe='')}.dtd"
+        expected = schema_mod.dtd_text(schema_mod.serialize_schema(
+            schema_mod.extract_schema(page.document)))
+        assert dump.read_text(encoding="utf-8") == expected
+
+
+def test_flags_config_keys_and_settings_table_agree(tmp_path):
+    import navminer.cli as cli
+
+    parser = cli._parser()
+    settings = cli._SETTINGS
+    actions = {action.dest: action for action in parser._actions}
+    assert set(actions) - {"help", "config"} == set(settings)
+    assert sorted(field for field, _, _ in settings.values()) == \
+        sorted(f.name for f in dataclasses.fields(Config))
+    assert actions["method"].choices == navmodel_mod.METHODS
+    assert actions["verbose"].const is True and actions["verbose"].default is None
+
+    # every help default is the Config default
+    defaults = {f.name: f.default for f in dataclasses.fields(Config)}
+    for key, (field, _, _) in settings.items():
+        shown = actions[key].help.rpartition("(default: ")[2].rstrip(")")
+        if "(default: " in actions[key].help:
+            assert shown == str(defaults[field])
+        else:
+            assert defaults[field] in (dataclasses.MISSING, None, False)
+    assert cli._build_config(parser.parse_args(["--root", "r.html"])) == Config(root="r.html")
+
+    # each key sets its field, from a config file and as a flag alike
+    given = {"root": "r.html", "threshold": "0.5", "depth": "3", "method": "STS", "out": "o",
+             "reference": "ref.txt", "verbose": "true", "delay": "0"}
+    assert set(given) == set(settings)
+    config = tmp_path / "run.conf"
+    config.write_text("".join(f"{key} = {value}\n" for key, value in given.items()),
+                      encoding="utf-8")
+    flags = [arg for key, value in given.items()
+             for arg in ((f"--{key}",) if key == "verbose" else (f"--{key}", value))]
+    expected = Config("r.html", 0.5, 3, "STS", "o", "ref.txt", True, 0.0)
+    assert cli._build_config(parser.parse_args(["--config", str(config)])) == expected
+    assert cli._build_config(parser.parse_args(flags)) == expected
+
+
+def test_cli_validates_the_configuration_once(tmp_path, demo_root, monkeypatch):
+    calls = []
+    validate = Config.validate
+    monkeypatch.setattr(Config, "validate", lambda cfg: calls.append(cfg) or validate(cfg))
+    assert main(["--root", str(demo_root), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1

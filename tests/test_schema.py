@@ -5,7 +5,7 @@ import random
 from navminer.normalize import to_xhtml
 from navminer.schema import (CHOICE_STAR, EMPTY, IMPLIED, MIXED, PCDATA, PLUS,
                              REQUIRED, SEQUENCE, STAR, ContentModel, Schema,
-                             deserialize_schema, dtd_text, extract_schema,
+                             dtd_text, extract_schema,
                              serialize_schema, sts_serialize)
 from navminer.similarity import levenshtein, similarity
 
@@ -135,21 +135,48 @@ def test_duplicating_identical_block_keeps_schema():
 
 def test_dtd_dump_mentions_every_element():
     doc = to_xhtml('<html><body><ul><li>x</li></ul><img src="i.gif"></body></html>')
-    text = dtd_text(extract_schema(doc))
+    text = dtd_text(serialize_schema(extract_schema(doc)))
     for name in ("html", "body", "ul", "li", "img"):
         assert f"<!ELEMENT {name} " in text
     assert "<!ATTLIST img src CDATA #REQUIRED>" in text
 
 
-def test_deserialize_schema_inverts_serialize_schema():
+def dtd_text_of_schema(schema: Schema) -> str:
+    """The renderer ``dtd_text`` replaced, which read the ``Schema``
+    object instead of its tokens; kept as its oracle."""
+    suffix = {PLUS: "+", STAR: "*"}
+    lines = []
+    for name in sorted(schema.declarations):
+        model = schema.declarations[name]
+        if model.kind == EMPTY:
+            body = "EMPTY"
+        elif model.kind == PCDATA:
+            body = "(#PCDATA)"
+        elif model.kind == MIXED:
+            body = "(#PCDATA | " + " | ".join(c for c, _ in model.items) + ")*"
+        elif model.kind == SEQUENCE:
+            body = "(" + ", ".join(c + suffix[f] for c, f in model.items) + ")"
+        else:
+            body = "(" + " | ".join(c for c, _ in model.items) + ")*"
+        lines.append(f"<!ELEMENT {name} {body}>")
+        for attr, use in schema.attributes.get(name, ()):
+            lines.append(f"<!ATTLIST {name} {attr} CDATA #{use}>")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def test_dtd_text_of_tokens_equals_schema_renderer_oracle():
     rng = random.Random(206)
     docs = [random_document(rng, rng.randint(0, 4)) for _ in range(300)]
     docs += [to_xhtml(path.read_bytes().decode("utf-8"))
              for path in sorted(DEMO_CORPUS.rglob("*.html"))]
     docs.append(to_xhtml('<svg:g x:a="1"><svg:path/></svg:g>'))
+    kinds = set()
     for doc in docs:
         schema = extract_schema(doc)
-        assert deserialize_schema(serialize_schema(schema)) == schema
+        kinds.update(model.kind for model in schema.declarations.values())
+        assert dtd_text(serialize_schema(schema)) == dtd_text_of_schema(schema)
+    assert kinds == {EMPTY, PCDATA, MIXED, SEQUENCE, CHOICE_STAR}
+    assert dtd_text(()) == dtd_text_of_schema(Schema()) == ""
 
 
 def test_equal_tokens_of_different_pages_are_one_object():
