@@ -26,11 +26,12 @@ import logging
 import os
 import posixpath
 import stat
+import string
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from urllib.parse import unquote, urljoin, urlsplit, urlunsplit
+from urllib.parse import quote, unquote, urljoin, urlsplit, urlunsplit
 
 from .normalize import Document, EmptyDocumentError, Text, decode_markup, to_xhtml, walk
 
@@ -114,14 +115,47 @@ class FileResolver:
             raise PageReadError(f"{page_id}: {exc}") from exc
 
 
+# a 3xx answer with one of these statuses and a Location header is a
+# redirect; one fetch follows at most DEFAULT_REDIRECT_LIMIT of them
+REDIRECT_STATI = frozenset({301, 302, 303, 307, 308})
+DEFAULT_REDIRECT_LIMIT = 30
+
+# what a path or a query may carry unencoded besides the unreserved
+# characters (RFC 3986); a split-off path holds no "?" to misread
+_URL_SAFE = "/?!$&'()*+,;=:@"
+
+
+def _request_url(page_id: PageId) -> str:
+    """The URL a page id is requested at: its path and query
+    percent-encoded again, undoing the ``unquote`` of
+    ``HttpResolver.normalize``, so ``a%41.html`` stays ``a%41.html``."""
+    parts = urlsplit(page_id)
+    return urlunsplit((parts.scheme, parts.netloc, quote(parts.path, _URL_SAFE),
+                       quote(parts.query, _URL_SAFE), ""))
+
+
+def _opener():
+    """A urllib opener that hands every redirect back to its caller.
+    Proxies come from the ``*_proxy`` environment variables, certificates
+    are checked against the system store or ``SSL_CERT_FILE``."""
+    import urllib.request  # HTTP mode alone loads the client
+
+    class KeepRedirects(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, *args):
+            return None  # the 3xx reaches the caller as an HTTPError
+
+    return urllib.request.build_opener(KeepRedirects)
+
+
 class HttpResolver:
     """Locators on one authority, fetched with GET and a polite delay."""
 
-    def __init__(self, root_url: str, delay: float = 0.1):
+    def __init__(self, root_url: str, delay: float):
         parts = urlsplit(root_url)
         self.netloc = parts.netloc.lower()
         self.delay = delay
         self._fetched_once = False
+        self._opener = _opener()
 
     def normalize(self, url: str) -> PageId:
         parts = urlsplit(url)
@@ -140,31 +174,46 @@ class HttpResolver:
             return None
         return self.normalize(absolute)
 
+    def _get(self, url: str) -> tuple[int, str | None, bytes]:
+        """One GET of ``url``: status, Location header and body.  A
+        redirect or an error status comes back like any other answer."""
+        from urllib.error import HTTPError
+
+        try:
+            response = self._opener.open(url, timeout=30)
+        except HTTPError as answer:  # every status outside 2xx, body included
+            response = answer
+        with response:
+            return response.status, response.headers.get("Location"), response.read()
+
     def fetch(self, page_id: PageId) -> str:
-        import requests
+        from http.client import HTTPException  # IncompleteRead, BadStatusLine, ...
 
         if self._fetched_once and self.delay > 0:
             time.sleep(self.delay)
         self._fetched_once = True
-        url = page_id
+        url = _request_url(page_id)
         try:
             # redirects are followed by hand so that one leaving the site
             # is refused before its target is requested
-            for _ in range(requests.models.DEFAULT_REDIRECT_LIMIT + 1):
-                response = requests.get(url, timeout=30, allow_redirects=False)
-                location = response.headers.get("Location")
-                if response.status_code not in requests.models.REDIRECT_STATI or not location:
+            for _ in range(DEFAULT_REDIRECT_LIMIT + 1):
+                status, location, body = self._get(url)
+                if status not in REDIRECT_STATI or not location:
                     break
-                url = urljoin(url, location)
-                if urlsplit(url).netloc.lower() != self.netloc:  # as in resolve
+                # the header arrives latin-1 decoded: its own bytes go on the
+                # wire, with only what cannot be sent there percent-encoded
+                url = urljoin(url, quote(location, safe=string.punctuation,
+                                         encoding="iso-8859-1"))
+                parts = urlsplit(url)
+                if parts.scheme not in ("http", "https") or parts.netloc.lower() != self.netloc:
                     raise PageReadError(f"{page_id}: redirected off the site to {url}")
             else:
                 raise PageReadError(f"{page_id}: too many redirects")
-        except requests.RequestException as exc:
+        except (OSError, HTTPException, ValueError) as exc:  # OSError: URLError, timeouts
             raise PageReadError(f"{page_id}: {exc}") from exc
-        if response.status_code >= 400:
-            raise PageReadError(f"{page_id}: HTTP {response.status_code}")
-        return decode_markup(response.content)
+        if status >= 400:
+            raise PageReadError(f"{page_id}: HTTP {status}")
+        return decode_markup(body)
 
 
 def extract_links(doc: Document, base: PageId, resolver) -> list[PageId]:
@@ -211,7 +260,7 @@ def _open_root(root, delay: float):
     raise CorpusError(f"{root}: no such file or directory")
 
 
-def load_corpus(root, max_depth: int = 10, delay: float = 0.1) -> Corpus:
+def load_corpus(root, max_depth: int, delay: float) -> Corpus:
     """Breadth-first retrieval of the mirror reachable from ``root``.
 
     The root page plus every page within ``max_depth`` internal link

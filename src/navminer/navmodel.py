@@ -111,7 +111,7 @@ def _node_backrefs(members, page_backrefs) -> tuple[PageId, ...]:
 
 
 def build_nav_tree(root: PageId, corpus: Corpus, threshold: float,
-                   method: str = "MMS", max_depth: int = 10) -> NavTree:
+                   method: str, max_depth: int) -> NavTree:
     """Depth-first construction of the navigational tree.
 
     A page's links are expanded only on its first visit; later

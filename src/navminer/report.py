@@ -11,7 +11,8 @@ Artifacts land in the output directory:
     report/index.html         static index over the component files
     dangling.txt              unresolvable link targets, one per line
     schemas/<page>.dtd        per-page schema dumps (verbose mode only),
-                              named by the percent-encoded page id
+                              named by the percent-encoded page id (a
+                              long one cut short and ended by its hash)
 
 Everything set-like is sorted before emission, so identical inputs and
 configuration produce byte-identical artifacts.
@@ -209,6 +210,19 @@ def _report_index(components: list[CandidateComponent], evaluation) -> str:
             + eval_block + table + "</body>\n</html>\n")
 
 
+def _dtd_name(page_id: str) -> str:
+    """The page id percent-encoded, so distinct ids get distinct names.
+    One longer than 200 bytes keeps its first 150 and ends in ``~`` and
+    the id's SHA-256, 215 bytes in all: it fits the usual 255-byte file
+    name limit and cannot equal a short name."""
+    name = quote(page_id, safe="")
+    if len(name) <= 200:  # quote's output is ASCII: one byte a character
+        return name
+    import hashlib  # loads OpenSSL, which a short name never needs
+
+    return name[:150] + "~" + hashlib.sha256(page_id.encode("utf-8")).hexdigest()
+
+
 def _build_artifacts(cfg: Config, result: PipelineResult) -> dict[str, str]:
     artifacts = {
         "navmodel.dot": emit_dot(result.tree),
@@ -220,10 +234,9 @@ def _build_artifacts(cfg: Config, result: PipelineResult) -> dict[str, str]:
         artifacts[_component_file(index)] = _edge_html(index, component)
     if cfg.verbose:
         for page_id in sorted(result.corpus.pages):
-            # an MMS run has the page's schema tokens cached already;
-            # quoting keeps distinct page ids on distinct file names
+            # an MMS run has the page's schema tokens cached already
             tokens = navmodel.token_seq(result.corpus, page_id, "MMS")
-            artifacts[f"schemas/{quote(page_id, safe='')}.dtd"] = dtd_text(tokens)
+            artifacts[f"schemas/{_dtd_name(page_id)}.dtd"] = dtd_text(tokens)
     return artifacts
 
 

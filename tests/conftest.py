@@ -33,7 +33,7 @@ def demo_reference() -> Path:
 def demo_corpus():
     from navminer import load_corpus
 
-    return load_corpus(DEMO_CORPUS / "index.html", max_depth=10)
+    return load_corpus(DEMO_CORPUS / "index.html", max_depth=10, delay=0.0)
 
 
 def partition_is_valid(partition) -> bool:

@@ -62,7 +62,7 @@ def test_criterion_1_metric_arithmetic():
 
 def test_criterion_2_bundled_corpus_end_to_end():
     with criterion(2, "bundled corpus: MMS perfect, STS strictly worse", 10.0):
-        corpus = load_corpus(DEMO_CORPUS / "index.html", max_depth=10)
+        corpus = load_corpus(DEMO_CORPUS / "index.html", max_depth=10, delay=0.0)
         reference = load_reference(DEMO_REFERENCE)
 
         mms = evaluate(collect_partition(_snp(corpus, DEMO_THRESHOLD, "MMS")), reference)
@@ -165,7 +165,7 @@ def _refines(fine, coarse) -> bool:
 
 def test_criterion_6_threshold_monotonicity():
     with criterion(6, "higher threshold refines lower on bundled corpus", 30.0):
-        corpus = load_corpus(DEMO_CORPUS / "index.html", max_depth=10)
+        corpus = load_corpus(DEMO_CORPUS / "index.html", max_depth=10, delay=0.0)
         grid = [step / 10 for step in range(1, 11)]
         partitions = [collect_partition(_snp(corpus, t, "MMS")) for t in grid]
         for partition in partitions:

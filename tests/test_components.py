@@ -257,7 +257,7 @@ def _chain_mirror(tmp_path):
 
 
 def test_chain_of_three_yields_two_components(tmp_path):
-    corpus = load_corpus(_chain_mirror(tmp_path), max_depth=5)
+    corpus = load_corpus(_chain_mirror(tmp_path), max_depth=5, delay=0.0)
     tree = build_nav_tree(corpus.root, corpus, 1.0, "MMS", 5)
     snp = reduce_to_snp(refine_clusters(tree))
     components = extract_candidates(snp)
@@ -267,14 +267,14 @@ def test_chain_of_three_yields_two_components(tmp_path):
 
 def test_single_node_tree_yields_no_components(tmp_path):
     root = write_mirror(tmp_path, {"index.html": "<html><body>x</body></html>"})
-    corpus = load_corpus(root, max_depth=5)
+    corpus = load_corpus(root, max_depth=5, delay=0.0)
     snp = reduce_to_snp(build_nav_tree(corpus.root, corpus, 0.9, "MMS", 5))
     assert extract_candidates(snp) == []
 
 
 def test_unreduced_tree_is_rejected(tmp_path):
     root = write_mirror(tmp_path, {"index.html": "<html><body>x</body></html>"})
-    corpus = load_corpus(root, max_depth=5)
+    corpus = load_corpus(root, max_depth=5, delay=0.0)
     tree = build_nav_tree(corpus.root, corpus, 0.9, "MMS", 5)
     with pytest.raises(ValueError):
         extract_candidates(tree)
@@ -285,7 +285,7 @@ def test_identical_representatives_yield_empty_edge(tmp_path):
         "index.html": '<html><body><span>same</span><a href="twin.html">t</a></body></html>',
         "twin.html": '<html><body><span>other</span><a href="twin.html">t</a></body></html>',
     })
-    corpus = load_corpus(root, max_depth=5)
+    corpus = load_corpus(root, max_depth=5, delay=0.0)
     snp = reduce_to_snp(refine_clusters(
         build_nav_tree(corpus.root, corpus, 0.9, "MMS", 5)))
     components = extract_candidates(snp)

@@ -5,14 +5,15 @@ import threading
 import tracemalloc
 from contextlib import contextmanager
 from functools import partial
-from http.server import SimpleHTTPRequestHandler, ThreadingHTTPServer
-from types import SimpleNamespace
+from http.server import (BaseHTTPRequestHandler, SimpleHTTPRequestHandler,
+                         ThreadingHTTPServer)
+from urllib.parse import quote
 
 import pytest
 
 from navminer.cli import main
-from navminer.corpus import (CorpusError, FileResolver, HttpResolver,
-                             PageReadError, extract_links, load_corpus)
+from navminer.corpus import (DEFAULT_REDIRECT_LIMIT, CorpusError, FileResolver,
+                             HttpResolver, PageReadError, extract_links, load_corpus)
 from navminer.navmodel import token_seq
 from navminer.normalize import to_xhtml
 
@@ -21,7 +22,7 @@ from conftest import DEMO_PAGE_COUNT, write_mirror
 
 def test_single_page_no_links(tmp_path):
     root = write_mirror(tmp_path, {"index.html": "<html><body>solo</body></html>"})
-    corpus = load_corpus(root, max_depth=3)
+    corpus = load_corpus(root, max_depth=3, delay=0.0)
     assert set(corpus.pages) == {"index.html"}
     assert corpus.pages["index.html"].depth == 0
 
@@ -31,7 +32,7 @@ def test_two_page_cycle_terminates(tmp_path):
         "index.html": '<html><body><a href="a.html">a</a></body></html>',
         "a.html": '<html><body><a href="index.html">home</a></body></html>',
     })
-    corpus = load_corpus(root, max_depth=5)
+    corpus = load_corpus(root, max_depth=5, delay=0.0)
     assert set(corpus.pages) == {"index.html", "a.html"}
     assert corpus.pages["a.html"].depth == 1
 
@@ -102,7 +103,7 @@ def test_names_starting_with_two_dots_stay_in_the_mirror(tmp_path):
     assert resolver.resolve("sub/page.html", "..data.html") == "sub/..data.html"
     assert resolver.resolve("index.html", "../x.html") is None
     assert resolver.resolve("index.html", "..") is None
-    corpus = load_corpus(root, max_depth=2)
+    corpus = load_corpus(root, max_depth=2, delay=0.0)
     assert set(corpus.pages) == {"index.html", "..data.html"}
     assert corpus.dangling == []
 
@@ -114,7 +115,7 @@ def test_query_string_is_part_of_the_locator(tmp_path):
         "page.html?id=1": "<html><body>first</body></html>",
         "page.html?id=2": "<html><body>second</body></html>",
     })
-    corpus = load_corpus(root, max_depth=2)
+    corpus = load_corpus(root, max_depth=2, delay=0.0)
     assert {"page.html?id=1", "page.html?id=2"} <= set(corpus.pages)
 
 
@@ -123,19 +124,19 @@ def test_max_depth_zero_keeps_only_root(tmp_path):
         "index.html": '<html><body><a href="a.html">a</a></body></html>',
         "a.html": "<html><body>deep</body></html>",
     })
-    corpus = load_corpus(root, max_depth=0)
+    corpus = load_corpus(root, max_depth=0, delay=0.0)
     assert set(corpus.pages) == {"index.html"}
 
 
 def test_unreadable_root_is_fatal(tmp_path):
     with pytest.raises(CorpusError):
-        load_corpus(tmp_path / "missing.html", max_depth=1)
+        load_corpus(tmp_path / "missing.html", max_depth=1, delay=0.0)
 
 
 def test_markup_free_root_is_fatal(tmp_path):
     root = write_mirror(tmp_path, {"index.html": "no tags here"})
     with pytest.raises(CorpusError):
-        load_corpus(root, max_depth=1)
+        load_corpus(root, max_depth=1, delay=0.0)
 
 
 def test_missing_linked_page_recorded_as_dangling(tmp_path):
@@ -144,7 +145,7 @@ def test_missing_linked_page_recorded_as_dangling(tmp_path):
                       '<a href="a.html">a</a></body></html>',
         "a.html": "<html><body>fine</body></html>",
     })
-    corpus = load_corpus(root, max_depth=2)
+    corpus = load_corpus(root, max_depth=2, delay=0.0)
     assert corpus.dangling == ["gone.html"]
     assert set(corpus.pages) == {"index.html", "a.html"}
 
@@ -154,7 +155,7 @@ def test_markup_free_linked_page_excluded(tmp_path):
         "index.html": '<html><body><a href="plain.html">p</a></body></html>',
         "plain.html": "words only",
     })
-    corpus = load_corpus(root, max_depth=2)
+    corpus = load_corpus(root, max_depth=2, delay=0.0)
     assert corpus.excluded == ["plain.html"]
     assert "plain.html" not in corpus.pages
 
@@ -178,7 +179,7 @@ def _mirror_linking_binaries(root):
 
 def test_binary_linked_files_are_excluded(tmp_path, capsys):
     root = _mirror_linking_binaries(tmp_path / "site")
-    corpus = load_corpus(root, max_depth=2)
+    corpus = load_corpus(root, max_depth=2, delay=0.0)
     assert set(corpus.pages) == {"index.html", "a.html"}
     assert corpus.excluded == ["doc.pdf", "img.png"]
     assert corpus.dangling == []
@@ -191,7 +192,7 @@ def test_binary_root_is_fatal(tmp_path):
     root = _mirror_linking_binaries(tmp_path)
     for name in ("doc.pdf", "img.png"):
         with pytest.raises(CorpusError, match="no markup"):
-            load_corpus(root.parent / name, max_depth=1)
+            load_corpus(root.parent / name, max_depth=1, delay=0.0)
 
 
 def test_symlink_leaving_the_mirror_is_dangling(tmp_path):
@@ -208,7 +209,7 @@ def test_symlink_leaving_the_mirror_is_dangling(tmp_path):
     (site / "alias.html").symlink_to("a.html")
     (site / "sub" / "up.html").symlink_to("../a.html")
     (site / "out").symlink_to(tmp_path / "outside", target_is_directory=True)
-    corpus = load_corpus(root, max_depth=2)
+    corpus = load_corpus(root, max_depth=2, delay=0.0)
     assert set(corpus.pages) == {"index.html", "alias.html", "sub/up.html"}
     assert corpus.dangling == ["leak.html", "out/secret.html"]
 
@@ -217,7 +218,7 @@ def test_nul_in_a_link_is_dangling(tmp_path):
     root = write_mirror(tmp_path, {
         "index.html": '<html><body><a href="a%00.html">nul</a></body></html>',
     })
-    assert load_corpus(root, max_depth=2).dangling == ["a\x00.html"]
+    assert load_corpus(root, max_depth=2, delay=0.0).dangling == ["a\x00.html"]
 
 
 def test_directory_href_with_a_slash_loads_its_index(tmp_path):
@@ -226,7 +227,7 @@ def test_directory_href_with_a_slash_loads_its_index(tmp_path):
         "sub/index.html": '<html><body><a href="page.html">p</a></body></html>',
         "sub/page.html": "<html><body>leaf</body></html>",
     })
-    corpus = load_corpus(root, max_depth=3)
+    corpus = load_corpus(root, max_depth=3, delay=0.0)
     assert set(corpus.pages) == {"index.html", "sub/index.html", "sub/page.html"}
     assert corpus.dangling == []
 
@@ -237,7 +238,7 @@ def test_directory_href_without_a_slash_loads_its_index(tmp_path):
                       '<a href="sub/index.html">same</a></body></html>',
         "sub/index.html": '<html><body><a href="../index.html">home</a></body></html>',
     })
-    corpus = load_corpus(root, max_depth=3)
+    corpus = load_corpus(root, max_depth=3, delay=0.0)
     assert set(corpus.pages) == {"index.html", "sub/index.html"}
     assert corpus.pages["index.html"].links == ("sub/index.html",)
     assert corpus.dangling == []
@@ -248,7 +249,7 @@ def test_directory_href_without_an_index_is_dangling(tmp_path):
         "index.html": '<html><body><a href="bare/">b</a><a href="bare">c</a></body></html>',
         "bare/notes.html": "<html><body>unlisted</body></html>",
     })
-    corpus = load_corpus(root, max_depth=3)
+    corpus = load_corpus(root, max_depth=3, delay=0.0)
     assert set(corpus.pages) == {"index.html"}
     assert corpus.dangling == ["bare"]
 
@@ -266,7 +267,7 @@ def test_demo_corpus_page_count(demo_corpus):
 
 
 def test_directory_root_finds_index(demo_root):
-    corpus = load_corpus(demo_root.parent, max_depth=0)
+    corpus = load_corpus(demo_root.parent, max_depth=0, delay=0.0)
     assert corpus.root == "index.html"
 
 
@@ -335,7 +336,6 @@ def test_http_redirect_off_the_site_is_dangling(tmp_path):
 
 
 def test_http_scheme_change_on_the_same_host_loads(monkeypatch):
-    requests = pytest.importorskip("requests")
     resolver = HttpResolver("http://site.test/index.html", delay=0.0)
     # a direct https link from an http root stays on the site
     assert resolver.resolve("http://site.test/index.html",
@@ -343,16 +343,13 @@ def test_http_scheme_change_on_the_same_host_loads(monkeypatch):
     moved = {}  # url -> Location of its 301
     requested = []
 
-    def fake_get(url, timeout, allow_redirects):
-        assert allow_redirects is False
+    def fake_get(url):
         requested.append(url)
         if url in moved:
-            return SimpleNamespace(status_code=301, headers={"Location": moved[url]},
-                                   content=b"")
-        return SimpleNamespace(status_code=200, headers={},
-                               content=b"<html><body>ok</body></html>")
+            return 301, moved[url], b""
+        return 200, None, b"<html><body>ok</body></html>"
 
-    monkeypatch.setattr(requests, "get", fake_get)
+    monkeypatch.setattr(resolver, "_get", fake_get)
     assert "ok" in resolver.fetch("https://site.test/p.html")
     # an http -> https upgrade redirect on the same host is still the site
     moved["http://site.test/index.html"] = "https://site.test/index.html"
@@ -362,12 +359,105 @@ def test_http_scheme_change_on_the_same_host_loads(monkeypatch):
     with pytest.raises(PageReadError, match="off the site"):
         resolver.fetch("http://site.test/jump.html")
     assert "https://elsewhere.test/x.html" not in requested
-    # a same-host redirect loop ends at the library's redirect limit
+    # a same-host redirect loop ends at the redirect limit
     moved["http://site.test/loop.html"] = "/loop.html"
     with pytest.raises(PageReadError, match="too many redirects"):
         resolver.fetch("http://site.test/loop.html")
-    assert requested.count("http://site.test/loop.html") == \
-        requests.models.DEFAULT_REDIRECT_LIMIT + 1
+    assert requested.count("http://site.test/loop.html") == DEFAULT_REDIRECT_LIMIT + 1
+
+
+def test_http_percent_escaped_names_load(tmp_path):
+    """Page names with a space, a non-ASCII letter, a bare ``%`` and a
+    literal ``%41`` load over HTTP from their percent-encoded links: the
+    request carries each name's own bytes, encoded once."""
+    names = ["b c.html", "dé.html", "100%.html", "a%41.html"]
+    write_mirror(tmp_path, {
+        "index.html": "<html><body>" + "".join(
+            f'<a href="{quote(name)}">{index}</a>' for index, name in enumerate(names))
+        + "</body></html>",
+        **{name: f"<html><body>{index}</body></html>" for index, name in enumerate(names)},
+    })
+    with serving(partial(SimpleHTTPRequestHandler, directory=str(tmp_path))) as base:
+        corpus = load_corpus(f"{base}/index.html", max_depth=2, delay=0.0)
+        assert set(corpus.pages) == {f"{base}/{name}" for name in ["index.html", *names]}
+        assert corpus.dangling == []
+
+
+def test_http_redirect_location_keeps_its_escapes(monkeypatch):
+    resolver = HttpResolver("http://site.test/index.html", delay=0.0)
+    requested = []
+
+    def fake_get(url):
+        requested.append(url)
+        if url == "http://site.test/old.html":
+            # a header arrives latin-1 decoded: these are the bytes of "dé"
+            return 302, "/a%41 d\xc3\xa9.html", b""
+        return 200, None, b"<html><body>ok</body></html>"
+
+    monkeypatch.setattr(resolver, "_get", fake_get)
+    assert "ok" in resolver.fetch("http://site.test/old.html")
+    assert requested == ["http://site.test/old.html", "http://site.test/a%41%20d%C3%A9.html"]
+
+
+def test_http_fetch_goes_through_the_environment_proxy(monkeypatch):
+    asked = []
+
+    class Proxy(BaseHTTPRequestHandler):
+        def do_GET(self):
+            asked.append(self.path)
+            body = b"<html><body>proxied</body></html>"
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, format, *args):
+            pass
+
+    with serving(Proxy) as proxy:
+        for name in ("no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("http_proxy", proxy)
+        # nothing listens on the site's port: only the proxy can answer
+        resolver = HttpResolver("http://127.0.0.1:9/index.html", delay=0.0)
+        assert "proxied" in resolver.fetch("http://127.0.0.1:9/a b.html")
+    assert asked == ["http://127.0.0.1:9/a%20b.html"]
+
+
+class BadAnswers(BaseHTTPRequestHandler):
+    """Three pages that fail in transport; every other path is the root."""
+
+    def do_GET(self):
+        if self.path == "/truncated.html":
+            self.send_response(200)
+            self.send_header("Content-Length", "1000")
+            self.end_headers()
+            self.wfile.write(b"<html><body>")  # 12 of the 1000 bytes
+        elif self.path == "/silent.html":
+            pass  # the connection closes without an answer
+        elif self.path == "/garbage.html":
+            self.wfile.write(b"this is not HTTP\r\n\r\n")
+        else:
+            body = ('<html><body><a href="truncated.html">t</a><a href="silent.html">s</a>'
+                    '<a href="garbage.html">g</a></body></html>').encode()
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+        self.close_connection = True
+
+    def log_message(self, format, *args):
+        pass
+
+
+def test_http_transport_failures_are_dangling(tmp_path):
+    with serving(BadAnswers) as base:
+        corpus = load_corpus(f"{base}/index.html", max_depth=2, delay=0.0)
+        assert set(corpus.pages) == {f"{base}/index.html"}
+        assert corpus.dangling == [f"{base}/{name}" for name in
+                                   ("garbage.html", "silent.html", "truncated.html")]
+        assert main(["--root", f"{base}/index.html", "--delay", "0",
+                     "--out", str(tmp_path / "out")]) == 0
 
 
 def test_loaded_demo_corpus_with_mms_tokens_stays_small(demo_root):
@@ -375,7 +465,7 @@ def test_loaded_demo_corpus_with_mms_tokens_stays_small(demo_root):
     mirror's 29 trees and MMS token tuples fit in 350 KB (about 420 KB
     with a ``__dict__`` per node and a string copy per name and token)."""
     def load():
-        corpus = load_corpus(demo_root, max_depth=10)
+        corpus = load_corpus(demo_root, max_depth=10, delay=0.0)
         for page_id in corpus.pages:
             token_seq(corpus, page_id, "MMS")
         return corpus

@@ -27,7 +27,7 @@ def linking(title, targets):
 
 
 def build(root, threshold=0.9, method="MMS", max_depth=10):
-    corpus = load_corpus(root, max_depth=max_depth)
+    corpus = load_corpus(root, max_depth=max_depth, delay=0.0)
     return corpus, build_nav_tree(corpus.root, corpus, threshold, method, max_depth)
 
 
@@ -187,7 +187,7 @@ def test_reduce_never_changes_shape(tmp_path):
 
 def test_rejects_unknown_method_and_missing_root(tmp_path):
     root = write_mirror(tmp_path, {"index.html": leaf("a")})
-    corpus = load_corpus(root, max_depth=1)
+    corpus = load_corpus(root, max_depth=1, delay=0.0)
     with pytest.raises(ValueError):
         build_nav_tree(corpus.root, corpus, 0.9, "XXX", 1)
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Pipeline orchestration, DOT/XML emission, CLI behaviour."""
 
 import dataclasses
+import hashlib
 import os
 import random
 import subprocess
@@ -24,7 +25,7 @@ from conftest import DEMO_THRESHOLD, REPO_ROOT, write_mirror
 
 
 def snp_of(root, threshold=0.9, method="MMS", depth=10):
-    corpus = load_corpus(root, max_depth=depth)
+    corpus = load_corpus(root, max_depth=depth, delay=0.0)
     tree = build_nav_tree(corpus.root, corpus, threshold, method, depth)
     return reduce_to_snp(refine_clusters(tree))
 
@@ -426,6 +427,28 @@ def test_verbose_dtd_names_are_one_per_page(tmp_path):
         expected = schema_mod.dtd_text(schema_mod.serialize_schema(
             schema_mod.extract_schema(page.document)))
         assert dump.read_text(encoding="utf-8") == expected
+
+
+def test_verbose_dtd_names_of_long_page_ids_fit_the_file_system(tmp_path):
+    """An 80-directory chain quotes to a 330-byte name; a name over 200
+    bytes keeps its first 150 and ends in ``~`` and the page id's hash."""
+    deep = "d/" * 80
+    root = write_mirror(tmp_path / "site", {
+        "index.html": _page("home", deep + "p.html", deep + "q.html"),
+        deep + "p.html": _page("p"),
+        deep + "q.html": _page("q"),
+    })
+    out = tmp_path / "out"
+    assert main(["--root", str(root), "--out", str(out), "--verbose"]) == 0
+    names = sorted(path.name for path in (out / "schemas").iterdir())
+    assert len(names) == 3
+    assert all(len(name.encode()) <= 255 for name in names)
+    assert "index.html.dtd" in names
+    for page_id in (deep + "p.html", deep + "q.html"):
+        quoted = quote(page_id, safe="")
+        assert len(quoted) > 200
+        digest = hashlib.sha256(page_id.encode()).hexdigest()
+        assert f"{quoted[:150]}~{digest}.dtd" in names
 
 
 def test_flags_config_keys_and_settings_table_agree(tmp_path):

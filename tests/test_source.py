@@ -2,6 +2,11 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
+
+import pytest
 
 from conftest import REPO_ROOT
 
@@ -76,3 +81,35 @@ def test_every_method_and_property_is_used_by_the_program():
                 if member.name not in _attributes_outside(trees, member):
                     unused.append(f"{path.name}:{statement.name}.{member.name}")
     assert unused == []
+
+
+def test_the_program_imports_only_the_standard_library():
+    """navminer runs on a bare interpreter: every module imports the
+    standard library or the package itself, and the package declares no
+    runtime dependency."""
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names | {"navminer"}]
+    assert foreign == []
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert project["project"]["dependencies"] == []
+
+
+def test_importing_the_program_loads_no_http_client():
+    """The HTTP client is imported when an HTTP crawl starts, so neither a
+    filesystem run nor the start-up of any run pays for its import."""
+    code = ("import sys, navminer, navminer.cli; "
+            "print(sorted({'http.client', 'urllib.request'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout
+    assert loaded.strip() == "[]"
