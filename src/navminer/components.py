@@ -8,7 +8,9 @@ a candidate component.  Lines that only exist on the A side are
 discarded; the question is what *appears*, not what goes away.
 
 Line equality ignores leading whitespace, so indentation depth
-differences between the two pages never register as change.
+differences between the two pages never register as change; the
+``LineText`` lines come without their indentation anyway, and only the
+fragment lines are indented again, as printed.
 
 The alignment table is bit-parallel: one int per line of A, one bit per
 line of B, built a machine word at a time instead of cell by cell, and
@@ -37,7 +39,7 @@ class Fragment:
     source: PageId
     target: PageId
     start: int  # line index into the target's stripped pretty-print
-    lines: tuple[str, ...]
+    lines: tuple[str, ...]  # indented, as printed
     opens: tuple[Element | None, ...]  # the element each line opens, as in LineText
 
 
@@ -123,8 +125,9 @@ def diff_oneway(a: LineText, b: LineText, source: PageId = "", target: PageId = 
         if inserted and run_start is None:
             run_start = j
         elif not inserted and run_start is not None:
-            fragments.append(Fragment(source, target, run_start,
-                                      tuple(b.lines[run_start:j]),
+            lines = tuple("  " * depth + line for depth, line in
+                          zip(b.depths[run_start:j], b.lines[run_start:j]))
+            fragments.append(Fragment(source, target, run_start, lines,
                                       tuple(b.opens[run_start:j])))
             run_start = None
     return fragments

@@ -11,12 +11,15 @@ Internal means: the resolved path stays under the mirror root and the
 file's real location, symlinks followed, does too (filesystem mode), or
 host and port match the root URL (HTTP mode; http and https on that
 host are both the site, and a redirect to another host is not followed).
-Links are read from ``a/@href``, ``form/@action`` and
-``frame|iframe/@src``; fragments are stripped, query strings kept,
-``mailto:``/``javascript:``/external targets dropped.  In filesystem
-mode a link to a directory of the mirror (``sub/`` or ``sub``) stands
-for its ``index.html`` (or ``index.htm``), as the root does and as an
-HTTP server answers; a directory without one is dangling.
+Links are read from ``a/@href``, ``area/@href`` (image maps),
+``form/@action`` and ``frame|iframe/@src``, one lookup per element of
+the parser's ``Document.elements``; fragments are stripped, query
+strings kept, ``mailto:``/``javascript:``/external targets dropped.
+Page bytes are read as UTF-8, a byte order mark dropped, or else as
+Latin-1 (``normalize.decode_markup``).  In filesystem mode a link to a
+directory of the mirror (``sub/`` or ``sub``) stands for its
+``index.html`` (or ``index.htm``), as the root does and as an HTTP
+server answers; a directory without one is dangling.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from urllib.parse import quote, unquote, urljoin, urlsplit, urlunsplit
 
-from .normalize import Document, EmptyDocumentError, Text, decode_markup, to_xhtml, walk
+from .normalize import Document, EmptyDocumentError, decode_markup, to_xhtml
 
 logger = logging.getLogger(__name__)
 
@@ -56,7 +59,7 @@ class Page:
 
 
 # attributes that carry navigation targets, checked in this order per tag
-_LINK_ATTRS = {"a": "href", "form": "action", "frame": "src", "iframe": "src"}
+_LINK_ATTRS = {"a": "href", "area": "href", "form": "action", "frame": "src", "iframe": "src"}
 
 _SKIP_PREFIXES = ("mailto:", "javascript:", "tel:", "data:")
 
@@ -221,10 +224,10 @@ def extract_links(doc: Document, base: PageId, resolver) -> list[PageId]:
     duplicates (first occurrence wins)."""
     links: list[PageId] = []
     seen: set[PageId] = set()
-    for element, _, closing in walk(doc.root):
-        if closing or element.__class__ is Text or element.name not in _LINK_ATTRS:
+    for element in doc.elements:
+        attr_name = _LINK_ATTRS.get(element.name)
+        if attr_name is None:
             continue
-        attr_name = _LINK_ATTRS[element.name]
         value = next((v for k, v in element.attrs if k == attr_name), None)
         target = None if value is None else resolver.resolve(base, value)
         if target is not None and target not in seen:

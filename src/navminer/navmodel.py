@@ -81,12 +81,13 @@ def pair_similarity(corpus: Corpus, method: str, a: PageId, b: PageId) -> float:
 
 
 def page_size(corpus: Corpus, page_id: PageId) -> int:
-    """Byte length of the pretty-printed normalized page, not cached:
-    reduction sizes each page once."""
-    # summed per line: the indentation makes a deep page's text
-    # quadratic in its depth, so it is not joined into one string
-    lines = pretty_print(corpus.pages[page_id].document).lines
-    return sum(map(len, map(str.encode, lines))) + len(lines)
+    """Byte length of the pretty-printed normalized page, indentation and
+    a newline after each line included, not cached: reduction sizes each
+    page once."""
+    # the indentation is counted, not built: it makes a deep page's text
+    # quadratic in its depth
+    text = pretty_print(corpus.pages[page_id].document)
+    return len("\n".join(text.lines).encode()) + 1 + 2 * sum(text.depths)
 
 
 def _cluster_ordered(corpus, method, pages, threshold) -> list[tuple[PageId, ...]]:

@@ -15,13 +15,23 @@ small: ``Text``, ``Element`` and ``Document`` are slotted (no per-node
 name, so all pages share one copy of each.  Attribute values and text
 are kept as parsed.
 
+The builder also lists every element it creates, and creation order is
+document order, so ``Document.elements`` hands schema inference and
+link extraction each element once without a walk of the tree.  It skips
+the stdlib tokenizer's line counting, which only serves ``getpos``.
+
+A UTF-8 byte order mark is dropped when the bytes are decoded, so a
+page saved with one parses like the same page without.
+
 Input whose first KB holds a binary-data control byte (a linked PDF or
 image, say) is not markup and is refused like a page without tags.
 
 The one-tag-per-line text of ``pretty_print`` and ``stripped_lines`` is
 this module's format alone: each ``LineText`` also records the element
 every line opens, so later stages read elements and never parse the
-lines back.
+lines back.  A line is kept without its indentation and its depth
+beside it, so a deep page's lines stay linear in its size rather than
+quadratic in its depth.
 """
 
 from __future__ import annotations
@@ -92,15 +102,21 @@ class Element:
 @dataclass(slots=True)
 class Document:
     root: Element
+    # every element of the tree in document order (``walk``'s opening
+    # order), recorded by the parser; an index over ``root``, so equality
+    # compares the trees alone
+    elements: list[Element] = field(compare=False, repr=False)
 
 
 @dataclass
 class LineText:
     """One tag (or text run) per line, as produced by ``pretty_print``,
-    with the element each line opens (``None`` on close and text lines)."""
+    with the element each line opens (``None`` on close and text lines)
+    and the line's depth: a line is printed ``"  " * depth + line``."""
 
-    lines: list[str]
+    lines: list[str]  # without their indentation
     opens: list[Element | None]
+    depths: list[int]
 
 
 class _TreeBuilder(HTMLParser):
@@ -110,7 +126,13 @@ class _TreeBuilder(HTMLParser):
         super().__init__(convert_charrefs=True)
         self.top: list[Element | Text] = []
         self.stack: list[Element] = []
+        self.elements: list[Element] = []  # in creation order, which is document order
         self.open_count: dict[str, int] = {}  # tag name -> elements of it on the stack
+
+    def updatepos(self, i, j):
+        # the base class counts lines here only for getpos(), which
+        # nothing reads; skipping the count saves a tenth of the parse
+        return j
 
     def _append(self, node):
         target = self.stack[-1].children if self.stack else self.top
@@ -142,6 +164,7 @@ class _TreeBuilder(HTMLParser):
         self._close_implied(tag)
         tag = sys.intern(tag)
         element = Element(tag, self._clean_attrs(attrs))
+        self.elements.append(element)
         if tag in VOID_ELEMENTS:
             element.self_closing = True
             self._append(element)
@@ -152,7 +175,9 @@ class _TreeBuilder(HTMLParser):
 
     def handle_startendtag(self, tag, attrs):
         self._close_implied(tag)
-        self._append(Element(sys.intern(tag), self._clean_attrs(attrs), self_closing=True))
+        element = Element(sys.intern(tag), self._clean_attrs(attrs), self_closing=True)
+        self.elements.append(element)
+        self._append(element)
 
     def handle_endtag(self, tag):
         if tag in VOID_ELEMENTS:
@@ -178,19 +203,23 @@ def to_xhtml(text: str) -> Document:
     builder = _TreeBuilder()
     builder.feed(text)
     builder.close()
-    elements = [n for n in builder.top if isinstance(n, Element)]
-    if not elements:
+    # every element hangs below a top-level one, so none at all means
+    # no top-level element either
+    if not builder.elements:
         raise EmptyDocumentError("no recognizable markup")
-    if len(elements) == 1 and len(builder.top) == 1:
-        return Document(elements[0])
+    top = builder.top
+    if len(top) == 1:  # the one top-level node, so an element
+        return Document(top[0], builder.elements)
     # several top-level nodes: give the tree a single root
-    return Document(Element("html", [], list(builder.top)))
+    root = Element("html", [], list(top))
+    return Document(root, [root, *builder.elements])
 
 
 def decode_markup(data: bytes) -> str:
-    """UTF-8 first, Latin-1 as the lossless fallback for legacy corpora."""
+    """UTF-8 first, a byte order mark dropped; Latin-1 as the lossless
+    fallback for legacy corpora."""
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError:
         return data.decode("latin-1")
 
@@ -238,28 +267,33 @@ def walk(root):
 def _lines(root: Element, with_text: bool) -> LineText:
     lines: list[str] = []
     opens: list[Element | None] = []
-    append, opened = lines.append, opens.append
+    depths: list[int] = []
+    append, opened, indent = lines.append, opens.append, depths.append
     for node, depth, closing in walk(root):
         if node.__class__ is Text:
             if with_text:
-                append("  " * depth + _escape(node.content))
+                append(_escape(node.content))
                 opened(None)
+                indent(depth)
             continue
         one_line = node.self_closing and not (
             node.children if with_text
             else any(c.__class__ is not Text for c in node.children))
         if closing:
             if not one_line:
-                append("  " * depth + f"</{node.name}>")
+                append(f"</{node.name}>")
                 opened(None)
+                indent(depth)
         else:
-            append("  " * depth + _open_tag(node, self_close=one_line))
+            append(_open_tag(node, self_close=one_line))
             opened(node)
-    return LineText(lines, opens)
+            indent(depth)
+    return LineText(lines, opens, depths)
 
 
 def pretty_print(doc: Document) -> LineText:
-    """Serialize with one tag per line, children indented two spaces.
+    """Serialize with one tag per line, children one depth (two spaces
+    of indentation) below their parent.
 
     Elements parsed from a self-closing (or void) source tag stay on a
     single line; everything else gets an open and a close line, even

@@ -16,6 +16,12 @@ Artifacts land in the output directory:
 
 Everything set-like is sorted before emission, so identical inputs and
 configuration produce byte-identical artifacts.
+
+A run writes its artifacts into a hidden ``.navminer-*`` directory in
+the output directory and moves them into place only once all are
+written, each top-level entry with one rename; the previous run's
+``components/``, ``report/`` and ``schemas/`` are replaced whole.  A run
+that fails leaves the previous run's output as it was.
 """
 
 from __future__ import annotations
@@ -23,7 +29,9 @@ from __future__ import annotations
 import html as html_escape
 import logging
 import math
+import os
 import shutil
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from urllib.parse import quote
@@ -240,22 +248,40 @@ def _build_artifacts(cfg: Config, result: PipelineResult) -> dict[str, str]:
     return artifacts
 
 
+# the output directories a run owns: each is replaced whole, or removed
+# when the run has nothing for it, so no stale file of an earlier run stays
+_OWNED_DIRS = ("components", "report", "schemas")
+
+
 def _write_artifacts(out_dir: Path, artifacts: dict[str, str]) -> list[Path]:
+    """Write every artifact into a fresh directory inside ``out_dir``, then
+    swap each top-level entry in with ``os.replace``, the old owned
+    directories moved aside and deleted with it.  A write that fails
+    leaves the previous run's output as it was."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    for stale in ("components", "report", "schemas"):
-        shutil.rmtree(out_dir / stale, ignore_errors=True)
-    written: list[Path] = []
+    staging = Path(tempfile.mkdtemp(dir=out_dir, prefix=".navminer-"))
     try:
         for rel_path in sorted(artifacts):
-            path = out_dir / rel_path
+            path = staging / rel_path
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(artifacts[rel_path], encoding="utf-8")
-            written.append(path)
-    except OSError:
-        for path in written:  # no partial artifacts
-            path.unlink(missing_ok=True)
-        raise
-    return written
+        entries = sorted({rel_path.split("/", 1)[0] for rel_path in artifacts})
+        for name in entries:  # before anything moves: nothing of the wrong kind in the way
+            target = out_dir / name
+            wants_dir = (staging / name).is_dir()
+            if os.path.lexists(target) and target.is_dir() != wants_dir:
+                kind = "a directory" if wants_dir else "a file"
+                raise OSError(f"{target} is in the way: not {kind}")
+        aside = staging / ".old"  # no artifact name starts with a dot
+        aside.mkdir()
+        for name in _OWNED_DIRS:
+            if (out_dir / name).is_dir():
+                os.replace(out_dir / name, aside / name)
+        for name in entries:
+            os.replace(staging / name, out_dir / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return [out_dir / rel_path for rel_path in sorted(artifacts)]
 
 
 def run_pipeline(cfg: Config) -> PipelineResult:
@@ -264,8 +290,8 @@ def run_pipeline(cfg: Config) -> PipelineResult:
     Raises ConfigError for a bad configuration, an unreadable or malformed
     reference file or an output directory that cannot be written, and
     CorpusError when the mirror cannot be loaded; none of the run's
-    artifact files is left behind in any of these cases.  The reference is
-    read before the crawl.
+    artifact files is left behind in any of these cases, and an earlier
+    run's output stays as it was.  The reference is read before the crawl.
     """
     cfg.validate()
     reference = None

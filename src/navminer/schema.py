@@ -9,7 +9,8 @@ kind of screen with different amounts of repeated content compare as
 identical.
 
 Inference rules, applied per element name over all of its instances in
-one document:
+one document (read from the parser's ``Document.elements``, not from a
+walk of the tree):
 
 * no children and no text anywhere      -> EMPTY
 * text but never element children      -> PCDATA
@@ -33,7 +34,6 @@ reads a token apart or needs the ``Schema`` object back.
 from __future__ import annotations
 
 import sys
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .normalize import Document, Text, walk
@@ -126,29 +126,32 @@ def _infer_model(seqs: list[tuple[str, ...]], has_text: bool) -> ContentModel:
 
 def extract_schema(doc: Document) -> Schema:
     """Infer the schema of one well-formed document."""
-    sequences: dict[str, list[tuple[str, ...]]] = {}
-    has_text: dict[str, bool] = {}
-    attr_counts: dict[str, Counter] = {}
-    instances: Counter = Counter()
+    sequences: dict[str, list[tuple[str, ...]]] = {}  # one child-name sequence per instance
+    has_text: set[str] = set()
+    attr_counts: dict[str, dict[str, int]] = {}
 
-    for element, _, closing in walk(doc.root):
-        if closing or element.__class__ is Text:
-            continue
+    for element in doc.elements:
         name = element.name
-        instances[name] += 1
-        seq = tuple(c.name for c in element.children if c.__class__ is not Text)
-        sequences.setdefault(name, []).append(seq)
-        if len(seq) != len(element.children):
-            has_text[name] = True
-        counts = attr_counts.setdefault(name, Counter())
+        children = element.children
+        seq = tuple([c.name for c in children if c.__class__ is not Text])
+        seqs = sequences.get(name)
+        if seqs is None:
+            sequences[name] = [seq]
+            counts = attr_counts[name] = {}
+        else:
+            seqs.append(seq)
+            counts = attr_counts[name]
+        if len(seq) != len(children):
+            has_text.add(name)
         for attr_name, _ in element.attrs:
-            counts[attr_name] += 1
+            counts[attr_name] = counts.get(attr_name, 0) + 1
 
     schema = Schema()
     for name in sorted(sequences):
-        schema.declarations[name] = _infer_model(sequences[name], has_text.get(name, False))
+        seqs = sequences[name]
+        schema.declarations[name] = _infer_model(seqs, name in has_text)
         specs = tuple(
-            (attr, REQUIRED if count == instances[name] else IMPLIED)
+            (attr, REQUIRED if count == len(seqs) else IMPLIED)
             for attr, count in sorted(attr_counts[name].items())
         )
         if specs:

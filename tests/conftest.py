@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import importlib
 import random
+import sys
 from copy import deepcopy
 from pathlib import Path
 
 import pytest
 
-from navminer.normalize import Document, Element, Text
+from navminer.normalize import Document, Element, Text, walk
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEMO_CORPUS = REPO_ROOT / "demo" / "corpus"
@@ -34,6 +36,23 @@ def demo_corpus():
     from navminer import load_corpus
 
     return load_corpus(DEMO_CORPUS / "index.html", max_depth=10, delay=0.0)
+
+
+@pytest.fixture(scope="session")
+def benchmark_mirrors(tmp_path_factory) -> list[Path]:
+    """The directories of the benchmark's catalog and longpage mirrors, at
+    the benchmark's shapes (``perfbench/mirrors.py``, one seed)."""
+    sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+    mirrors = importlib.import_module("mirrors")
+    out = tmp_path_factory.mktemp("benchmark")
+    return [mirrors.catalog(out / "catalog", 51, 12, 25).root.parent,
+            mirrors.longpage(out / "longpage", 51, 4, 110).root.parent]
+
+
+def mirror_pages(directory: Path) -> list[tuple[str, str]]:
+    """(page id, markup) of every page of a directory mirror."""
+    return [(path.relative_to(directory).as_posix(), path.read_text(encoding="utf-8"))
+            for path in sorted(directory.rglob("*.html"))]
 
 
 def partition_is_valid(partition) -> bool:
@@ -76,11 +95,18 @@ def random_element(rng: random.Random, depth: int) -> Element:
     return element
 
 
+def elements_of(root: Element) -> list[Element]:
+    """The element list the parser records for a tree built or edited by
+    hand: ``walk``'s opening order."""
+    return [node for node, _, closing in walk(root)
+            if not closing and node.__class__ is not Text]
+
+
 def random_document(rng: random.Random, depth: int = 3) -> Document:
     root = Element("html")
     for _ in range(rng.randint(1, 4)):
         root.children.append(random_element(rng, depth))
-    return Document(root)
+    return Document(root, elements_of(root))
 
 
 def all_elements(root: Element) -> list[Element]:
@@ -106,7 +132,7 @@ def mutate_document(rng: random.Random, doc: Document) -> Document:
             parent.attrs.append((rng.choice(_ATTR_NAMES), rng.choice(_WORDS)))
         else:
             parent.children.append(Text(rng.choice(_WORDS)))
-    return copy
+    return Document(copy.root, elements_of(copy.root))
 
 
 def _element_paths(root: Element) -> list[list[int]]:
@@ -144,4 +170,5 @@ def twin_docs_with_repeated_block(rng: random.Random) -> tuple[Document, Documen
         parent = _at_path(doc.root, path)
         for _ in range(copies):
             parent.children.insert(position, deepcopy(block))
-    return doc_k, doc_k1
+    return Document(doc_k.root, elements_of(doc_k.root)), \
+        Document(doc_k1.root, elements_of(doc_k1.root))

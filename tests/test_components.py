@@ -378,8 +378,8 @@ def test_diff_of_two_long_pages_stays_small_in_memory():
     takes about n*m/8 bytes, 1.5 MB."""
     rng = random.Random(505)
     view_lines, edit_lines = table_lines(rng, 590, False), table_lines(rng, 540, True)
-    view = LineText(view_lines, [None] * len(view_lines))
-    edit = LineText(edit_lines, [None] * len(edit_lines))
+    view = LineText(view_lines, [None] * len(view_lines), [0] * len(view_lines))
+    edit = LineText(edit_lines, [None] * len(edit_lines), [0] * len(edit_lines))
     assert 3400 <= min(len(view.lines), len(edit.lines))
     tracemalloc.start()
     try:

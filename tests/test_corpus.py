@@ -1,6 +1,7 @@
 """Mirror loading and link extraction."""
 
 import gc
+import random
 import threading
 import tracemalloc
 from contextlib import contextmanager
@@ -12,12 +13,32 @@ from urllib.parse import quote
 import pytest
 
 from navminer.cli import main
-from navminer.corpus import (DEFAULT_REDIRECT_LIMIT, CorpusError, FileResolver,
-                             HttpResolver, PageReadError, extract_links, load_corpus)
+from navminer.corpus import (_LINK_ATTRS, DEFAULT_REDIRECT_LIMIT, CorpusError, FileResolver,
+                             HttpResolver, PageId, PageReadError, extract_links, load_corpus,
+                             logger)
 from navminer.navmodel import token_seq
-from navminer.normalize import to_xhtml
+from navminer.normalize import Document, Text, to_xhtml, walk
 
-from conftest import DEMO_PAGE_COUNT, write_mirror
+from conftest import DEMO_CORPUS, DEMO_PAGE_COUNT, mirror_pages, random_document, write_mirror
+
+
+def extract_links_walk(doc: Document, base: PageId, resolver) -> list[PageId]:
+    """The tree-walking ``extract_links`` that the element index replaced,
+    kept as its oracle."""
+    links: list[PageId] = []
+    seen: set[PageId] = set()
+    for element, _, closing in walk(doc.root):
+        if closing or element.__class__ is Text or element.name not in _LINK_ATTRS:
+            continue
+        attr_name = _LINK_ATTRS[element.name]
+        value = next((v for k, v in element.attrs if k == attr_name), None)
+        target = None if value is None else resolver.resolve(base, value)
+        if target is not None and target not in seen:
+            seen.add(target)
+            links.append(target)
+        elif target is None and value and value.strip():
+            logger.debug("unresolvable reference %r on %s", value, base)
+    return links
 
 
 def test_single_page_no_links(tmp_path):
@@ -481,3 +502,83 @@ def test_loaded_demo_corpus_with_mms_tokens_stays_small(demo_root):
         tracemalloc.stop()
     assert len(corpus.pages) == DEMO_PAGE_COUNT
     assert held < 350_000
+
+
+_LINK_TAGS = ("a", "area", "form", "frame", "iframe", "img", "link", "div")
+_LINK_VALUES = ("a.html", "b.html#part", "#top", " ", "", "mailto:x@y.example",
+                "../outside.html", "c.html?q=1", "sub/d.html", "http://elsewhere.example/")
+
+
+def _random_link_markup(rng) -> str:
+    parts = []
+    for _ in range(rng.randint(1, 30)):
+        tag = rng.choice(_LINK_TAGS)
+        attrs = "".join(f' {rng.choice(("href", "action", "src", "name"))}='
+                        f'"{rng.choice(_LINK_VALUES)}"' for _ in range(rng.randint(0, 2)))
+        parts.append(f"<{tag}{attrs}>" + rng.choice(("", "text", f"</{tag}>", "<p>")))
+    return "".join(parts)
+
+
+def test_extract_links_equals_the_tree_walking_oracle(tmp_path, benchmark_mirrors):
+    checked = 0
+    for directory in (DEMO_CORPUS, *benchmark_mirrors):
+        resolver = FileResolver(directory)
+        for page_id, text in mirror_pages(directory):
+            doc = to_xhtml(text)
+            assert extract_links(doc, page_id, resolver) == \
+                extract_links_walk(doc, page_id, resolver), page_id
+            checked += 1
+    assert checked > 650
+    rng = random.Random(211)
+    resolver = FileResolver(tmp_path)
+    docs = [to_xhtml(_random_link_markup(rng)) for _ in range(300)]
+    docs += [random_document(rng, rng.randint(0, 4)) for _ in range(300)]
+    found = 0
+    for doc in docs:
+        links = extract_links(doc, "dir/index.html", resolver)
+        assert links == extract_links_walk(doc, "dir/index.html", resolver)
+        found += len(links)
+    assert found > 250
+
+
+def _image_map_site(root):
+    return write_mirror(root, {
+        "index.html": '<html><body><img src="m.gif" usemap="#m"><map name="m">'
+                      '<area shape="rect" coords="0,0,9,9" href="mapped.html">'
+                      '<area shape="default" nohref></map></body></html>',
+        "mapped.html": "<html><body>reachable through the image map alone</body></html>",
+    })
+
+
+def test_image_map_areas_are_links(tmp_path):
+    root = _image_map_site(tmp_path)
+    corpus = load_corpus(root, max_depth=2, delay=0.0)
+    assert set(corpus.pages) == {"index.html", "mapped.html"}
+    assert corpus.pages["index.html"].links == ("mapped.html",)
+    with serving(partial(SimpleHTTPRequestHandler, directory=str(tmp_path))) as base:
+        corpus = load_corpus(f"{base}/index.html", max_depth=2, delay=0.0)
+        assert set(corpus.pages) == {f"{base}/index.html", f"{base}/mapped.html"}
+
+
+def _byte_order_mark_site(root):
+    """Two copies of a page, one saved with a UTF-8 byte order mark, and
+    the page saved as UTF-16."""
+    page = '<html><body><p>caf\xe9</p><a href="bom.html">1</a><a href="utf16.html">2</a>' \
+           '</body></html>'
+    root.mkdir(exist_ok=True)
+    (root / "index.html").write_bytes(page.encode("utf-8"))
+    (root / "bom.html").write_bytes(b"\xef\xbb\xbf" + page.encode("utf-8"))
+    (root / "utf16.html").write_bytes(page.encode("utf-16"))
+    return root / "index.html"
+
+
+def test_a_page_with_a_byte_order_mark_parses_like_the_page_without(tmp_path):
+    root = _byte_order_mark_site(tmp_path)
+    with serving(partial(SimpleHTTPRequestHandler, directory=str(tmp_path))) as base:
+        for locator, prefix in ((root, ""), (f"{base}/index.html", f"{base}/")):
+            corpus = load_corpus(locator, max_depth=2, delay=0.0)
+            plain, bom = prefix + "index.html", prefix + "bom.html"
+            assert set(corpus.pages) == {plain, bom}
+            assert corpus.pages[bom].document == corpus.pages[plain].document
+            assert token_seq(corpus, bom, "STS") == token_seq(corpus, plain, "STS")
+            assert corpus.excluded == [prefix + "utf16.html"]  # binary, as before

@@ -8,9 +8,11 @@ import pytest
 from navminer import load_corpus
 from navminer.navmodel import (_cluster_ordered, build_nav_tree, collect_partition,
                                reduce_to_snp, refine_clusters, token_seq)
+from navminer.normalize import pretty_print, to_xhtml
 from navminer.similarity import clone_pair, similarity, transclos
 
-from conftest import DEMO_THRESHOLD, partition_is_valid, write_mirror
+from conftest import (DEMO_THRESHOLD, mirror_pages, partition_is_valid, random_document,
+                      write_mirror)
 
 GOLDEN_TREE = Path(__file__).parent / "data" / "demo_tree.txt"
 
@@ -254,3 +256,28 @@ def test_memo_grows_with_pages_not_pairs(tmp_path):
     # every key names one page: (kind, page) or (kind, method, page)
     assert all(isinstance(key[-1], str) and key[-1] in corpus.pages for key in corpus.memo)
     assert len(corpus.memo) <= 2 * len(corpus.pages)
+
+
+def _indented_byte_count(doc) -> int:
+    """Oracle for ``page_size``: the pretty-print with each line indented
+    two spaces a depth and ended by a newline, as bytes."""
+    printed = pretty_print(doc)
+    return sum(len(("  " * depth + line + "\n").encode("utf-8"))
+               for line, depth in zip(printed.lines, printed.depths))
+
+
+def test_page_size_is_the_indented_byte_count(demo_corpus, benchmark_mirrors):
+    from navminer.corpus import Corpus, Page
+    from navminer.navmodel import page_size
+
+    table = to_xhtml("<table><tr><td/></tr></table>")
+    rng = random.Random(212)
+    docs = [table, to_xhtml("<p>caf\xe9 €<b>\U0001f600</b></p>")]
+    docs += [random_document(rng, rng.randint(0, 5)) for _ in range(200)]
+    docs += [page.document for page in demo_corpus.pages.values()]
+    for directory in benchmark_mirrors:
+        docs += [to_xhtml(text) for _, text in mirror_pages(directory)]
+    corpus = Corpus("0", {str(index): Page(0, doc, ()) for index, doc in enumerate(docs)})
+    for page_id, page in corpus.pages.items():
+        assert page_size(corpus, page_id) == _indented_byte_count(page.document), page_id
+    assert page_size(corpus, "0") == len("<table>\n  <tr>\n    <td/>\n  </tr>\n</table>\n")

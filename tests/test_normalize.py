@@ -11,7 +11,8 @@ from navminer.cli import main
 from navminer.normalize import (IMPLIED_END, VOID_ELEMENTS, Document, EmptyDocumentError,
                                 Element, Text, pretty_print, stripped_lines, to_xhtml, walk)
 
-from conftest import DEMO_CORPUS, REPO_ROOT, all_elements, random_document, write_mirror
+from conftest import (DEMO_CORPUS, REPO_ROOT, all_elements, elements_of, mirror_pages,
+                      random_document, write_mirror)
 
 
 # oracles: the text form for round trips, and the copying form of stripped_lines
@@ -32,7 +33,7 @@ def remove_textual_content(doc: Document) -> Document:
             if open_copies:
                 open_copies[-1].children.append(copy)
             open_copies.append(copy)
-    return Document(root)
+    return Document(root, elements_of(root))
 
 
 class _StackScanBuilder(HTMLParser):
@@ -43,6 +44,13 @@ class _StackScanBuilder(HTMLParser):
         super().__init__(convert_charrefs=True)
         self.top = []
         self.stack = []
+
+    @property
+    def elements(self):
+        """The element index ``to_xhtml`` reads, derived from the finished
+        tree by ``walk`` rather than recorded while building."""
+        return [element for node in self.top if node.__class__ is not Text
+                for element in elements_of(node)]
 
     def _append(self, node):
         target = self.stack[-1].children if self.stack else self.top
@@ -139,6 +147,111 @@ def _random_malformed_markup(rng: random.Random) -> str:
         else:
             parts.append(rng.choice(("word", " ", "a < b", "&amp;")))
     return "".join(parts)
+
+
+def test_element_index_is_the_walk_order_random():
+    """Unclosed tags, stray closes, implied ends, void and self-closing
+    tags, several top-level nodes and adjacent text: the parser's element
+    list is the tree's elements in walk order, object for object."""
+    rng = random.Random(208)
+    synthetic_roots = merged_texts = 0
+    texts = [_random_malformed_markup(rng) for _ in range(1500)]
+    texts += ["<p>one</p> two <p>three", "a<b>x</b><!-- c -->b<i/>c", "<br><br/>tail"]
+    for text in texts:
+        try:
+            doc = to_xhtml(text)
+        except EmptyDocumentError:
+            continue
+        assert [id(e) for e in doc.elements] == [id(e) for e in elements_of(doc.root)], text
+        synthetic_roots += doc.root.name == "html"  # the generator writes no <html>
+        merged_texts += any("word word" in node.content for node, _, _ in walk(doc.root)
+                            if node.__class__ is Text)
+    assert synthetic_roots > 100 and merged_texts > 10
+
+
+def test_element_index_of_demo_and_benchmark_pages(benchmark_mirrors):
+    for directory in (DEMO_CORPUS, *benchmark_mirrors):
+        for page_id, text in mirror_pages(directory):
+            doc = to_xhtml(text)
+            assert [id(e) for e in doc.elements] == \
+                [id(e) for e in elements_of(doc.root)], page_id
+
+
+def test_documents_compare_by_tree():
+    doc = to_xhtml("<div><p>x</p></div>")
+    assert doc == Document(doc.root, [])
+    assert doc != to_xhtml("<div><p>y</p></div>")
+
+
+class _LineCountingBuilder(normalize._TreeBuilder):
+    """Oracle: the tree builder with the stdlib's line counting back."""
+
+    updatepos = HTMLParser.updatepos
+
+
+_TOKENIZER_PIECES = (
+    "<div>", "</div>", "<p>", "<b>", "</b>", "<br>", "<br/>", "<img\nsrc='x.gif'\n/>",
+    '<a\n  href="a.html"\n  class="x">', "</a\n>", "text", "\n", "  line\nbreak  ",
+    "<!-- comment -->", "<!--\nmulti\nline\n-->", "<!---->", "<!DOCTYPE html>",
+    "<!doctype html\nPUBLIC 'x'>", "<![CDATA[x < y]]>", "<![if !IE]>", "<?php echo 1; ?>",
+    "<?xml version='1.0'?>", "&amp;", "&#60;", "&#x3C;", "&copy", "&nosuch;", "&#;",
+    "<", "< p>", "a < b", "<>", "</>", "</ div>", "<!>", "<!x>",
+    "<script>if (a < b) { s = '</div>'; }\n</script>", "<style>p > b {}</style>",
+    "<script>unterminated <b>", "<textarea><b>raw?</b></textarea>", "<title>t&amp;t</title>",
+)
+_TOKENIZER_TAILS = ("", "", '<div class="never', "<!-- open comment", "<", "</di",
+                    "<![CDATA[open", "<?pi", "&am", "<a href='x")
+
+
+def _random_tokenizer_markup(rng: random.Random) -> str:
+    """Markup that takes the stdlib tokenizer down every path that moves
+    its position: comments, declarations, CDATA, processing instructions,
+    character references, tags over several lines, a bare ``<``, raw text
+    and input that ends inside a tag."""
+    pieces = [rng.choice(_TOKENIZER_PIECES) for _ in range(rng.randint(0, 40))]
+    return "".join(pieces) + rng.choice(_TOKENIZER_TAILS)
+
+
+def _tree_and_index(builder, text):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(normalize, "_TreeBuilder", builder)
+        try:
+            doc = to_xhtml(text)
+        except EmptyDocumentError:
+            return None
+    return _events(doc), [(e.name, e.attrs, e.self_closing) for e in doc.elements]
+
+
+def test_skipping_the_line_count_changes_no_tree_random():
+    rng = random.Random(209)
+    for _ in range(2000):
+        text = _random_tokenizer_markup(rng)
+        assert _tree_and_index(normalize._TreeBuilder, text) == \
+            _tree_and_index(_LineCountingBuilder, text), text
+
+
+def test_the_tree_builder_counts_no_lines():
+    builder = normalize._TreeBuilder()
+    builder.feed("<div>\n<p>\none</p>\n</div>")
+    builder.close()
+    assert builder.getpos() == (1, 0)
+    counting = _LineCountingBuilder()
+    counting.feed("<div>\n<p>\none</p>\n</div>")
+    counting.close()
+    assert counting.getpos() == (4, 6)
+
+
+def test_a_utf8_byte_order_mark_is_dropped():
+    from navminer.normalize import decode_markup
+
+    page = "<html><body><p>caf\xe9</p></body></html>"
+    with_bom = decode_markup(b"\xef\xbb\xbf" + page.encode("utf-8"))
+    assert with_bom == page
+    assert to_xhtml(with_bom) == to_xhtml(page)
+    assert decode_markup(b"\xef\xbb\xbf" + page.encode("latin-1")).startswith("\xef\xbb\xbf<html>")
+    # a UTF-16 page decodes to Latin-1 with NULs: binary, as before
+    with pytest.raises(EmptyDocumentError):
+        to_xhtml(decode_markup(page.encode("utf-16")))
 
 
 def test_open_count_builder_matches_stack_scan_oracle_random():
@@ -281,8 +394,9 @@ def test_pretty_print_empty_html_two_lines():
 
 
 def test_pretty_print_table_five_lines():
-    lines = pretty_print(to_xhtml("<table><tr><td/></tr></table>")).lines
-    assert lines == ["<table>", "  <tr>", "    <td/>", "  </tr>", "</table>"]
+    printed = pretty_print(to_xhtml("<table><tr><td/></tr></table>"))
+    assert printed.lines == ["<table>", "<tr>", "<td/>", "</tr>", "</table>"]
+    assert printed.depths == [0, 1, 2, 1, 0]
 
 
 def test_pretty_print_deterministic():

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 from urllib.parse import quote
 
 import pytest
@@ -406,11 +407,61 @@ def test_cli_unwritable_out_is_a_configuration_error(tmp_path, demo_root, capsys
     out.mkdir()
     (out / "report").write_text("in the way", encoding="utf-8")
     assert main(["--root", str(demo_root), "--out", str(out)]) == 1
-    assert sorted(path.name for path in out.rglob("*")) == ["components", "report"]
+    assert sorted(path.name for path in out.rglob("*")) == ["report"]
     stderr = capsys.readouterr().err
     assert f"configuration error: cannot write output directory {blocker / 'sub'}" in stderr
     assert f"configuration error: cannot write output directory {out}" in stderr
     assert "internal error" not in stderr
+
+
+def _files(out):
+    return {path.relative_to(out).as_posix(): path.read_bytes()
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+def test_a_failed_write_keeps_the_previous_output(tmp_path, demo_root, monkeypatch):
+    out = tmp_path / "out"
+    assert main(["--root", str(demo_root), "--out", str(out), "--verbose"]) == 0
+    before = _files(out)
+    assert any(name.startswith("schemas/") for name in before)
+    # a second run that fails on its sixth file
+    written = []
+    write_text = Path.write_text
+
+    def failing_write(path, *args, **kwargs):
+        if len(written) == 5:
+            raise OSError(28, "No space left on device")
+        written.append(path)
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing_write)
+    assert main(["--root", str(demo_root), "--out", str(out), "--threshold", "0.5"]) == 1
+    assert len(written) == 5
+    assert _files(out) == before
+    assert not list(out.glob(".navminer-*"))
+    # a directory where a file goes: refused before anything moves
+    monkeypatch.setattr(Path, "write_text", write_text)
+    (out / "navmodel.dot").unlink()
+    (out / "navmodel.dot").mkdir()
+    assert main(["--root", str(demo_root), "--out", str(out), "--threshold", "0.5"]) == 1
+    del before["navmodel.dot"]
+    assert _files(out) == before
+    assert not list(out.glob(".navminer-*"))
+
+
+def test_a_later_run_removes_stale_edge_files_and_schemas(tmp_path, demo_root):
+    out = tmp_path / "out"
+    first = run_pipeline(Config(root=str(demo_root), out_dir=str(out), verbose=True))
+    assert len(first.components) > 1 and (out / "schemas").is_dir()
+    (out / "notes.txt").write_text("not an artifact", encoding="utf-8")
+    root = write_mirror(tmp_path / "site", {"index.html": _page("home", "a.html"),
+                                            "a.html": _page("a")})
+    second = run_pipeline(Config(root=str(root), out_dir=str(out)))
+    assert len(second.components) == 1
+    assert sorted(_files(out)) == sorted(
+        [path.relative_to(out).as_posix() for path in second.files] + ["notes.txt"])
+    assert not (out / "schemas").exists()
+    assert [path.name for path in (out / "components").iterdir()] == ["edge-000.html"]
 
 
 def test_verbose_dtd_names_are_one_per_page(tmp_path):

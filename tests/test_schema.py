@@ -1,15 +1,52 @@
 """Schema inference and canonical token serialization."""
 
 import random
+from collections import Counter
 
-from navminer.normalize import to_xhtml
+from navminer.normalize import Document, Text, to_xhtml, walk
 from navminer.schema import (CHOICE_STAR, EMPTY, IMPLIED, MIXED, PCDATA, PLUS,
                              REQUIRED, SEQUENCE, STAR, ContentModel, Schema,
-                             dtd_text, extract_schema,
+                             _infer_model, dtd_text, extract_schema,
                              serialize_schema, sts_serialize)
 from navminer.similarity import levenshtein, similarity
 
-from conftest import DEMO_CORPUS, random_document, twin_docs_with_repeated_block
+from conftest import (DEMO_CORPUS, mirror_pages, random_document,
+                      twin_docs_with_repeated_block)
+
+
+def extract_schema_walk(doc: Document) -> Schema:
+    """The tree-walking ``extract_schema`` that the element index replaced,
+    kept as its oracle."""
+    sequences: dict[str, list[tuple[str, ...]]] = {}
+    has_text: dict[str, bool] = {}
+    attr_counts: dict[str, Counter] = {}
+    instances: Counter = Counter()
+
+    for element, _, closing in walk(doc.root):
+        if closing or element.__class__ is Text:
+            continue
+        name = element.name
+        instances[name] += 1
+        seq = tuple(c.name for c in element.children if c.__class__ is not Text)
+        sequences.setdefault(name, []).append(seq)
+        if len(seq) != len(element.children):
+            has_text[name] = True
+        counts = attr_counts.setdefault(name, Counter())
+        for attr_name, _ in element.attrs:
+            counts[attr_name] += 1
+
+    schema = Schema()
+    for name in sorted(sequences):
+        schema.declarations[name] = _infer_model(sequences[name], has_text.get(name, False))
+        specs = tuple(
+            (attr, REQUIRED if count == instances[name] else IMPLIED)
+            for attr, count in sorted(attr_counts[name].items())
+        )
+        if specs:
+            schema.attributes[name] = specs
+    return schema
+
+
 
 
 def is_closed(schema: Schema) -> bool:
@@ -194,3 +231,14 @@ def test_equal_tokens_of_different_pages_are_one_object():
         shared = [token for token in theirs if token in first]
         assert shared
         assert all(first[token] is token for token in shared)
+
+
+def test_extract_schema_equals_the_tree_walking_oracle(benchmark_mirrors):
+    rng = random.Random(210)
+    docs = [random_document(rng, rng.randint(0, 5)) for _ in range(300)]
+    for directory in (DEMO_CORPUS, *benchmark_mirrors):
+        docs += [to_xhtml(text) for _, text in mirror_pages(directory)]
+    docs.append(to_xhtml('<p a="1" b="2">x<p a="3">y<br c="4"></p><p b=5 b=6/>'))
+    assert len(docs) > 950
+    for doc in docs:
+        assert extract_schema(doc) == extract_schema_walk(doc)
