@@ -14,7 +14,10 @@ from .report import Config, ConfigError, run_pipeline
 
 
 def _truthy(value: str) -> bool:
-    return value.strip().lower() in ("1", "true", "yes", "on")
+    word = value.strip().lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"{value!r} is neither 1/true/yes/on nor 0/false/no/off")
+    return word in ("1", "true", "yes", "on")
 
 
 # every setting once: config-file key (and flag --key) -> (Config field,
@@ -34,9 +37,10 @@ _SETTINGS = {
 
 def _read_config_file(path: str) -> dict:
     """Parse the key=value configuration file (one assignment per line,
-    ``#`` comments allowed) into ``Config`` field values."""
+    ``#`` comments allowed, a UTF-8 byte order mark dropped) into
+    ``Config`` field values."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     values = {}

@@ -7,20 +7,20 @@ that are new on the B side: those contiguous runs are the fragments of
 a candidate component.  Lines that only exist on the A side are
 discarded; the question is what *appears*, not what goes away.
 
-Line equality ignores leading whitespace, so indentation depth
-differences between the two pages never register as change; the
-``LineText`` lines come without their indentation anyway, and only the
-fragment lines are indented again, as printed.
+The ``LineText`` lines come without their indentation, so a line that
+only moved to another depth still aligns, and lines are compared
+exactly as given.  A fragment is a slice of the target's ``LineText``:
+its lines, their depths and the elements they open.
 
 The alignment table is bit-parallel: one int per line of A, one bit per
 line of B, built a machine word at a time instead of cell by cell, and
 read back by counting bits.  The backtrack over it is the canonical one
 of the full table, so the fragments are those of the classic DP.
 
-Each fragment keeps, beside its lines, the elements they open, as
-``normalize`` recorded them while printing.  A component's inventory
-counts those elements by tag name and, for an ``input``, by its first
-``type`` attribute (``text`` when it has none); no line is parsed back.
+A component's inventory counts the elements its fragments open, as
+``normalize`` recorded them while printing, by tag name and, for an
+``input``, by its first ``type`` attribute (``text`` when it has none);
+no line is parsed back.
 """
 
 from __future__ import annotations
@@ -35,12 +35,10 @@ KINDS = ("Button", "Text", "Textarea", "Select", "Link", "Image", "Table", "Form
 
 
 @dataclass
-class Fragment:
-    source: PageId
-    target: PageId
-    start: int  # line index into the target's stripped pretty-print
-    lines: tuple[str, ...]  # indented, as printed
-    opens: tuple[Element | None, ...]  # the element each line opens, as in LineText
+class Fragment(LineText):
+    """Lines ``start`` onwards of the target's stripped ``LineText``."""
+
+    start: int
 
 
 @dataclass
@@ -53,7 +51,7 @@ class CandidateComponent:
 
 def lcs_pairs(a: list[str], b: list[str]) -> list[tuple[int, int]]:
     """Longest-common-subsequence alignment as (index-in-a, index-in-b)
-    pairs, with leading whitespace ignored for equality.
+    pairs of equal lines.
 
     The table is bit-parallel (Allison and Dix; Hyyro, "Bit-parallel
     LCS-length computation revisited", 2004): row ``i`` is one int whose
@@ -63,18 +61,16 @@ def lcs_pairs(a: list[str], b: list[str]) -> list[tuple[int, int]]:
     (b, a) yields the mirrored pair set, which keeps the two one-sided
     diffs of a page pair consistent with a single alignment.
     """
-    ka = [line.lstrip() for line in a]
-    kb = [line.lstrip() for line in b]
-    la, lb = len(ka), len(kb)
+    la, lb = len(a), len(b)
     start = 0
-    while start < la and start < lb and ka[start] == kb[start]:
+    while start < la and start < lb and a[start] == b[start]:
         start += 1
     end = 0
-    while end < la - start and end < lb - start and ka[la - 1 - end] == kb[lb - 1 - end]:
+    while end < la - start and end < lb - start and a[la - 1 - end] == b[lb - 1 - end]:
         end += 1
 
-    ma = ka[start:la - end]
-    mb = kb[start:lb - end]
+    ma = a[start:la - end]
+    mb = b[start:lb - end]
     n, m = len(ma), len(mb)
     match: dict[str, int] = {}  # line -> bit j set where mb[j] is that line
     for j, line in enumerate(mb):
@@ -115,7 +111,7 @@ def lcs_pairs(a: list[str], b: list[str]) -> list[tuple[int, int]]:
     return pairs
 
 
-def diff_oneway(a: LineText, b: LineText, source: PageId = "", target: PageId = "") -> list[Fragment]:
+def diff_oneway(a: LineText, b: LineText) -> list[Fragment]:
     """Maximal runs of b-lines that are not part of the alignment with a."""
     aligned_b = {j for _, j in lcs_pairs(a.lines, b.lines)}
     fragments: list[Fragment] = []
@@ -125,10 +121,8 @@ def diff_oneway(a: LineText, b: LineText, source: PageId = "", target: PageId = 
         if inserted and run_start is None:
             run_start = j
         elif not inserted and run_start is not None:
-            lines = tuple("  " * depth + line for depth, line in
-                          zip(b.depths[run_start:j], b.lines[run_start:j]))
-            fragments.append(Fragment(source, target, run_start, lines,
-                                      tuple(b.opens[run_start:j])))
+            fragments.append(Fragment(b.lines[run_start:j], b.opens[run_start:j],
+                                      b.depths[run_start:j], run_start))
             run_start = None
     return fragments
 
@@ -194,8 +188,7 @@ def extract_candidates(snp: NavTree) -> list[CandidateComponent]:
             raise ValueError("tree is not reduced: representative missing")
         if path:
             source, target = path[-1].representative, node.representative
-            fragments = diff_oneway(lines_of(source), lines_of(target),
-                                    source=source, target=target)
+            fragments = diff_oneway(lines_of(source), lines_of(target))
             component = CandidateComponent(source, target, fragments)
             component.inventory = identify_elements(component)
             out.append(component)

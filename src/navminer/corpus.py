@@ -244,7 +244,7 @@ class Corpus:
     pages: dict[PageId, Page]
     dangling: list[PageId] = field(default_factory=list)
     excluded: list[PageId] = field(default_factory=list)  # fetched but markup-free
-    memo: dict = field(default_factory=dict)  # navmodel.token_seq: ("tokens", method, page)
+    memo: dict = field(default_factory=dict)  # navmodel.token_seq: (method, page)
 
 
 def _open_root(root, delay: float):

@@ -46,10 +46,11 @@ _CLASS_LINE = re.compile(r"^([^:#]+):(.*)$")
 
 
 def load_reference(path) -> ReferenceClassification:
-    """Parse the plain-text reference format: ``ClassName: page1, page2``."""
+    """Parse the plain-text reference format: ``ClassName: page1, page2``
+    (a UTF-8 byte order mark dropped)."""
     classes: dict[str, frozenset[PageId]] = {}
     seen: set[PageId] = set()
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -39,10 +39,6 @@ class NavNode:
     backrefs: tuple[PageId, ...] = ()  # link targets owned by other nodes
     representative: PageId | None = None
 
-    @property
-    def member_set(self) -> frozenset[PageId]:
-        return frozenset(self.members)
-
 
 @dataclass
 class NavTree:
@@ -61,7 +57,7 @@ class NavTree:
 
 def token_seq(corpus: Corpus, page_id: PageId, method: str):
     """Distance substrate for one page, cached on the corpus."""
-    key = ("tokens", method, page_id)
+    key = (method, page_id)
     seq = corpus.memo.get(key)
     if seq is None:
         doc = corpus.pages[page_id].document
@@ -84,10 +80,7 @@ def page_size(corpus: Corpus, page_id: PageId) -> int:
     """Byte length of the pretty-printed normalized page, indentation and
     a newline after each line included, not cached: reduction sizes each
     page once."""
-    # the indentation is counted, not built: it makes a deep page's text
-    # quadratic in its depth
-    text = pretty_print(corpus.pages[page_id].document)
-    return len("\n".join(text.lines).encode()) + 1 + 2 * sum(text.depths)
+    return pretty_print(corpus.pages[page_id].document).printed_size()
 
 
 def _cluster_ordered(corpus, method, pages, threshold) -> list[tuple[PageId, ...]]:
@@ -189,7 +182,7 @@ def reduce_to_snp(tree: NavTree) -> NavTree:
 
 def collect_partition(tree: NavTree) -> Partition:
     """All node member sets across the tree, as one corpus partition."""
-    clusters = [node.member_set for node in tree.nodes()]
+    clusters = [frozenset(node.members) for node in tree.nodes()]
     universe = frozenset().union(*clusters) if clusters else frozenset()
     clusters.sort(key=lambda c: sorted(c))
     return Partition(tuple(clusters), universe)

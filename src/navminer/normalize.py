@@ -31,7 +31,9 @@ this module's format alone: each ``LineText`` also records the element
 every line opens, so later stages read elements and never parse the
 lines back.  A line is kept without its indentation and its depth
 beside it, so a deep page's lines stay linear in its size rather than
-quadratic in its depth.
+quadratic in its depth; ``LineText.printed`` is the one place that
+indents a line, and ``LineText.printed_size`` the one place that counts
+the printed bytes.
 """
 
 from __future__ import annotations
@@ -112,11 +114,21 @@ class Document:
 class LineText:
     """One tag (or text run) per line, as produced by ``pretty_print``,
     with the element each line opens (``None`` on close and text lines)
-    and the line's depth: a line is printed ``"  " * depth + line``."""
+    and the line's depth, which ``printed`` turns into indentation."""
 
     lines: list[str]  # without their indentation
     opens: list[Element | None]
     depths: list[int]
+
+    def printed(self) -> list[str]:
+        """The lines as printed: two spaces of indentation per depth."""
+        return ["  " * depth + line for depth, line in zip(self.depths, self.lines)]
+
+    def printed_size(self) -> int:
+        """Byte length of the printed lines with a newline after each.
+        The indentation is counted, not built: it makes a deep page's
+        text quadratic in its depth."""
+        return len("\n".join(self.lines).encode()) + 1 + 2 * sum(self.depths)
 
 
 class _TreeBuilder(HTMLParser):

@@ -182,7 +182,7 @@ def _edge_html(index: int, component: CandidateComponent) -> str:
     for number, fragment in enumerate(component.fragments, 1):
         body.append(f"<!-- fragment {number}: target lines "
                     f"{fragment.start + 1}-{fragment.start + len(fragment.lines)} -->")
-        body.extend(fragment.lines)
+        body.extend(fragment.printed())
     joined = "\n".join(body)
     return (f"<html>\n<head>\n<title>{html_escape.escape(title)}</title>\n</head>\n"
             f"<body>\n{joined}\n</body>\n</html>\n")

@@ -21,19 +21,18 @@ def lines_of(text: str) -> LineText:
 
 def lcs_pairs_dp(a: list[str], b: list[str]) -> list[tuple[int, int]]:
     """The full-table LCS that ``lcs_pairs`` replaced, kept as its oracle:
-    an (n+1)x(m+1) list of ints and the same canonical backtrack."""
-    ka = [line.lstrip() for line in a]
-    kb = [line.lstrip() for line in b]
-    la, lb = len(ka), len(kb)
+    an (n+1)x(m+1) list of ints and the same canonical backtrack, lines
+    compared exactly as given."""
+    la, lb = len(a), len(b)
     start = 0
-    while start < la and start < lb and ka[start] == kb[start]:
+    while start < la and start < lb and a[start] == b[start]:
         start += 1
     end = 0
-    while end < la - start and end < lb - start and ka[la - 1 - end] == kb[lb - 1 - end]:
+    while end < la - start and end < lb - start and a[la - 1 - end] == b[lb - 1 - end]:
         end += 1
 
-    ma = ka[start:la - end]
-    mb = kb[start:lb - end]
+    ma = a[start:la - end]
+    mb = b[start:lb - end]
     n, m = len(ma), len(mb)
     dp = [[0] * (m + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
@@ -186,8 +185,7 @@ def test_identify_elements_select_and_textareas():
     component.fragments = diff_oneway(
         lines_of("<div></div>"),
         lines_of("<div><select><option>x</option></select>"
-                 "<textarea>1</textarea><textarea>2</textarea></div>"),
-        "a", "b")
+                 "<textarea>1</textarea><textarea>2</textarea></div>"))
     counts = identify_elements(component)
     assert counts["Select"] == 1
     assert counts["Textarea"] == 2
@@ -198,8 +196,7 @@ def test_identify_elements_buttons_and_hidden_input():
     component.fragments = diff_oneway(
         lines_of("<div></div>"),
         lines_of('<div><form><input type="submit"><button>go</button>'
-                 '<input type="hidden"><input type="text"><input></form></div>'),
-        "a", "b")
+                 '<input type="hidden"><input type="text"><input></form></div>'))
     counts = identify_elements(component)
     assert counts["Button"] == 2
     assert counts["Text"] == 2  # explicit text type + missing type defaults to text
@@ -215,7 +212,7 @@ def test_empty_component_has_all_zero_inventory():
 
 def _inventory(markup: str) -> dict[str, int]:
     component = CandidateComponent("a", "b", diff_oneway(
-        lines_of("<div></div>"), lines_of(f"<div>{markup}</div>"), "a", "b"))
+        lines_of("<div></div>"), lines_of(f"<div>{markup}</div>")))
     return identify_elements(component)
 
 

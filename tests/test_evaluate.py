@@ -83,6 +83,17 @@ def test_load_reference_roundtrip(tmp_path):
     assert ref.universe == frozenset({"index.html", "a.html", "b.html"})
 
 
+def test_load_reference_drops_a_byte_order_mark(tmp_path):
+    """An editor may save the file with a UTF-8 BOM; it is not part of
+    the first line, a comment or a class name."""
+    for first in ("# comment line\n", ""):
+        path = tmp_path / "ref.txt"
+        path.write_text("\ufeff" + first + "Home: index.html\nPair: a.html, b.html\n",
+                        encoding="utf-8")
+        assert load_reference(path).classes == {"Home": frozenset({"index.html"}),
+                                                "Pair": frozenset({"a.html", "b.html"})}
+
+
 @pytest.mark.parametrize("text", [
     "Home index.html\n",            # missing colon
     "Home:\n",                      # empty member list

@@ -253,7 +253,7 @@ def test_memo_grows_with_pages_not_pairs(tmp_path):
     corpus, tree = build(write_mirror(tmp_path, pages))
     refine_clusters(tree)
     assert [set(c.members) for c in tree.root.children] == [set(items)]
-    # every key names one page: (kind, page) or (kind, method, page)
+    # every key names one page: (method, page)
     assert all(isinstance(key[-1], str) and key[-1] in corpus.pages for key in corpus.memo)
     assert len(corpus.memo) <= 2 * len(corpus.pages)
 

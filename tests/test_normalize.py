@@ -518,6 +518,67 @@ def test_each_element_opens_exactly_one_line_in_document_order():
                     assert not line.lstrip().startswith("<") or line.lstrip().startswith("</")
 
 
+# whitespace around text as a page may hold it: ASCII, Unicode spaces and
+# separators, and character references to them
+_SPACE_PIECES = (" ", "\t", "\n", "\r", "\x0c", "\xa0", "\u2003", "\u3000", "\u2028",
+                 "\x85", "&nbsp;", "&#x2003;", "&#9;", "&#32;")
+
+
+def _padded_text_markup(rng: random.Random) -> str:
+    """Random markup whose text runs start and end in whitespace."""
+    def pad():
+        return "".join(rng.choice(_SPACE_PIECES) for _ in range(rng.randint(1, 3)))
+
+    parts = []
+    for _ in range(rng.randint(1, 40)):
+        roll = rng.random()
+        if roll < 0.35:
+            parts.append(f"<{rng.choice(_MARKUP_TAGS)}>")
+        elif roll < 0.6:
+            parts.append(f"</{rng.choice(_MARKUP_TAGS)}>")
+        else:
+            parts.append(pad() + rng.choice(("word", "a b", "&amp;", "x\u2003y")) + pad())
+    return "".join(parts)
+
+
+def _assert_no_line_is_indented(doc, where):
+    for text in (pretty_print(doc), stripped_lines(doc)):
+        assert all(line == line.lstrip() for line in text.lines), where
+
+
+def test_no_line_starts_with_whitespace_random():
+    """``components.lcs_pairs`` compares lines exactly, so a line moved to
+    another depth aligns only because no line carries its indentation:
+    not a tag line, and not a text line whatever whitespace the page put
+    before the text."""
+    rng = random.Random(209)
+    for _ in range(100):
+        _assert_no_line_is_indented(random_document(rng, depth=4), "random document")
+    texts = 0
+    for _ in range(500):
+        markup = _padded_text_markup(rng)
+        try:
+            doc = to_xhtml(markup)
+        except EmptyDocumentError:
+            continue
+        _assert_no_line_is_indented(doc, markup)
+        texts += sum(node.__class__ is Text for node, _, _ in walk(doc.root))
+    assert texts > 1000
+
+
+def test_no_line_of_demo_and_benchmark_pages_starts_with_whitespace(benchmark_mirrors):
+    for directory in (DEMO_CORPUS, *benchmark_mirrors):
+        for page_id, text in mirror_pages(directory):
+            _assert_no_line_is_indented(to_xhtml(text), page_id)
+
+
+def test_printed_lines_are_indented_two_spaces_a_depth():
+    text = pretty_print(to_xhtml("<table><tr><td>x</td></tr></table>"))
+    assert text.printed() == ["<table>", "  <tr>", "    <td>", "      x", "    </td>",
+                              "  </tr>", "</table>"]
+    assert text.printed_size() == len("\n".join(text.printed()) + "\n")
+
+
 def test_stripped_lines_equals_pretty_print_of_stripped_copy():
     rng = random.Random(204)
     for _ in range(60):

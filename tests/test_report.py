@@ -281,7 +281,7 @@ def test_each_page_is_parsed_and_link_scanned_once(method, demo_root, tmp_path, 
     assert len(calls["to_xhtml"]) == len(corpus.pages) + len(corpus.excluded)
     assert sorted(args[1] for args in calls["extract_links"]) == sorted(corpus.pages)
     # the memo holds token keys only
-    tokens = {("tokens", method, page) for page in corpus.pages}
+    tokens = {(method, page) for page in corpus.pages}
     assert corpus.memo and set(corpus.memo) <= tokens
 
 
@@ -544,3 +544,55 @@ def test_cli_validates_the_configuration_once(tmp_path, demo_root, monkeypatch):
     monkeypatch.setattr(Config, "validate", lambda cfg: calls.append(cfg) or validate(cfg))
     assert main(["--root", str(demo_root), "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
+
+
+GOLDEN_ARTIFACTS = Path(__file__).parent / "data" / "demo_artifacts.sha256"
+
+
+def _demo_artifact_digests(demo_root, demo_reference, out: Path) -> list[str]:
+    """``sha256  method/relative/path`` for every file a verbose demo run
+    writes, under MMS and under STS."""
+    lines = []
+    for method in ("MMS", "STS"):
+        run_pipeline(Config(root=str(demo_root), threshold=DEMO_THRESHOLD, method=method,
+                            out_dir=str(out / method), reference=str(demo_reference),
+                            verbose=True))
+        for path in sorted(p for p in (out / method).rglob("*") if p.is_file()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            lines.append(f"{digest}  {path.relative_to(out).as_posix()}")
+    return lines
+
+
+def test_demo_artifact_bytes_match_the_golden_digests(demo_root, demo_reference, tmp_path):
+    """The artifact bytes of a demo run are pinned.  A change that means to
+    alter them replaces the file's lines with the new ones printed here."""
+    got = _demo_artifact_digests(demo_root, demo_reference, tmp_path)
+    expected = GOLDEN_ARTIFACTS.read_text(encoding="utf-8").splitlines()
+    assert got == expected, (f"artifacts differ from {GOLDEN_ARTIFACTS.name}; "
+                             "the new digests:\n" + "\n".join(got))
+
+
+def test_config_file_with_a_byte_order_mark_loads(tmp_path, demo_root, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text(f"\ufeffroot = {demo_root}\nout = {tmp_path / 'out'}\n", encoding="utf-8")
+    assert main(["--config", str(config)]) == 0
+    assert "components: 5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["ture", "", "2", "enabled"])
+def test_config_file_verbose_typo_is_a_configuration_error(value, tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text(f"root = index.html\nverbose = {value}\n", encoding="utf-8")
+    assert main(["--config", str(config)]) == 1
+    assert f"{config}:2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value,verbose", [
+    ("1", True), ("TRUE", True), ("yes", True), ("On", True),
+    ("0", False), ("false", False), ("NO", False), ("off", False)])
+def test_config_file_verbose_words(value, verbose, tmp_path):
+    from navminer.cli import _read_config_file
+
+    config = tmp_path / "run.conf"
+    config.write_text(f'verbose = "{value}"\n', encoding="utf-8")
+    assert _read_config_file(str(config)) == {"verbose": verbose}
