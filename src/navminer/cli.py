@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import re
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -35,6 +36,11 @@ _SETTINGS = {
 }
 
 
+# a comment starts with "#" at the start of a line or after whitespace, so
+# a "#" inside a value (a file name, say) is part of the value
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def _read_config_file(path: str) -> dict:
     """Parse the key=value configuration file (one assignment per line,
     ``#`` comments allowed, a UTF-8 byte order mark dropped) into
@@ -45,7 +51,7 @@ def _read_config_file(path: str) -> dict:
         raise ConfigError(f"{path}: {exc}") from exc
     values = {}
     for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
+        line = _COMMENT.split(line, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:

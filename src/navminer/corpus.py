@@ -6,6 +6,10 @@ the internal links starting at the root page.  Every page is fetched
 exactly once and, as it arrives, parsed and link-scanned once into a
 ``Page``: its repaired tree and its internal link targets.  Later
 pipeline stages read those records and never touch the source again.
+The pages of a site repeat their templates' attribute values and
+boilerplate text, so the pages of one load share one copy of each
+(``normalize.to_xhtml``'s ``strings``); the dict that finds the copies
+is dropped when the load returns.
 
 Internal means: the resolved path stays under the mirror root and the
 file's real location, symlinks followed, does too (filesystem mode), or
@@ -280,8 +284,10 @@ def load_corpus(root, max_depth: int, delay: float) -> Corpus:
     except PageReadError as exc:
         raise CorpusError(f"root page unreadable: {exc}") from exc
 
+    strings: dict = {}  # the pages' attribute values and text runs, shared
+
     def analyse(page_id: PageId, text: str, depth: int) -> Page:
-        document = to_xhtml(text)  # raises EmptyDocumentError
+        document = to_xhtml(text, strings)  # raises EmptyDocumentError
         return Page(depth, document, tuple(extract_links(document, page_id, resolver)))
 
     corpus = Corpus(root=root_id, pages={})

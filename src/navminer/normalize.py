@@ -9,11 +9,21 @@ repair makes are well-formedness, determinism and idempotence: feeding
 a repaired tree's serialization back through the parser reproduces the
 same tree.
 
-Every page tree stays alive for the whole run, so its nodes are kept
-small: ``Text``, ``Element`` and ``Document`` are slotted (no per-node
-``__dict__``), and the builder interns every tag name and attribute
-name, so all pages share one copy of each.  Attribute values and text
-are kept as parsed.
+Every page tree stays alive for the whole run, and the pages of one
+site are built from a few templates, so a tree is kept as small as the
+information in it allows.  ``Element`` and ``Document`` are slotted (no
+per-node ``__dict__``).  An element's ``attrs`` and ``children`` are
+exact-size tuples, and an element without attributes or children holds
+the one shared ``()``; only the elements the parser still has open own
+a growing list.  A text run is a plain ``str`` child.  Tag and
+attribute names are interned, so every page shares one copy of each.
+Attribute values and text runs are shared through the ``strings`` dict
+``to_xhtml`` is handed, one copy per distinct value for as long as the
+caller keeps the dict (``corpus.load_corpus`` keeps one per load), and
+so are the tuples built of them alone: an element's attributes, and the
+children of a text-only element (adjacent text runs merge, so that is
+one run).  Values and text are not interned: interned strings can stay
+resident after the trees holding them are released.
 
 The builder also lists every element it creates, and creation order is
 document order, so ``Document.elements`` hands schema inference and
@@ -89,15 +99,12 @@ class EmptyDocumentError(ValueError):
 
 
 @dataclass(slots=True)
-class Text:
-    content: str
-
-
-@dataclass(slots=True)
 class Element:
     name: str
-    attrs: list[tuple[str, str]] = field(default_factory=list)
-    children: list[Element | Text] = field(default_factory=list)
+    attrs: tuple[tuple[str, str], ...] = ()
+    # text runs are ``str`` children; a list only while the parser has
+    # the element open
+    children: tuple[Element | str, ...] = ()
     self_closing: bool = False
 
 
@@ -134,10 +141,13 @@ class LineText:
 class _TreeBuilder(HTMLParser):
     """Tolerant tree construction on top of the stdlib tokenizer."""
 
-    def __init__(self):
+    def __init__(self, strings: dict | None = None):
         super().__init__(convert_charrefs=True)
-        self.top: list[Element | Text] = []
+        # values, text runs and tuples of them: one copy of each
+        self.strings = {} if strings is None else strings
+        self.top: list[Element | str] = []
         self.stack: list[Element] = []
+        self.target = self.top  # the children of the innermost open element
         self.elements: list[Element] = []  # in creation order, which is document order
         self.open_count: dict[str, int] = {}  # tag name -> elements of it on the stack
 
@@ -146,50 +156,61 @@ class _TreeBuilder(HTMLParser):
         # nothing reads; skipping the count saves a tenth of the parse
         return j
 
-    def _append(self, node):
-        target = self.stack[-1].children if self.stack else self.top
-        if isinstance(node, Text) and target and isinstance(target[-1], Text):
-            # adjacent runs (e.g. split around a dropped comment) merge
-            target[-1].content = target[-1].content + " " + node.content
-        else:
-            target.append(node)
+    def close(self):
+        super().close()
+        for element in self.stack:  # left open by the page
+            self._seal(element)
+
+    def _seal(self, element):
+        """Turn a closed element's children into their tuple."""
+        children = tuple(element.children)
+        if len(children) == 1 and children[0].__class__ is str:  # text only
+            children = self.strings.setdefault(children, children)
+        element.children = children
 
     def _pop(self):
-        self.open_count[self.stack.pop().name] -= 1
+        element = self.stack.pop()
+        self.open_count[element.name] -= 1
+        self._seal(element)
+        self.target = self.stack[-1].children if self.stack else self.top
 
     def _close_implied(self, tag):
         while self.stack and tag in IMPLIED_END.get(self.stack[-1].name, ()):
             self._pop()
 
-    @staticmethod
-    def _clean_attrs(attrs):
+    def _clean_attrs(self, attrs):
+        if not attrs:
+            return ()
+        share = self.strings.setdefault
         seen = set()
         cleaned = []
         for name, value in attrs:
             if name in seen:  # HTML5 keeps the first duplicate
                 continue
             seen.add(name)
-            cleaned.append((sys.intern(name), value if value is not None else ""))
-        return cleaned
+            cleaned.append((sys.intern(name), "" if value is None else share(value, value)))
+        cleaned = tuple(cleaned)
+        return share(cleaned, cleaned)
 
     def handle_starttag(self, tag, attrs):
         self._close_implied(tag)
         tag = sys.intern(tag)
-        element = Element(tag, self._clean_attrs(attrs))
-        self.elements.append(element)
         if tag in VOID_ELEMENTS:
-            element.self_closing = True
-            self._append(element)
+            element = Element(tag, self._clean_attrs(attrs), (), True)
+            self.target.append(element)
         else:
-            self._append(element)
+            element = Element(tag, self._clean_attrs(attrs), [])
+            self.target.append(element)
             self.stack.append(element)
+            self.target = element.children
             self.open_count[tag] = self.open_count.get(tag, 0) + 1
+        self.elements.append(element)
 
     def handle_startendtag(self, tag, attrs):
         self._close_implied(tag)
-        element = Element(sys.intern(tag), self._clean_attrs(attrs), self_closing=True)
+        element = Element(sys.intern(tag), self._clean_attrs(attrs), (), True)
         self.elements.append(element)
-        self._append(element)
+        self.target.append(element)
 
     def handle_endtag(self, tag):
         if tag in VOID_ELEMENTS:
@@ -203,16 +224,28 @@ class _TreeBuilder(HTMLParser):
     def handle_data(self, data):
         if self.stack and self.stack[-1].name in _RAW_TEXT_TAGS:
             return  # script/style bodies are not structure
-        collapsed = " ".join(data.split())
-        if collapsed:
-            self._append(Text(collapsed))
+        text = " ".join(data.split())
+        if not text:
+            return
+        target = self.target
+        if target and target[-1].__class__ is str:
+            # adjacent runs (e.g. split around a dropped comment) merge
+            text = target[-1] + " " + text
+            target[-1] = self.strings.setdefault(text, text)
+        else:
+            target.append(self.strings.setdefault(text, text))
 
 
-def to_xhtml(text: str) -> Document:
-    """Repair one page's possibly faulty markup into a well-formed Document."""
+def to_xhtml(text: str, strings: dict | None = None) -> Document:
+    """Repair one page's possibly faulty markup into a well-formed Document.
+
+    An attribute value or text run (or a tuple of attributes or of a
+    lone text run) equal to a key of ``strings`` is that key's object,
+    and a new one becomes a key, so the pages parsed with one dict share
+    one copy of each; by default a page has a dict of its own."""
     if _BINARY_BYTE.search(text, 0, _SNIFF_CHARS):
         raise EmptyDocumentError("binary data, not markup")
-    builder = _TreeBuilder()
+    builder = _TreeBuilder(strings)
     builder.feed(text)
     builder.close()
     # every element hangs below a top-level one, so none at all means
@@ -223,7 +256,7 @@ def to_xhtml(text: str) -> Document:
     if len(top) == 1:  # the one top-level node, so an element
         return Document(top[0], builder.elements)
     # several top-level nodes: give the tree a single root
-    root = Element("html", [], list(top))
+    root = Element("html", (), tuple(top))
     return Document(root, [root, *builder.elements])
 
 
@@ -255,9 +288,10 @@ def walk(root):
     """Depth-first walk of an element or nav node tree on an explicit stack.
 
     Yields ``(node, depth, closing)``: each node once opening, in
-    document order, and each node with ``children`` (not a text run)
-    again, closing, after its subtree.  A node's children are read only
-    after the caller has seen it open, so the caller may fill them in then.
+    document order, and each node with ``children`` (not a text run, a
+    ``str``) again, closing, after its subtree.  A node's children are
+    read only after the caller has seen it open, so the caller may fill
+    them in then.
     """
     yield root, 0, False
     stack = [(root, iter(root.children))]
@@ -266,7 +300,7 @@ def walk(root):
         node, children = stack[-1]
         for child in children:
             yield child, depth, False
-            if child.__class__ is not Text:
+            if child.__class__ is not str:
                 stack.append((child, iter(child.children)))
                 depth += 1
                 break
@@ -281,23 +315,30 @@ def _lines(root: Element, with_text: bool) -> LineText:
     opens: list[Element | None] = []
     depths: list[int] = []
     append, opened, indent = lines.append, opens.append, depths.append
+    close_tags: dict[str, str] = {}  # tag name -> its close line, built once
     for node, depth, closing in walk(root):
-        if node.__class__ is Text:
+        if node.__class__ is str:
             if with_text:
-                append(_escape(node.content))
+                append(_escape(node))
                 opened(None)
                 indent(depth)
             continue
         one_line = node.self_closing and not (
             node.children if with_text
-            else any(c.__class__ is not Text for c in node.children))
+            else any(c.__class__ is not str for c in node.children))
         if closing:
             if not one_line:
-                append(f"</{node.name}>")
+                line = close_tags.get(node.name)
+                if line is None:
+                    line = close_tags[node.name] = f"</{node.name}>"
+                append(line)
                 opened(None)
                 indent(depth)
         else:
-            append(_open_tag(node, self_close=one_line))
+            if node.attrs:
+                append(_open_tag(node, self_close=one_line))
+            else:
+                append("<" + node.name + ("/>" if one_line else ">"))
             opened(node)
             indent(depth)
     return LineText(lines, opens, depths)

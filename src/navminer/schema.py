@@ -36,7 +36,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 
-from .normalize import Document, Text, walk
+from .normalize import Document, walk
 
 EMPTY = "EMPTY"
 PCDATA = "PCDATA"
@@ -133,7 +133,7 @@ def extract_schema(doc: Document) -> Schema:
     for element in doc.elements:
         name = element.name
         children = element.children
-        seq = tuple([c.name for c in children if c.__class__ is not Text])
+        seq = tuple([c.name for c in children if c.__class__ is not str])
         seqs = sequences.get(name)
         if seqs is None:
             sequences[name] = [seq]
@@ -186,7 +186,7 @@ def sts_serialize(doc: Document) -> TokenSeq:
     ignored; interned, like ``serialize_schema``'s."""
     intern = sys.intern
     return tuple(intern(("close:" if closing else "open:") + node.name)
-                 for node, _, closing in walk(doc.root) if node.__class__ is not Text)
+                 for node, _, closing in walk(doc.root) if node.__class__ is not str)
 
 
 _FLAG_SUFFIX = {PLUS: "+", STAR: "*"}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import importlib
 import random
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from navminer.normalize import Document, Element, Text, walk
+from navminer.normalize import Document, Element, walk
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEMO_CORPUS = REPO_ROOT / "demo" / "corpus"
@@ -55,6 +56,25 @@ def mirror_pages(directory: Path) -> list[tuple[str, str]]:
             for path in sorted(directory.rglob("*.html"))]
 
 
+def assert_packed(document: Document, where) -> None:
+    """Nothing but elements, tuples, strings and flags is reachable from
+    ``document``'s tree (``Document.elements``, its index, is the one
+    list), and no element holds an empty tuple other than ``()``."""
+    empty = ()
+    seen = {id(document.root): document.root}
+    stack = [document.root]
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if not isinstance(ref, type) and id(ref) not in seen:  # classes not followed
+                seen[id(ref)] = ref
+                stack.append(ref)
+    assert {obj.__class__ for obj in seen.values()} <= {Element, tuple, str, bool}, where
+    assert all(element.attrs or element.attrs is empty for element in document.elements), where
+    assert all(element.children or element.children is empty
+               for element in document.elements), where
+    assert document.elements.__class__ is list
+
+
 def partition_is_valid(partition) -> bool:
     """The clusters are non-empty, pairwise disjoint and cover the universe."""
     seen: set = set()
@@ -85,13 +105,13 @@ _WORDS = ("alpha", "beta", "gamma", "delta", "omega")
 def random_element(rng: random.Random, depth: int) -> Element:
     element = Element(rng.choice(_TAGS))
     if rng.random() < 0.4:
-        element.attrs.append((rng.choice(_ATTR_NAMES), rng.choice(_WORDS)))
+        element.attrs += ((rng.choice(_ATTR_NAMES), rng.choice(_WORDS)),)
     if depth > 0:
         for _ in range(rng.randint(0, 3)):
             if rng.random() < 0.3:
-                element.children.append(Text(rng.choice(_WORDS)))
+                element.children += (rng.choice(_WORDS),)
             else:
-                element.children.append(random_element(rng, depth - 1))
+                element.children += (random_element(rng, depth - 1),)
     return element
 
 
@@ -99,13 +119,13 @@ def elements_of(root: Element) -> list[Element]:
     """The element list the parser records for a tree built or edited by
     hand: ``walk``'s opening order."""
     return [node for node, _, closing in walk(root)
-            if not closing and node.__class__ is not Text]
+            if not closing and node.__class__ is not str]
 
 
 def random_document(rng: random.Random, depth: int = 3) -> Document:
     root = Element("html")
     for _ in range(rng.randint(1, 4)):
-        root.children.append(random_element(rng, depth))
+        root.children += (random_element(rng, depth),)
     return Document(root, elements_of(root))
 
 
@@ -123,15 +143,17 @@ def mutate_document(rng: random.Random, doc: Document) -> Document:
     for _ in range(rng.randint(1, 4)):
         parent = rng.choice(all_elements(copy.root))
         roll = rng.random()
+        children = parent.children
         if roll < 0.45:
-            parent.children.insert(rng.randint(0, len(parent.children)),
-                                   random_element(rng, 1))
-        elif roll < 0.7 and parent.children:
-            del parent.children[rng.randrange(len(parent.children))]
+            at = rng.randint(0, len(children))
+            parent.children = (*children[:at], random_element(rng, 1), *children[at:])
+        elif roll < 0.7 and children:
+            at = rng.randrange(len(children))
+            parent.children = children[:at] + children[at + 1:]
         elif roll < 0.85:
-            parent.attrs.append((rng.choice(_ATTR_NAMES), rng.choice(_WORDS)))
+            parent.attrs += ((rng.choice(_ATTR_NAMES), rng.choice(_WORDS)),)
         else:
-            parent.children.append(Text(rng.choice(_WORDS)))
+            parent.children += (rng.choice(_WORDS),)
     return Document(copy.root, elements_of(copy.root))
 
 
@@ -169,6 +191,7 @@ def twin_docs_with_repeated_block(rng: random.Random) -> tuple[Document, Documen
     for copies, doc in ((k, doc_k), (k + 1, doc_k1)):
         parent = _at_path(doc.root, path)
         for _ in range(copies):
-            parent.children.insert(position, deepcopy(block))
+            parent.children = (*parent.children[:position], deepcopy(block),
+                               *parent.children[position:])
     return Document(doc_k.root, elements_of(doc_k.root)), \
         Document(doc_k1.root, elements_of(doc_k1.root))

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import sys
 import threading
 import tracemalloc
 from contextlib import contextmanager
@@ -17,9 +18,10 @@ from navminer.corpus import (_LINK_ATTRS, DEFAULT_REDIRECT_LIMIT, CorpusError, F
                              HttpResolver, PageId, PageReadError, extract_links, load_corpus,
                              logger)
 from navminer.navmodel import token_seq
-from navminer.normalize import Document, Text, to_xhtml, walk
+from navminer.normalize import Document, to_xhtml, walk
 
-from conftest import DEMO_CORPUS, DEMO_PAGE_COUNT, mirror_pages, random_document, write_mirror
+from conftest import (DEMO_CORPUS, DEMO_PAGE_COUNT, assert_packed, mirror_pages,
+                      random_document, write_mirror)
 
 
 def extract_links_walk(doc: Document, base: PageId, resolver) -> list[PageId]:
@@ -28,7 +30,7 @@ def extract_links_walk(doc: Document, base: PageId, resolver) -> list[PageId]:
     links: list[PageId] = []
     seen: set[PageId] = set()
     for element, _, closing in walk(doc.root):
-        if closing or element.__class__ is Text or element.name not in _LINK_ATTRS:
+        if closing or element.__class__ is str or element.name not in _LINK_ATTRS:
             continue
         attr_name = _LINK_ATTRS[element.name]
         value = next((v for k, v in element.attrs if k == attr_name), None)
@@ -502,6 +504,86 @@ def test_loaded_demo_corpus_with_mms_tokens_stays_small(demo_root):
         tracemalloc.stop()
     assert len(corpus.pages) == DEMO_PAGE_COUNT
     assert held < 350_000
+
+
+@pytest.fixture(scope="module")
+def loads(benchmark_mirrors):
+    """A load of the demo and one of the benchmark catalog."""
+    return [load_corpus(directory / "index.html", max_depth=10, delay=0.0)
+            for directory in (DEMO_CORPUS, benchmark_mirrors[0])]
+
+
+def test_page_trees_hold_tuples_and_no_list_but_their_element_index(loads):
+    for corpus in loads:
+        for page_id, page in corpus.pages.items():
+            assert_packed(page.document, page_id)
+
+
+def _shared_parts(element):
+    """What a load shares of one element: its attribute values and text
+    runs, its attributes, and its children when they are one text run."""
+    yield from (value for _, value in element.attrs)
+    yield from (child for child in element.children if child.__class__ is str)
+    yield element.attrs
+    if len(element.children) == 1 and element.children[0].__class__ is str:
+        yield element.children
+
+
+def _text_runs(corpus):
+    return {child: child for page in corpus.pages.values() for element in page.document.elements
+            for child in element.children if child.__class__ is str and len(child) > 1}
+
+
+def test_equal_values_and_text_runs_of_one_load_are_one_object(loads):
+    for corpus in loads:
+        shared: dict = {}
+        parts = 0
+        for page in corpus.pages.values():
+            for element in page.document.elements:
+                for part in _shared_parts(element):
+                    assert shared.setdefault(part, part) is part
+                    parts += 1
+        assert parts > 2 * len(shared)
+    # the sharing lasts as long as the load: another has copies of its own
+    before = _text_runs(loads[0])
+    after = _text_runs(load_corpus(DEMO_CORPUS / "index.html", max_depth=10, delay=0.0))
+    assert before.keys() == after.keys()
+    assert not any(after[text] is before[text] for text in before)
+
+
+def test_values_and_text_runs_are_not_interned(loads):
+    """Interned strings can outlive the trees holding them, so only names
+    are interned.  Strings made of name characters alone may be interned
+    as constants of loaded code, and single characters are cached, so
+    the samples are longer and hold other characters."""
+    for corpus in loads:
+        elements = [e for page in corpus.pages.values() for e in page.document.elements]
+        value = next(v for e in elements for _, v in e.attrs
+                     if len(v) > 1 and not v.replace("_", "a").isalnum())
+        text = next(c for e in elements for c in e.children
+                    if c.__class__ is str and len(c) > 1 and not c.replace("_", "a").isalnum())
+        for sample in (value, text):
+            copy = "".join(list(sample))
+            assert copy == sample and copy is not sample
+            assert sys.intern(copy) is not sample
+
+
+def test_the_loaded_benchmark_catalog_stays_small(benchmark_mirrors):
+    """Exact-size tuples, text runs as ``str`` and values shared per load:
+    the 614 catalog trees hold 2.4 MB, under 3 MB (5.96 MB with lists,
+    text wrappers and a copy of every value per occurrence)."""
+    root = benchmark_mirrors[0] / "index.html"
+    load_corpus(root, max_depth=10, delay=0.0)  # module-level caches fill first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        corpus = load_corpus(root, max_depth=10, delay=0.0)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(corpus.pages) == 614
+    assert held < 3_000_000
 
 
 _LINK_TAGS = ("a", "area", "form", "frame", "iframe", "img", "link", "div")

@@ -2,17 +2,20 @@
 
 import ast
 import random
+import sys
+from dataclasses import dataclass
 from html.parser import HTMLParser
 
 import pytest
 
 from navminer import normalize
 from navminer.cli import main
-from navminer.normalize import (IMPLIED_END, VOID_ELEMENTS, Document, EmptyDocumentError,
-                                Element, Text, pretty_print, stripped_lines, to_xhtml, walk)
+from navminer.normalize import (_BINARY_BYTE, _RAW_TEXT_TAGS, _SNIFF_CHARS, IMPLIED_END,
+                                VOID_ELEMENTS, Document, EmptyDocumentError, Element,
+                                pretty_print, stripped_lines, to_xhtml, walk)
 
-from conftest import (DEMO_CORPUS, REPO_ROOT, all_elements, elements_of, mirror_pages,
-                      random_document, write_mirror)
+from conftest import (DEMO_CORPUS, REPO_ROOT, all_elements, assert_packed, elements_of,
+                      mirror_pages, random_document, write_mirror)
 
 
 # oracles: the text form for round trips, and the copying form of stripped_lines
@@ -28,12 +31,100 @@ def remove_textual_content(doc: Document) -> Document:
     for node, _, closing in walk(doc.root):
         if closing:
             root = open_copies.pop()
-        elif node.__class__ is not Text:
-            copy = Element(node.name, list(node.attrs), [], node.self_closing)
+            root.children = tuple(root.children)
+        elif node.__class__ is not str:
+            copy = Element(node.name, node.attrs, [], node.self_closing)
             if open_copies:
                 open_copies[-1].children.append(copy)
             open_copies.append(copy)
     return Document(root, elements_of(root))
+
+
+@dataclass(slots=True)
+class Text:
+    """The oracles' text run: the wrapper the program's trees no longer
+    keep (a run is a plain ``str`` there)."""
+
+    content: str
+
+
+class _ListTreeBuilder(HTMLParser):
+    """Oracle: the tree builder before trees were packed.  Every element
+    owns a list of attributes and a list of children, a text run is a
+    ``Text`` and values are kept as parsed, one object per occurrence."""
+
+    def __init__(self):
+        super().__init__(convert_charrefs=True)
+        self.top: list[Element | Text] = []
+        self.stack: list[Element] = []
+        self.elements: list[Element] = []  # in creation order, which is document order
+        self.open_count: dict[str, int] = {}  # tag name -> elements of it on the stack
+
+    def updatepos(self, i, j):
+        # the base class counts lines here only for getpos(), which
+        # nothing reads; skipping the count saves a tenth of the parse
+        return j
+
+    def _append(self, node):
+        target = self.stack[-1].children if self.stack else self.top
+        if isinstance(node, Text) and target and isinstance(target[-1], Text):
+            # adjacent runs (e.g. split around a dropped comment) merge
+            target[-1].content = target[-1].content + " " + node.content
+        else:
+            target.append(node)
+
+    def _pop(self):
+        self.open_count[self.stack.pop().name] -= 1
+
+    def _close_implied(self, tag):
+        while self.stack and tag in IMPLIED_END.get(self.stack[-1].name, ()):
+            self._pop()
+
+    @staticmethod
+    def _clean_attrs(attrs):
+        seen = set()
+        cleaned = []
+        for name, value in attrs:
+            if name in seen:  # HTML5 keeps the first duplicate
+                continue
+            seen.add(name)
+            cleaned.append((sys.intern(name), value if value is not None else ""))
+        return cleaned
+
+    def handle_starttag(self, tag, attrs):
+        self._close_implied(tag)
+        tag = sys.intern(tag)
+        element = Element(tag, self._clean_attrs(attrs), [])
+        self.elements.append(element)
+        if tag in VOID_ELEMENTS:
+            element.self_closing = True
+            self._append(element)
+        else:
+            self._append(element)
+            self.stack.append(element)
+            self.open_count[tag] = self.open_count.get(tag, 0) + 1
+
+    def handle_startendtag(self, tag, attrs):
+        self._close_implied(tag)
+        element = Element(sys.intern(tag), self._clean_attrs(attrs), [], self_closing=True)
+        self.elements.append(element)
+        self._append(element)
+
+    def handle_endtag(self, tag):
+        if tag in VOID_ELEMENTS:
+            return
+        if self.open_count.get(tag):
+            while self.stack[-1].name != tag:
+                self._pop()
+            self._pop()
+        # else: stray close tag, dropped
+
+    def handle_data(self, data):
+        if self.stack and self.stack[-1].name in _RAW_TEXT_TAGS:
+            return  # script/style bodies are not structure
+        collapsed = " ".join(data.split())
+        if collapsed:
+            self._append(Text(collapsed))
 
 
 class _StackScanBuilder(HTMLParser):
@@ -48,9 +139,8 @@ class _StackScanBuilder(HTMLParser):
     @property
     def elements(self):
         """The element index ``to_xhtml`` reads, derived from the finished
-        tree by ``walk`` rather than recorded while building."""
-        return [element for node in self.top if node.__class__ is not Text
-                for element in elements_of(node)]
+        tree rather than recorded while building."""
+        return [node for node, _ in _preorder(self.top) if node.__class__ is Element]
 
     def _append(self, node):
         target = self.stack[-1].children if self.stack else self.top
@@ -76,7 +166,7 @@ class _StackScanBuilder(HTMLParser):
 
     def handle_starttag(self, tag, attrs):
         self._close_implied(tag)
-        element = Element(tag, self._clean_attrs(attrs))
+        element = Element(tag, self._clean_attrs(attrs), [])
         if tag in VOID_ELEMENTS:
             element.self_closing = True
             self._append(element)
@@ -86,7 +176,7 @@ class _StackScanBuilder(HTMLParser):
 
     def handle_startendtag(self, tag, attrs):
         self._close_implied(tag)
-        self._append(Element(tag, self._clean_attrs(attrs), self_closing=True))
+        self._append(Element(tag, self._clean_attrs(attrs), [], self_closing=True))
 
     def handle_endtag(self, tag):
         if tag in VOID_ELEMENTS:
@@ -103,25 +193,65 @@ class _StackScanBuilder(HTMLParser):
             self._append(Text(collapsed))
 
 
+def _oracle_to_xhtml(text, builder_class):
+    """``to_xhtml`` as it was before trees were packed, with one of the
+    list builders."""
+    if _BINARY_BYTE.search(text, 0, _SNIFF_CHARS):
+        raise EmptyDocumentError("binary data, not markup")
+    builder = builder_class()
+    builder.feed(text)
+    builder.close()
+    if not builder.elements:
+        raise EmptyDocumentError("no recognizable markup")
+    top = builder.top
+    if len(top) == 1:
+        return Document(top[0], builder.elements)
+    root = Element("html", [], list(top))
+    return Document(root, [root, *builder.elements])
+
+
+def _preorder(nodes):
+    """Every node under ``nodes`` with its depth, in document order, on an
+    explicit stack; for trees of either representation (text runs as
+    ``Text`` or ``str``, lists or tuples)."""
+    stack = [(node, 0) for node in reversed(nodes)]
+    while stack:
+        node, depth = stack.pop()
+        yield node, depth
+        if node.__class__ is Element:
+            stack.extend((child, depth + 1) for child in reversed(node.children))
+
+
 def _events(doc):
-    """Every node of ``doc`` with its depth, in walk order: equal for two
-    trees exactly when they are equal, and without recursion."""
-    return [(depth, closing, node.content) if node.__class__ is Text
-            else (depth, closing, node.name, node.attrs, node.self_closing)
-            for node, depth, closing in walk(doc.root)]
+    """Every node of ``doc`` with its depth, in document order, in the
+    program's terms whichever builder made it: a text run as its ``str``,
+    an element as its name, attributes as a tuple and ``self_closing``.
+    Equal for two trees exactly when they are equal up to ``Text(x)`` for
+    ``x`` and lists for tuples, and without recursion."""
+    return [(depth, node.content) if node.__class__ is Text
+            else (depth, node) if node.__class__ is str
+            else (depth, node.name, tuple(node.attrs), node.self_closing)
+            for node, depth in _preorder([doc.root])]
+
+
+def _canonical(doc):
+    """``_events`` and the place of each ``Document.elements`` entry in
+    that order: equal for two documents exactly when their trees and
+    their element lists are equal, up to representation."""
+    events = _events(doc)
+    place = {id(node): index for index, (node, _) in enumerate(_preorder([doc.root]))}
+    return events, [place.get(id(element)) for element in doc.elements]
 
 
 def _parse_both(text):
-    """``to_xhtml`` with the program's builder and with the oracle's, as
-    ``_events`` lists, or None when it finds no markup."""
+    """``to_xhtml`` with the program's builder and with the stack-scan
+    oracle's, as ``_events`` lists, or None when it finds no markup."""
     results = []
-    for builder in (normalize._TreeBuilder, _StackScanBuilder):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(normalize, "_TreeBuilder", builder)
-            try:
-                results.append(_events(to_xhtml(text)))
-            except EmptyDocumentError:
-                results.append(None)
+    for parse in (to_xhtml, lambda markup: _oracle_to_xhtml(markup, _StackScanBuilder)):
+        try:
+            results.append(_events(parse(text)))
+        except EmptyDocumentError:
+            results.append(None)
     return results
 
 
@@ -164,8 +294,8 @@ def test_element_index_is_the_walk_order_random():
             continue
         assert [id(e) for e in doc.elements] == [id(e) for e in elements_of(doc.root)], text
         synthetic_roots += doc.root.name == "html"  # the generator writes no <html>
-        merged_texts += any("word word" in node.content for node, _, _ in walk(doc.root)
-                            if node.__class__ is Text)
+        merged_texts += any("word word" in node for node, _, _ in walk(doc.root)
+                            if node.__class__ is str)
     assert synthetic_roots > 100 and merged_texts > 10
 
 
@@ -175,6 +305,35 @@ def test_element_index_of_demo_and_benchmark_pages(benchmark_mirrors):
             doc = to_xhtml(text)
             assert [id(e) for e in doc.elements] == \
                 [id(e) for e in elements_of(doc.root)], page_id
+
+
+def test_packed_trees_equal_the_list_builder_oracle(benchmark_mirrors):
+    """Tuples for lists, ``str`` runs for ``Text`` and shared values change
+    no tree and no element list: on random malformed and tokenizer-path
+    markup, and on the demo and benchmark pages, parsed with one shared
+    dict as a load parses its pages.  Elements a page leaves open are
+    packed too."""
+    rng = random.Random(210)
+    texts = [_random_malformed_markup(rng) for _ in range(1500)]
+    texts += [_random_tokenizer_markup(rng) for _ in range(500)]
+    texts += [text for directory in (DEMO_CORPUS, *benchmark_mirrors)
+              for _, text in mirror_pages(directory)]
+    strings: dict = {}
+    parsed = 0
+    for text in texts:
+        try:
+            expected = _canonical(_oracle_to_xhtml(text, _ListTreeBuilder))
+        except EmptyDocumentError:
+            expected = None
+        try:
+            actual = _canonical(to_xhtml(text, strings))
+        except EmptyDocumentError:
+            actual = None
+        assert actual == expected, text[:300]
+        if actual is not None:
+            assert_packed(to_xhtml(text), text[:300])
+            parsed += 1
+    assert parsed > 1500
 
 
 def test_documents_compare_by_tree():
@@ -362,7 +521,7 @@ def test_void_elements_do_not_swallow_siblings():
 
 def test_duplicate_attributes_keep_first():
     doc = to_xhtml('<div class="a" class="b"></div>')
-    assert doc.root.attrs == [("class", "a")]
+    assert doc.root.attrs == (("class", "a"),)
 
 
 def test_bare_attribute_value_is_empty_string():
@@ -373,8 +532,8 @@ def test_bare_attribute_value_is_empty_string():
 def test_script_and_comment_bodies_dropped():
     doc = to_xhtml("<div><script>var x = '<p>';</script><!-- note -->ok</div>")
     kinds = [type(c).__name__ for c in doc.root.children]
-    assert kinds == ["Element", "Text"]
-    assert doc.root.children[1].content == "ok"
+    assert kinds == ["Element", "str"]
+    assert doc.root.children[1] == "ok"
 
 
 def test_no_markup_raises():
@@ -425,7 +584,7 @@ def _count_elements(root):
 def _count_texts(root):
     total = 0
     for element in all_elements(root):
-        total += sum(isinstance(c, Text) for c in element.children)
+        total += sum(isinstance(c, str) for c in element.children)
     return total
 
 
@@ -468,7 +627,7 @@ def test_latin1_fallback():
 def _walk_reference(node, depth=0):
     """The recursive definition ``walk`` must agree with."""
     events = [(node, depth, False)]
-    if not isinstance(node, Text):
+    if not isinstance(node, str):
         for child in node.children:
             events.extend(_walk_reference(child, depth + 1))
         events.append((node, depth, True))
@@ -492,7 +651,7 @@ def test_walk_reads_children_after_yielding_the_node():
     for node, depth, closing in walk(root):
         seen.append((node.name, depth, closing))
         if not closing and depth < 2:  # grow the tree while walking it
-            node.children = [Element(node.name + "0"), Element(node.name + "1")]
+            node.children = (Element(node.name + "0"), Element(node.name + "1"))
     opening = [name for name, _, closing in seen if not closing]
     assert opening == ["a", "a0", "a00", "a01", "a1", "a10", "a11"]
     assert seen[-1] == ("a", 0, True)
@@ -562,7 +721,7 @@ def test_no_line_starts_with_whitespace_random():
         except EmptyDocumentError:
             continue
         _assert_no_line_is_indented(doc, markup)
-        texts += sum(node.__class__ is Text for node, _, _ in walk(doc.root))
+        texts += sum(node.__class__ is str for node, _, _ in walk(doc.root))
     assert texts > 1000
 
 

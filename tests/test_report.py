@@ -596,3 +596,33 @@ def test_config_file_verbose_words(value, verbose, tmp_path):
     config = tmp_path / "run.conf"
     config.write_text(f'verbose = "{value}"\n', encoding="utf-8")
     assert _read_config_file(str(config)) == {"verbose": verbose}
+
+
+def test_a_hash_inside_a_config_value_is_part_of_the_value(tmp_path, capsys):
+    root = write_mirror(tmp_path / "site#1", {
+        "index.html": _page("Home", "a#b.html"),
+        "a#b.html": _page("Page", "index.html"),
+    })
+    out = tmp_path / "out#2"
+    config = tmp_path / "run.conf"
+    config.write_text(f"# a whole-line comment\nroot = {root.parent / 'a#b.html'}\n"
+                      f"out = {out}  # a trailing comment\n", encoding="utf-8")
+    assert main(["--config", str(config)]) == 0
+    assert "pages: 2" in capsys.readouterr().out
+    assert (out / "navmodel.xml").is_file()
+
+
+@pytest.mark.parametrize("line,value", [
+    ("root = site/a#b.html", "site/a#b.html"),
+    ("root = site/a#b.html # the start page", "site/a#b.html"),
+    ("root = site/a#b.html\t# after a tab", "site/a#b.html"),
+    ('root = "site/a#b.html" # quoted', "site/a#b.html"),
+    ("root = #b.html", ""),
+    ("root=a#", "a#"),
+])
+def test_a_config_comment_starts_a_line_or_follows_whitespace(line, value, tmp_path):
+    from navminer.cli import _read_config_file
+
+    config = tmp_path / "run.conf"
+    config.write_text(f"# settings\n  # indented comment\n{line}\n", encoding="utf-8")
+    assert _read_config_file(str(config)) == {"root": value}

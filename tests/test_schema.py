@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 
-from navminer.normalize import Document, Text, to_xhtml, walk
+from navminer.normalize import Document, to_xhtml, walk
 from navminer.schema import (CHOICE_STAR, EMPTY, IMPLIED, MIXED, PCDATA, PLUS,
                              REQUIRED, SEQUENCE, STAR, ContentModel, Schema,
                              _infer_model, dtd_text, extract_schema,
@@ -23,11 +23,11 @@ def extract_schema_walk(doc: Document) -> Schema:
     instances: Counter = Counter()
 
     for element, _, closing in walk(doc.root):
-        if closing or element.__class__ is Text:
+        if closing or element.__class__ is str:
             continue
         name = element.name
         instances[name] += 1
-        seq = tuple(c.name for c in element.children if c.__class__ is not Text)
+        seq = tuple(c.name for c in element.children if c.__class__ is not str)
         sequences.setdefault(name, []).append(seq)
         if len(seq) != len(element.children):
             has_text[name] = True
