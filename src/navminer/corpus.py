@@ -249,6 +249,7 @@ class Corpus:
     dangling: list[PageId] = field(default_factory=list)
     excluded: list[PageId] = field(default_factory=list)  # fetched but markup-free
     memo: dict = field(default_factory=dict)  # navmodel.token_seq: (method, page)
+    models: dict = field(default_factory=dict)  # navmodel.token_seq: inferred content models
 
 
 def _open_root(root, delay: float):

@@ -56,13 +56,14 @@ class NavTree:
 
 
 def token_seq(corpus: Corpus, page_id: PageId, method: str):
-    """Distance substrate for one page, cached on the corpus."""
+    """Distance substrate for one page, cached on the corpus; the pages'
+    schemas share the corpus's content models, each inferred once."""
     key = (method, page_id)
     seq = corpus.memo.get(key)
     if seq is None:
         doc = corpus.pages[page_id].document
         if method == "MMS":
-            seq = schema_mod.serialize_schema(schema_mod.extract_schema(doc))
+            seq = schema_mod.serialize_schema(schema_mod.extract_schema(doc, corpus.models))
         else:
             seq = schema_mod.sts_serialize(doc)
         corpus.memo[key] = seq

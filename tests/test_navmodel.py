@@ -258,6 +258,30 @@ def test_memo_grows_with_pages_not_pairs(tmp_path):
     assert len(corpus.memo) <= 2 * len(corpus.pages)
 
 
+def test_mms_tokens_infer_each_content_model_once_per_corpus(tmp_path):
+    """The pages' schemas share their corpus's content models: an index
+    and 50 leaves of one template need 306 inferences, and 5 distinct
+    inputs are inferred.  STS infers none, the memo keeps its
+    ``(method, page)`` keys, and a new load starts with no models."""
+    items = [f"item-{i:02d}.html" for i in range(50)]
+    pages = {"index.html": linking("home", items)}
+    pages.update({name: leaf(name) for name in items})
+    root = write_mirror(tmp_path, pages)
+    corpus = load_corpus(root, max_depth=10, delay=0.0)
+    for page_id in corpus.pages:
+        token_seq(corpus, page_id, "STS")
+    assert corpus.models == {}
+    for page_id in corpus.pages:
+        token_seq(corpus, page_id, "MMS")
+    # html and head (one input each on every page), body (one on the
+    # index, one on the leaves) and the text-only instances of title, h1,
+    # span and the index's a (one input for all four)
+    assert len(corpus.models) == 5
+    assert set(corpus.memo) == {(method, page_id) for method in ("MMS", "STS")
+                                for page_id in corpus.pages}
+    assert load_corpus(root, max_depth=10, delay=0.0).models == {}
+
+
 def _indented_byte_count(doc) -> int:
     """Oracle for ``page_size``: the pretty-print with each line indented
     two spaces a depth and ended by a newline, as bytes."""

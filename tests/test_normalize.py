@@ -62,7 +62,8 @@ class _ListTreeBuilder(HTMLParser):
 
     def updatepos(self, i, j):
         # the base class counts lines here only for getpos(), which
-        # nothing reads; skipping the count saves a tenth of the parse
+        # nothing reads; skipping the count saves about 3.5% of the parse
+        # of the benchmark's catalog pages (0.5% of its long table pages)
         return j
 
     def _append(self, node):
@@ -309,13 +310,14 @@ def test_element_index_of_demo_and_benchmark_pages(benchmark_mirrors):
 
 def test_packed_trees_equal_the_list_builder_oracle(benchmark_mirrors):
     """Tuples for lists, ``str`` runs for ``Text`` and shared values change
-    no tree and no element list: on random malformed and tokenizer-path
-    markup, and on the demo and benchmark pages, parsed with one shared
-    dict as a load parses its pages.  Elements a page leaves open are
-    packed too."""
+    no tree and no element list: on random malformed, tokenizer-path and
+    whitespace-run markup, and on the demo and benchmark pages, parsed
+    with one shared dict as a load parses its pages.  Elements a page
+    leaves open are packed too."""
     rng = random.Random(210)
     texts = [_random_malformed_markup(rng) for _ in range(1500)]
     texts += [_random_tokenizer_markup(rng) for _ in range(500)]
+    texts += [_random_whitespace_markup(rng) for _ in range(1000)] + list(_WHITESPACE_CASES)
     texts += [text for directory in (DEMO_CORPUS, *benchmark_mirrors)
               for _, text in mirror_pages(directory)]
     strings: dict = {}
@@ -383,8 +385,9 @@ def _tree_and_index(builder, text):
 
 def test_skipping_the_line_count_changes_no_tree_random():
     rng = random.Random(209)
-    for _ in range(2000):
-        text = _random_tokenizer_markup(rng)
+    texts = [_random_tokenizer_markup(rng) for _ in range(2000)]
+    texts += [_random_whitespace_markup(rng) for _ in range(1000)] + list(_WHITESPACE_CASES)
+    for text in texts:
         assert _tree_and_index(normalize._TreeBuilder, text) == \
             _tree_and_index(_LineCountingBuilder, text), text
 
@@ -398,6 +401,70 @@ def test_the_tree_builder_counts_no_lines():
     counting.feed("<div>\n<p>\none</p>\n</div>")
     counting.close()
     assert counting.getpos() == (4, 6)
+
+
+def test_isspace_and_split_agree_on_every_code_point():
+    """The builder drops an all-whitespace run on ``isspace()`` before it
+    collapses runs with ``split()``; the two share one whitespace test."""
+    assert all(ch.isspace() == (ch.split() == []) for ch in map(chr, range(sys.maxunicode + 1)))
+
+
+_WHITESPACE = (" ", "\n\t ", "\xa0", "\u2028", "\u3000", " \xa0\u2028\u3000\r\n")
+# binary-data bytes, and so only past the first KB of a page
+_LATE_WHITESPACE = ("\x1c", "\x1d\x1e", "\x1f", " \x1c\x0b\x0c\x1f ")
+_WHITESPACE_PIECES = _WHITESPACE + (
+    "<div>", "</div>", "<p>", "<b>", "</b>", "x", "two\xa0words", "\u3000y\u2028",
+    "<!-- c -->", "<!---->", "<script>", "</script>", "<style>", "</style>", "<pre>",
+    "</pre>", "<textarea>", "</textarea>", "</br>", "</img>", "<br>", '<img src="i">',
+)
+
+
+def _random_whitespace_markup(rng: random.Random) -> str:
+    """Whitespace-only runs of every kind among tags, comments and the
+    raw-text and preformatted elements, with stray void close tags; half
+    the time past a first KB that holds nothing, so the binary-data
+    whitespace can appear."""
+    pieces = list(_WHITESPACE_PIECES)
+    late = rng.random() < 0.5
+    if late:
+        pieces += _LATE_WHITESPACE * 3
+    markup = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 40)))
+    return "<!--" + " " * _SNIFF_CHARS + "-->" + markup if late else markup
+
+
+# whitespace-only runs, also in raw-text and preformatted elements and
+# past the first KB, runs merged around comments and stray void closes,
+# with the root's children each parses to
+_WHITESPACE_CASES = {
+    "<pre> \n </pre>": (),
+    "<textarea>\u3000</textarea>": (),
+    "<script>\u2028</script>": (),
+    "<style>\xa0 \x0c</style>": (),
+    "<p>a<!-- c --> \xa0 <!-- d -->b</p>": ("a b",),
+    "<div></br></img>x</br></div>": ("x",),
+    "<!--" + " " * _SNIFF_CHARS + "--><p>\x1c\x1f</p>": (),
+}
+
+
+def test_whitespace_only_runs_and_stray_void_closes_leave_nothing():
+    for markup, children in _WHITESPACE_CASES.items():
+        assert to_xhtml(markup).root.children == children, repr(markup)
+
+
+def test_an_attribute_value_is_shared_with_every_other_use():
+    """In either order of the pages, the value of a lone attribute, of one
+    among several and an equal text run are one object, and equal
+    lone-attribute tuples are one tuple."""
+    markups = ['<p title="one value">x</p>', '<p id="i" title="one value">x</p>',
+               "<p>one value</p>", '<p title="one value"/>', '<p title="one value">y</p>']
+    for order in (markups, markups[::-1]):
+        strings: dict = {}
+        roots = [to_xhtml(markup, strings).root for markup in order]
+        values = [root.attrs[-1][1] if root.attrs else root.children[0] for root in roots]
+        assert values == ["one value"] * 5
+        assert all(value is values[0] for value in values)
+        lone = [root.attrs for root in roots if len(root.attrs) == 1]
+        assert len(lone) == 3 and all(attrs is lone[0] for attrs in lone)
 
 
 def test_a_utf8_byte_order_mark_is_dropped():

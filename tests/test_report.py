@@ -146,7 +146,7 @@ def test_verbose_run_extracts_each_schema_once(method, demo_root, tmp_path, monk
     calls = []
     extract = schema_mod.extract_schema
     monkeypatch.setattr(schema_mod, "extract_schema",
-                        lambda doc: calls.append(doc) or extract(doc))
+                        lambda doc, *rest: calls.append(doc) or extract(doc, *rest))
     cfg = Config(root=str(demo_root), threshold=DEMO_THRESHOLD, method=method,
                  out_dir=str(tmp_path / "out"), verbose=True)
     result = run_pipeline(cfg)

@@ -104,6 +104,60 @@ def test_the_program_imports_only_the_standard_library():
     assert project["project"]["dependencies"] == []
 
 
+_CONTAINERS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+
+
+def _is_empty_container(node) -> bool:
+    """``{}``, ``[]``, ``set()``, ``dict()``, ``defaultdict(list)`` and the
+    like: a value that starts empty and can only be filled later."""
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name in _CONTAINERS and (name == "defaultdict" or not node.args)
+    return False
+
+
+def _module_level(scope):
+    """The AST nodes of ``scope`` that run when its module is imported:
+    statements of the module and of its classes, and the decorators of
+    their functions, but not the functions' bodies."""
+    for statement in scope.body:
+        if isinstance(statement, ast.ClassDef):
+            yield from _module_level(statement)
+            continue
+        parts = statement.decorator_list if isinstance(
+            statement, (ast.FunctionDef, ast.AsyncFunctionDef)) else [statement]
+        for part in parts:
+            yield from ast.walk(part)
+
+
+def test_the_program_keeps_no_cache_between_runs():
+    """Every cache lives as long as one run (``corpus.Corpus.memo`` and
+    ``models``, ``load_corpus``'s strings, a ``FileResolver``'s lookups):
+    no module or class of ``src/navminer`` holds an empty container to
+    fill, and none memoizes with ``functools.cache`` or ``lru_cache``.
+    A benchmark repetition is then as cold as a command-line run."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        memoizers = {alias.asname or alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                     for alias in node.names if alias.name in ("cache", "lru_cache")}
+        for node in _module_level(tree):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and \
+                    node.value is not None and _is_empty_container(node.value):
+                found.append(f"{path.name}:{node.lineno} empty container")
+            elif isinstance(node, ast.Name) and node.id in memoizers or \
+                    isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache") \
+                    and isinstance(node.value, ast.Name) and node.value.id == "functools":
+                found.append(f"{path.name}:{node.lineno} memoized")
+    assert found == []
+
+
 def test_importing_the_program_loads_no_http_client():
     """The HTTP client is imported when an HTTP crawl starts, so neither a
     filesystem run nor the start-up of any run pays for its import."""
