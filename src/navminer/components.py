@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from .corpus import PageId
 from .navmodel import NavTree
 from .normalize import Element, LineText, stripped_lines, walk
+from .similarity import shared_ends
 
 KINDS = ("Button", "Text", "Textarea", "Select", "Link", "Image", "Table", "Form", "Other")
 
@@ -62,13 +63,7 @@ def lcs_pairs(a: list[str], b: list[str]) -> list[tuple[int, int]]:
     diffs of a page pair consistent with a single alignment.
     """
     la, lb = len(a), len(b)
-    start = 0
-    while start < la and start < lb and a[start] == b[start]:
-        start += 1
-    end = 0
-    while end < la - start and end < lb - start and a[la - 1 - end] == b[lb - 1 - end]:
-        end += 1
-
+    start, end = shared_ends(a, b)
     ma = a[start:la - end]
     mb = b[start:lb - end]
     n, m = len(ma), len(mb)

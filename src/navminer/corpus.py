@@ -21,9 +21,10 @@ the parser's ``Document.elements``; fragments are stripped, query
 strings kept, ``mailto:``/``javascript:``/external targets dropped.
 Page bytes are read as UTF-8, a byte order mark dropped, or else as
 Latin-1 (``normalize.decode_markup``).  In filesystem mode a link to a
-directory of the mirror (``sub/`` or ``sub``) stands for its
-``index.html`` (or ``index.htm``), as the root does and as an HTTP
-server answers; a directory without one is dangling.
+directory of the mirror (``sub/``, ``sub``, or the root itself: ``/``,
+``./``, ``..`` from ``items/x.html``) stands for its ``index.html`` (or
+``index.htm``), as an HTTP server answers; a directory without one is
+dangling.  An href that cannot be parsed as a URL is unresolvable.
 """
 
 from __future__ import annotations
@@ -98,12 +99,14 @@ class FileResolver:
             candidate = href.lstrip("/")
         else:
             candidate = posixpath.join(posixpath.dirname(base), href)
-        candidate = posixpath.normpath(candidate)
-        if candidate in ("..", ".", "") or candidate.startswith("../"):
+        candidate = posixpath.normpath(candidate)  # never "": the mirror root is "."
+        if candidate == ".." or candidate.startswith("../"):
             return None  # escapes the mirror; "..data.html" is a plain name
-        # a directory stands for its index page, as on an HTTP server
+        # a directory (the root too) stands for its index page, as on an HTTP server
         index = self._index_of(self._prefix + candidate)
-        return candidate if index is None else posixpath.join(candidate, index)
+        if index is None:
+            return candidate
+        return posixpath.normpath(posixpath.join(candidate, index))  # "." gives "index.html"
 
     def fetch(self, page_id: PageId) -> str:
         path = os.path.join(self.root_dir, page_id)
@@ -173,8 +176,11 @@ class HttpResolver:
         href = href.strip()
         if not href or href.startswith("#") or href.lower().startswith(_SKIP_PREFIXES):
             return None
-        absolute = urljoin(base, href)
-        parts = urlsplit(absolute)
+        try:
+            absolute = urljoin(base, href)
+            parts = urlsplit(absolute)
+        except ValueError:  # unparsable, such as an unclosed "[" in the host
+            return None
         if parts.scheme.lower() not in ("http", "https"):
             return None
         if parts.netloc.lower() != self.netloc:

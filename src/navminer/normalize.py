@@ -196,11 +196,11 @@ class _TreeBuilder(HTMLParser):
         cleaned = tuple(cleaned)
         return share(cleaned, cleaned)
 
-    def handle_starttag(self, tag, attrs):
+    def handle_starttag(self, tag, attrs, self_closing=False):
         self._close_implied(tag)
         tag = intern(tag)
         attrs = self._clean_attrs(attrs) if attrs else ()
-        if tag in VOID_ELEMENTS:
+        if self_closing or tag in VOID_ELEMENTS:
             element = Element(tag, attrs, (), True)
             self.target.append(element)
         else:
@@ -212,10 +212,7 @@ class _TreeBuilder(HTMLParser):
         self.elements.append(element)
 
     def handle_startendtag(self, tag, attrs):
-        self._close_implied(tag)
-        element = Element(intern(tag), self._clean_attrs(attrs) if attrs else (), (), True)
-        self.elements.append(element)
-        self.target.append(element)
+        self.handle_starttag(tag, attrs, self_closing=True)
 
     def handle_endtag(self, tag):
         # void names never enter open_count, so a void close tag is stray

@@ -1,4 +1,6 @@
-"""Token-sequence edit distance, clone pairs, transitive-closure clustering."""
+"""Token-sequence edit distance, clone pairs, transitive-closure clustering,
+with the program's one union-find (``find``) and one shared head/tail
+trim (``shared_ends``, which ``components.lcs_pairs`` uses too)."""
 
 from __future__ import annotations
 
@@ -7,19 +9,34 @@ from dataclasses import dataclass
 PageId = str
 
 
-def levenshtein(a, b) -> int:
-    """Minimum number of token insertions, deletions and substitutions
-    transforming sequence ``a`` into ``b``."""
+def shared_ends(a, b) -> tuple[int, int]:
+    """Lengths of the longest common head of ``a`` and ``b`` and of the
+    longest common tail of what follows that head."""
     la, lb = len(a), len(b)
-    # shared head and tail never cost anything
     start = 0
     while start < la and start < lb and a[start] == b[start]:
         start += 1
     end = 0
     while end < la - start and end < lb - start and a[la - 1 - end] == b[lb - 1 - end]:
         end += 1
-    a = a[start:la - end]
-    b = b[start:lb - end]
+    return start, end
+
+
+def find(parent, node):
+    """Root of ``node`` in the union-find forest ``parent`` (a list or a
+    dict, mapping each node to its parent), halving the path on the way."""
+    while parent[node] != node:
+        parent[node] = parent[parent[node]]
+        node = parent[node]
+    return node
+
+
+def levenshtein(a, b) -> int:
+    """Minimum number of token insertions, deletions and substitutions
+    transforming sequence ``a`` into ``b``."""
+    start, end = shared_ends(a, b)  # a shared head and tail never cost anything
+    a = a[start:len(a) - end]
+    b = b[start:len(b) - end]
     n, m = len(a), len(b)
     if n == 0:
         return m
@@ -86,16 +103,9 @@ def spanning_clone_pairs(pages, seqs, threshold: float, compare) -> list[tuple[P
             pairs.append(clone_pair(first, page))
     reps = list(firsts.values())
     parent = list(range(len(reps)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     for i, p in enumerate(reps):
         for j in range(i + 1, len(reps)):
-            root_i, root_j = find(i), find(j)
+            root_i, root_j = find(parent, i), find(parent, j)
             if root_i != root_j and compare(p, reps[j]) >= threshold:
                 parent[root_j] = root_i
                 pairs.append(clone_pair(p, reps[j]))
@@ -111,28 +121,13 @@ class Partition:
 def transclos(pairs, universe) -> Partition:
     """Clusters are the connected components of the clone graph; pages
     without a pair become singletons.  The cluster count is emergent."""
-    universe = set(universe)
-    neighbours: dict[PageId, set[PageId]] = {page: set() for page in universe}
+    universe = frozenset(universe)
+    parent = {page: page for page in universe}
     for a, b in pairs:
-        if a not in universe or b not in universe:
+        if a not in parent or b not in parent:
             raise ValueError(f"pair ({a}, {b}) outside the universe")
-        neighbours[a].add(b)
-        neighbours[b].add(a)
-
-    clusters = []
-    remaining = set(universe)
-    while remaining:
-        seed = min(remaining)
-        component = {seed}
-        frontier = [seed]
-        while frontier:
-            current = frontier.pop()
-            for other in neighbours[current]:
-                if other not in component:
-                    component.add(other)
-                    frontier.append(other)
-        remaining -= component
-        clusters.append(frozenset(component))
-
-    clusters.sort(key=lambda c: sorted(c))
-    return Partition(tuple(clusters), frozenset(universe))
+        parent[find(parent, b)] = find(parent, a)
+    clusters: dict[PageId, set[PageId]] = {}
+    for page in universe:
+        clusters.setdefault(find(parent, page), set()).add(page)
+    return Partition(tuple(sorted(map(frozenset, clusters.values()), key=sorted)), universe)

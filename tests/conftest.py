@@ -1,4 +1,5 @@
-"""Shared fixtures: demo mirror paths, tiny mirror writer, random documents."""
+"""Shared fixtures: demo mirror paths, tiny mirror writer, loopback server,
+random documents."""
 
 from __future__ import annotations
 
@@ -6,7 +7,10 @@ import gc
 import importlib
 import random
 import sys
+import threading
+from contextlib import contextmanager
 from copy import deepcopy
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -48,6 +52,19 @@ def benchmark_mirrors(tmp_path_factory) -> list[Path]:
     out = tmp_path_factory.mktemp("benchmark")
     return [mirrors.catalog(out / "catalog", 51, 12, 25).root.parent,
             mirrors.longpage(out / "longpage", 51, 4, 110).root.parent]
+
+
+@contextmanager
+def serving(handler):
+    """A loopback HTTP server on a free port, yielding its base URL."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 def mirror_pages(directory: Path) -> list[tuple[str, str]]:

@@ -3,12 +3,9 @@
 import gc
 import random
 import sys
-import threading
 import tracemalloc
-from contextlib import contextmanager
 from functools import partial
-from http.server import (BaseHTTPRequestHandler, SimpleHTTPRequestHandler,
-                         ThreadingHTTPServer)
+from http.server import BaseHTTPRequestHandler, SimpleHTTPRequestHandler
 from urllib.parse import quote
 
 import pytest
@@ -21,7 +18,7 @@ from navminer.navmodel import token_seq
 from navminer.normalize import Document, to_xhtml, walk
 
 from conftest import (DEMO_CORPUS, DEMO_PAGE_COUNT, assert_packed, mirror_pages,
-                      random_document, write_mirror)
+                      random_document, serving, write_mirror)
 
 
 def extract_links_walk(doc: Document, base: PageId, resolver) -> list[PageId]:
@@ -129,6 +126,34 @@ def test_names_starting_with_two_dots_stay_in_the_mirror(tmp_path):
     corpus = load_corpus(root, max_depth=2, delay=0.0)
     assert set(corpus.pages) == {"index.html", "..data.html"}
     assert corpus.dangling == []
+
+
+def test_links_to_the_mirror_root_are_back_references(tmp_path):
+    root = write_mirror(tmp_path / "site", {
+        "index.html": '<html><body><a href="/">home</a><a href="./">here</a>'
+                      '<a href="items/x.html">x</a></body></html>',
+        "items/x.html": '<html><body><a href="..">up</a><a href="../">up</a></body></html>',
+    })
+    corpus = load_corpus(root, max_depth=2, delay=0.0)
+    assert set(corpus.pages) == {"index.html", "items/x.html"}
+    assert corpus.pages["index.html"].links == ("index.html", "items/x.html")
+    assert corpus.pages["items/x.html"].links == ("index.html",)
+    assert corpus.dangling == []
+    resolver = FileResolver(tmp_path / "site")
+    for base, href in (("index.html", "/"), ("index.html", "./"), ("index.html", "."),
+                       ("items/x.html", ".."), ("items/x.html", "../"),
+                       ("items/x.html", "/")):
+        assert resolver.resolve(base, href) == "index.html", (base, href)
+    assert resolver.resolve("items/x.html", "./") == "items"  # no index: dangling
+    assert resolver.resolve("index.html", "..") is None
+    assert resolver.resolve("index.html", "../") is None
+
+
+def test_a_root_link_without_a_root_index_is_dangling(tmp_path):
+    write_mirror(tmp_path, {"page.html": '<html><body><a href="/">home</a></body></html>'})
+    corpus = load_corpus(tmp_path / "page.html", max_depth=2, delay=0.0)
+    assert set(corpus.pages) == {"page.html"}
+    assert corpus.dangling == ["."]
 
 
 def test_query_string_is_part_of_the_locator(tmp_path):
@@ -294,19 +319,6 @@ def test_directory_root_finds_index(demo_root):
     assert corpus.root == "index.html"
 
 
-@contextmanager
-def serving(handler):
-    """A loopback HTTP server on a free port, yielding its base URL."""
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}"
-    finally:
-        server.shutdown()
-        server.server_close()
-
-
 def test_http_mode_same_authority_only(tmp_path):
     write_mirror(tmp_path, {
         "index.html": '<html><body><a href="a.html">a</a>'
@@ -316,6 +328,22 @@ def test_http_mode_same_authority_only(tmp_path):
     with serving(partial(SimpleHTTPRequestHandler, directory=str(tmp_path))) as base:
         corpus = load_corpus(f"{base}/index.html", max_depth=3, delay=0.0)
         assert set(corpus.pages) == {f"{base}/index.html", f"{base}/a.html"}
+
+
+def test_http_unparsable_href_is_unresolvable(tmp_path, caplog):
+    write_mirror(tmp_path, {
+        "index.html": '<html><body><a href="http://[oops/x.html">bad</a>'
+                      '<a href="a.html">a</a></body></html>',
+        "a.html": "<html><body>fine</body></html>",
+    })
+    with serving(partial(SimpleHTTPRequestHandler, directory=str(tmp_path))) as base:
+        with caplog.at_level("DEBUG", logger=logger.name):
+            corpus = load_corpus(f"{base}/index.html", max_depth=2, delay=0.0)
+        assert set(corpus.pages) == {f"{base}/index.html", f"{base}/a.html"}
+        assert corpus.dangling == []
+        assert "unresolvable reference 'http://[oops/x.html'" in caplog.text
+        assert main(["--root", f"{base}/index.html", "--delay", "0",
+                     "--out", str(tmp_path / "out")]) == 0
 
 
 def test_http_binary_linked_files_are_excluded(tmp_path):

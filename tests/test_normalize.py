@@ -338,6 +338,28 @@ def test_packed_trees_equal_the_list_builder_oracle(benchmark_mirrors):
     assert parsed > 1500
 
 
+# open elements a start tag can close implicitly, and self-closing tags,
+# void and not, some of which close those elements themselves
+_IMPLIED_END_CONTEXTS = ("<p>a", "<ul><li>a", "<dl><dt>a", "<dl><dd>a",
+                         "<table><tr><td>a", "<table><thead><tr><th>a",
+                         "<select><option>a", "<div><p>a<b>x")
+_SELF_CLOSING_TAGS = ("<br/>", "<div/>", "<input/>", "<img/>", '<div class="c"/>',
+                      '<input type="submit"/>', "<p/>", "<li/>", "<dd/>", "<td/>",
+                      "<tr/>", "<tbody/>", "<option/>")
+
+
+def test_self_closing_tags_in_and_around_implied_ends_match_the_list_builder():
+    """A self-closing tag closes what its start tag would and opens
+    nothing: what follows it is its sibling, as the oracle builds it."""
+    texts = [before + context + tag + "tail" + after
+             for context in _IMPLIED_END_CONTEXTS for tag in _SELF_CLOSING_TAGS
+             for before in ("", tag) for after in ("", tag, "<li>z", "</p>after")]
+    for text in texts:
+        expected = _canonical(_oracle_to_xhtml(text, _ListTreeBuilder))
+        assert _canonical(to_xhtml(text)) == expected, text
+    assert to_xhtml("<p>a<div/>b").root.children[1:] == (Element("div", (), (), True), "b")
+
+
 def test_documents_compare_by_tree():
     doc = to_xhtml("<div><p>x</p></div>")
     assert doc == Document(doc.root, [])

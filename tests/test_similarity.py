@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import pytest
 
-from navminer.similarity import (PageId, Partition, clone_pair, levenshtein,
+from navminer.similarity import (PageId, Partition, clone_pair, levenshtein, shared_ends,
                                  similarity, spanning_clone_pairs, transclos)
 
 from conftest import partition_is_valid
@@ -67,6 +67,19 @@ def test_levenshtein_basics():
     assert levenshtein(("a", "b"), ("a", "b")) == 0
     assert levenshtein((), ("x",) * 5) == 5
     assert levenshtein(("x",) * 4, ()) == 4
+
+
+def test_shared_ends_never_overlap():
+    assert shared_ends("xay", "xby") == (1, 1)
+    assert shared_ends("aaa", "aa") == (2, 0)  # the tail is taken from what follows the head
+    assert shared_ends("abab", "ab") == (2, 0)
+    assert shared_ends("ab", "bab") == (0, 2)
+    rng = random.Random(405)
+    for _ in range(300):
+        a, b = random_seq(rng, "ab", 6), random_seq(rng, "ab", 6)
+        start, end = shared_ends(a, b)
+        assert start + end <= min(len(a), len(b))
+        assert a[:start] == b[:start] and a[len(a) - end:] == b[len(b) - end:]
 
 
 def test_levenshtein_kitten_sitting():
@@ -150,22 +163,31 @@ def test_transclos_no_pairs_all_singletons():
 
 
 def test_transclos_rejects_pair_outside_universe():
-    with pytest.raises(ValueError):
-        transclos({("a", "z")}, {"a", "b"})
+    for pair in (("a", "z"), ("z", "a"), ("z", "z")):
+        with pytest.raises(ValueError, match="outside the universe"):
+            transclos([("a", "b"), pair], {"a", "b"})
 
 
 def test_transclos_matches_bfs_oracle_random():
+    """Pairs in any order and form: self-pairs, repeats and both
+    orientations of a pair."""
     rng = random.Random(402)
     for _ in range(100):
         n = rng.randint(1, 12)
         universe = {f"n{i}" for i in range(n)}
         nodes = sorted(universe)
-        pairs = {clone_pair(a, b)
+        pairs = [(a, b) if rng.random() < 0.5 else (b, a)
                  for a in nodes for b in nodes
-                 if a < b and rng.random() < 0.2}
+                 if a < b and rng.random() < 0.2]
+        pairs += [(a, a) for a in nodes if rng.random() < 0.2]
+        pairs += rng.sample(pairs, len(pairs) // 3)
+        pairs += [(b, a) for a, b in rng.sample(pairs, len(pairs) // 3)]
+        rng.shuffle(pairs)
         partition = transclos(pairs, universe)
         assert partition_is_valid(partition)
         assert set(partition.clusters) == bfs_components(universe, pairs)
+        assert list(partition.clusters) == sorted(partition.clusters, key=sorted)
+        assert partition.universe == universe
 
 
 def _refines(fine: Partition, coarse: Partition) -> bool:
