@@ -14,7 +14,10 @@ is dropped when the load returns.
 Internal means: the resolved path stays under the mirror root and the
 file's real location, symlinks followed, does too (filesystem mode), or
 host and port match the root URL (HTTP mode; http and https on that
-host are both the site, and a redirect to another host is not followed).
+host are both the site).  Over HTTP, urllib follows a page's redirects
+on the site and refuses one to another host before requesting it; any
+final status outside 2xx leaves the page dangling, and a redirected
+page's links are resolved against the URL it was found at.
 Links are read from ``a/@href``, ``area/@href`` (image maps),
 ``form/@action`` and ``frame|iframe/@src``, one lookup per element of
 the parser's ``Document.elements``; fragments are stripped, query
@@ -34,7 +37,6 @@ import logging
 import os
 import posixpath
 import stat
-import string
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -125,9 +127,8 @@ class FileResolver:
             raise PageReadError(f"{page_id}: {exc}") from exc
 
 
-# a 3xx answer with one of these statuses and a Location header is a
-# redirect; one fetch follows at most DEFAULT_REDIRECT_LIMIT of them
-REDIRECT_STATI = frozenset({301, 302, 303, 307, 308})
+# a fetch follows at most this many redirects; a loop ends sooner, at the
+# stdlib handler's ``max_repeats`` visits of one URL
 DEFAULT_REDIRECT_LIMIT = 30
 
 # what a path or a query may carry unencoded besides the unreserved
@@ -144,17 +145,25 @@ def _request_url(page_id: PageId) -> str:
                        quote(parts.query, _URL_SAFE), ""))
 
 
-def _opener():
-    """A urllib opener that hands every redirect back to its caller.
-    Proxies come from the ``*_proxy`` environment variables, certificates
-    are checked against the system store or ``SSL_CERT_FILE``."""
+def _opener(netloc: str):
+    """A urllib opener that follows redirects on ``netloc`` alone: one
+    leaving it is refused before its target is requested.  Proxies come
+    from the ``*_proxy`` environment variables, certificates are checked
+    against the system store or ``SSL_CERT_FILE``."""
     import urllib.request  # HTTP mode alone loads the client
+    from urllib.error import HTTPError
 
-    class KeepRedirects(urllib.request.HTTPRedirectHandler):
-        def redirect_request(self, *args):
-            return None  # the 3xx reaches the caller as an HTTPError
+    class SameSiteRedirects(urllib.request.HTTPRedirectHandler):
+        max_redirections = DEFAULT_REDIRECT_LIMIT
 
-    return urllib.request.build_opener(KeepRedirects)
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            parts = urlsplit(newurl)
+            if parts.scheme not in ("http", "https") or parts.netloc.lower() != netloc:
+                raise HTTPError(newurl, code, f"redirected off the site to {newurl}",
+                                headers, fp)
+            return super().redirect_request(req, fp, code, msg, headers, newurl)
+
+    return urllib.request.build_opener(SameSiteRedirects)
 
 
 class HttpResolver:
@@ -165,7 +174,8 @@ class HttpResolver:
         self.netloc = parts.netloc.lower()
         self.delay = delay
         self._fetched_once = False
-        self._opener = _opener()
+        self._opener = _opener(self.netloc)
+        self._final_url: dict[PageId, str] = {}  # page -> where its redirects ended
 
     def normalize(self, url: str) -> PageId:
         parts = urlsplit(url)
@@ -177,7 +187,8 @@ class HttpResolver:
         if not href or href.startswith("#") or href.lower().startswith(_SKIP_PREFIXES):
             return None
         try:
-            absolute = urljoin(base, href)
+            # a redirected page's links are relative to where it was found
+            absolute = urljoin(self._final_url.get(base, base), href)
             parts = urlsplit(absolute)
         except ValueError:  # unparsable, such as an unclosed "[" in the host
             return None
@@ -187,45 +198,24 @@ class HttpResolver:
             return None
         return self.normalize(absolute)
 
-    def _get(self, url: str) -> tuple[int, str | None, bytes]:
-        """One GET of ``url``: status, Location header and body.  A
-        redirect or an error status comes back like any other answer."""
-        from urllib.error import HTTPError
-
-        try:
-            response = self._opener.open(url, timeout=30)
-        except HTTPError as answer:  # every status outside 2xx, body included
-            response = answer
-        with response:
-            return response.status, response.headers.get("Location"), response.read()
-
     def fetch(self, page_id: PageId) -> str:
         from http.client import HTTPException  # IncompleteRead, BadStatusLine, ...
+        from urllib.error import HTTPError
 
         if self._fetched_once and self.delay > 0:
             time.sleep(self.delay)
         self._fetched_once = True
         url = _request_url(page_id)
         try:
-            # redirects are followed by hand so that one leaving the site
-            # is refused before its target is requested
-            for _ in range(DEFAULT_REDIRECT_LIMIT + 1):
-                status, location, body = self._get(url)
-                if status not in REDIRECT_STATI or not location:
-                    break
-                # the header arrives latin-1 decoded: its own bytes go on the
-                # wire, with only what cannot be sent there percent-encoded
-                url = urljoin(url, quote(location, safe=string.punctuation,
-                                         encoding="iso-8859-1"))
-                parts = urlsplit(url)
-                if parts.scheme not in ("http", "https") or parts.netloc.lower() != self.netloc:
-                    raise PageReadError(f"{page_id}: redirected off the site to {url}")
-            else:
-                raise PageReadError(f"{page_id}: too many redirects")
+            with self._opener.open(url, timeout=30) as response:
+                body = response.read()
+        except HTTPError as exc:  # any status outside 2xx once redirects are followed
+            exc.close()
+            raise PageReadError(f"{page_id}: {exc}") from exc
         except (OSError, HTTPException, ValueError) as exc:  # OSError: URLError, timeouts
             raise PageReadError(f"{page_id}: {exc}") from exc
-        if status >= 400:
-            raise PageReadError(f"{page_id}: HTTP {status}")
+        if response.url != url:
+            self._final_url[page_id] = response.url
         return decode_markup(body)
 
 
@@ -286,20 +276,18 @@ def load_corpus(root, max_depth: int, delay: float) -> Corpus:
     if max_depth < 0:
         raise ValueError("max_depth must be non-negative")
     resolver, root_id = _open_root(root, delay)
+    strings: dict = {}  # the pages' attribute values and text runs, shared
+    corpus = Corpus(root=root_id, pages={})
+
+    def load(page_id: PageId, depth: int) -> None:  # raises PageReadError, EmptyDocumentError
+        document = to_xhtml(resolver.fetch(page_id), strings)
+        links = tuple(extract_links(document, page_id, resolver))
+        corpus.pages[page_id] = Page(depth, document, links)
+
     try:
-        root_text = resolver.fetch(root_id)
+        load(root_id, 0)
     except PageReadError as exc:
         raise CorpusError(f"root page unreadable: {exc}") from exc
-
-    strings: dict = {}  # the pages' attribute values and text runs, shared
-
-    def analyse(page_id: PageId, text: str, depth: int) -> Page:
-        document = to_xhtml(text, strings)  # raises EmptyDocumentError
-        return Page(depth, document, tuple(extract_links(document, page_id, resolver)))
-
-    corpus = Corpus(root=root_id, pages={})
-    try:
-        corpus.pages[root_id] = analyse(root_id, root_text, 0)
     except EmptyDocumentError as exc:
         raise CorpusError(f"root page has no markup: {exc}") from exc
 
@@ -315,18 +303,15 @@ def load_corpus(root, max_depth: int, delay: float) -> Corpus:
                 continue
             known.add(target)
             try:
-                text = resolver.fetch(target)
+                load(target, page.depth + 1)
             except PageReadError as exc:
                 logger.warning("dangling link: %s", exc)
                 dangling.add(target)
-                continue
-            try:
-                corpus.pages[target] = analyse(target, text, page.depth + 1)
             except EmptyDocumentError:
                 logger.warning("excluded (no markup): %s", target)
                 corpus.excluded.append(target)
-                continue
-            queue.append(target)
+            else:
+                queue.append(target)
 
     corpus.dangling = sorted(dangling)
     return corpus

@@ -34,7 +34,6 @@ METHODS = ("MMS", "STS")
 @dataclass
 class NavNode:
     members: tuple[PageId, ...]  # discovery order
-    level: int
     children: list[NavNode] = field(default_factory=list)
     backrefs: tuple[PageId, ...] = ()  # link targets owned by other nodes
     representative: PageId | None = None
@@ -121,10 +120,10 @@ def build_nav_tree(root: PageId, corpus: Corpus, threshold: float,
     page_children: dict[PageId, list[tuple[PageId, ...]]] = {}
     page_backrefs: dict[PageId, tuple[PageId, ...]] = {}
 
-    def expand_page(page_id: PageId, level: int):
+    def expand_page(page_id: PageId, depth: int):
         new: list[PageId] = []
         back: list[PageId] = []
-        if level < max_depth:
+        if depth < max_depth:
             for target in corpus.pages[page_id].links:
                 if target not in corpus.pages:
                     continue  # dangling or beyond the crawl depth, logged at load
@@ -136,15 +135,15 @@ def build_nav_tree(root: PageId, corpus: Corpus, threshold: float,
         page_backrefs[page_id] = tuple(back)
         page_children[page_id] = _cluster_ordered(corpus, method, new, threshold)
 
-    root_node = NavNode((root,), 0)
+    root_node = NavNode((root,))
     # walk reads a node's children after yielding it, so each node is
     # expanded before its subtree, in depth-first order
-    for node, _, closing in walk(root_node):
+    for node, depth, closing in walk(root_node):
         if closing:
             continue
         for page_id in node.members:
-            expand_page(page_id, node.level)
-        node.children = [NavNode(cluster, node.level + 1)
+            expand_page(page_id, depth)
+        node.children = [NavNode(cluster)
                          for page_id in node.members for cluster in page_children[page_id]]
         node.backrefs = _node_backrefs(node.members, page_backrefs)
     return NavTree(root_node, corpus, method, threshold, page_children, page_backrefs)
@@ -155,7 +154,7 @@ def refine_clusters(tree: NavTree) -> NavTree:
     pages is re-clustered jointly, with the tree's method and threshold,
     and replaces its per-page child sets."""
     corpus, method, threshold = tree.corpus, tree.method, tree.threshold
-    root = NavNode(tree.root.members, 0)
+    root = NavNode(tree.root.members)
     for node, _, closing in walk(root):
         if closing:
             continue
@@ -165,7 +164,7 @@ def refine_clusters(tree: NavTree) -> NavTree:
             clusters = _cluster_ordered(corpus, method, union, threshold)
         else:
             clusters = tree.page_children.get(members[0], [])
-        node.children = [NavNode(c, node.level + 1) for c in clusters]
+        node.children = [NavNode(c) for c in clusters]
         node.backrefs = _node_backrefs(members, tree.page_backrefs)
     return NavTree(root, corpus, method, threshold, tree.page_children, tree.page_backrefs)
 

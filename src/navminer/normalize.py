@@ -55,6 +55,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
+from html import escape
 from html.parser import HTMLParser
 from sys import intern
 
@@ -279,12 +280,8 @@ def decode_markup(data: bytes) -> str:
         return data.decode("latin-1")
 
 
-def _escape(value: str) -> str:
-    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
 def _escape_attr(value: str) -> str:
-    return _escape(value).replace('"', "&quot;")
+    return escape(value, False).replace('"', "&quot;")
 
 
 def _open_tag(element: Element, self_close: bool = False) -> str:
@@ -329,7 +326,7 @@ def _lines(root: Element, with_text: bool) -> LineText:
     for node, depth, closing in walk(root):
         if node.__class__ is str:
             if with_text:
-                append(_escape(node))
+                append(escape(node, False))
                 opened(None)
                 indent(depth)
             continue

@@ -1,12 +1,16 @@
 """Mirror loading and link extraction."""
 
+import email.message
 import gc
+import io
 import random
 import sys
 import tracemalloc
+import urllib.request
 from functools import partial
 from http.server import BaseHTTPRequestHandler, SimpleHTTPRequestHandler
 from urllib.parse import quote
+from urllib.response import addinfourl
 
 import pytest
 
@@ -386,21 +390,47 @@ def test_http_redirect_off_the_site_is_dangling(tmp_path):
     assert foreign_requests == []  # the redirect was refused, not followed
 
 
-def test_http_scheme_change_on_the_same_host_loads(monkeypatch):
+class FakeSite(urllib.request.BaseHandler):
+    """Answers every http(s) request of an opener it is added to, before
+    urllib's own handlers: a 301 to ``moved[url]`` (without a Location
+    when that is None) or else a page.  Records each URL requested."""
+
+    handler_order = 100
+
+    def __init__(self, moved: dict):
+        self.moved = moved
+        self.requested = []
+
+    def http_open(self, request):
+        url = request.full_url
+        self.requested.append(url)
+        headers = email.message.Message()
+        if url in self.moved:
+            if self.moved[url] is not None:
+                headers["Location"] = self.moved[url]
+            response = addinfourl(io.BytesIO(b""), headers, url, 301)
+        else:
+            response = addinfourl(io.BytesIO(b"<html><body>ok</body></html>"), headers, url, 200)
+        response.msg = "fake"
+        return response
+
+    https_open = http_open
+
+
+def _fake_site(moved: dict) -> tuple[HttpResolver, FakeSite]:
     resolver = HttpResolver("http://site.test/index.html", delay=0.0)
+    site = FakeSite(moved)
+    resolver._opener.add_handler(site)
+    return resolver, site
+
+
+def test_http_scheme_change_on_the_same_host_loads():
+    moved = {}  # url -> Location of its 301
+    resolver, site = _fake_site(moved)
+    requested = site.requested
     # a direct https link from an http root stays on the site
     assert resolver.resolve("http://site.test/index.html",
                             "https://site.test/p.html") == "https://site.test/p.html"
-    moved = {}  # url -> Location of its 301
-    requested = []
-
-    def fake_get(url):
-        requested.append(url)
-        if url in moved:
-            return 301, moved[url], b""
-        return 200, None, b"<html><body>ok</body></html>"
-
-    monkeypatch.setattr(resolver, "_get", fake_get)
     assert "ok" in resolver.fetch("https://site.test/p.html")
     # an http -> https upgrade redirect on the same host is still the site
     moved["http://site.test/index.html"] = "https://site.test/index.html"
@@ -410,11 +440,60 @@ def test_http_scheme_change_on_the_same_host_loads(monkeypatch):
     with pytest.raises(PageReadError, match="off the site"):
         resolver.fetch("http://site.test/jump.html")
     assert "https://elsewhere.test/x.html" not in requested
-    # a same-host redirect loop ends at the redirect limit
+    # a same-host redirect loop ends once one URL repeats too often
     moved["http://site.test/loop.html"] = "/loop.html"
-    with pytest.raises(PageReadError, match="too many redirects"):
+    with pytest.raises(PageReadError, match="infinite loop"):
         resolver.fetch("http://site.test/loop.html")
-    assert requested.count("http://site.test/loop.html") == DEFAULT_REDIRECT_LIMIT + 1
+    loop_limit = urllib.request.HTTPRedirectHandler.max_repeats
+    assert requested.count("http://site.test/loop.html") == loop_limit + 1
+
+
+def test_http_redirect_chain_loads_up_to_the_limit():
+    def chain(hops):
+        return {f"http://site.test/{hop}.html": f"/{hop + 1}.html" for hop in range(hops)}
+
+    resolver, site = _fake_site(chain(DEFAULT_REDIRECT_LIMIT))
+    assert "ok" in resolver.fetch("http://site.test/0.html")
+    assert len(site.requested) == DEFAULT_REDIRECT_LIMIT + 1
+    resolver, site = _fake_site(chain(DEFAULT_REDIRECT_LIMIT + 1))
+    with pytest.raises(PageReadError, match="infinite loop"):
+        resolver.fetch("http://site.test/0.html")
+    assert len(site.requested) == DEFAULT_REDIRECT_LIMIT + 1
+
+
+def test_http_off_site_hop_after_a_same_site_hop_is_never_requested():
+    resolver, site = _fake_site({"http://site.test/a.html": "/b.html",
+                                 "http://site.test/b.html": "https://elsewhere.test/x.html",
+                                 "http://site.test/c.html": "ftp://site.test/x.html"})
+    with pytest.raises(PageReadError, match="off the site to https://elsewhere.test/x.html"):
+        resolver.fetch("http://site.test/a.html")
+    with pytest.raises(PageReadError, match="off the site to ftp://site.test/x.html"):
+        resolver.fetch("http://site.test/c.html")
+    assert site.requested == ["http://site.test/a.html", "http://site.test/b.html",
+                              "http://site.test/c.html"]
+
+
+def test_http_redirect_without_location_dangles():
+    resolver, site = _fake_site({"http://site.test/a.html": None})
+    with pytest.raises(PageReadError, match="301"):
+        resolver.fetch("http://site.test/a.html")
+    assert site.requested == ["http://site.test/a.html"]
+
+
+def test_http_links_on_a_redirected_page_resolve_against_its_final_url(tmp_path):
+    """``SimpleHTTPRequestHandler`` answers ``/sub`` with a 301 to ``/sub/``:
+    the ``p.html`` that ``sub/index.html`` links is ``/sub/p.html``."""
+    write_mirror(tmp_path, {
+        "index.html": '<html><body><a href="sub">sub</a></body></html>',
+        "sub/index.html": '<html><body><a href="p.html">p</a></body></html>',
+        "sub/p.html": "<html><body>p</body></html>",
+    })
+    with serving(partial(SimpleHTTPRequestHandler, directory=str(tmp_path))) as base:
+        corpus = load_corpus(f"{base}/index.html", max_depth=3, delay=0.0)
+        assert set(corpus.pages) == {f"{base}/index.html", f"{base}/sub", f"{base}/sub/p.html"}
+        assert corpus.dangling == []
+    corpus = load_corpus(str(tmp_path), max_depth=3, delay=0.0)
+    assert set(corpus.pages) == {"index.html", "sub/index.html", "sub/p.html"}
 
 
 def test_http_percent_escaped_names_load(tmp_path):
@@ -434,20 +513,11 @@ def test_http_percent_escaped_names_load(tmp_path):
         assert corpus.dangling == []
 
 
-def test_http_redirect_location_keeps_its_escapes(monkeypatch):
-    resolver = HttpResolver("http://site.test/index.html", delay=0.0)
-    requested = []
-
-    def fake_get(url):
-        requested.append(url)
-        if url == "http://site.test/old.html":
-            # a header arrives latin-1 decoded: these are the bytes of "dé"
-            return 302, "/a%41 d\xc3\xa9.html", b""
-        return 200, None, b"<html><body>ok</body></html>"
-
-    monkeypatch.setattr(resolver, "_get", fake_get)
+def test_http_redirect_location_keeps_its_escapes():
+    # a header arrives latin-1 decoded: these are the bytes of "dé"
+    resolver, site = _fake_site({"http://site.test/old.html": "/a%41 d\xc3\xa9.html"})
     assert "ok" in resolver.fetch("http://site.test/old.html")
-    assert requested == ["http://site.test/old.html", "http://site.test/a%41%20d%C3%A9.html"]
+    assert site.requested == ["http://site.test/old.html", "http://site.test/a%41%20d%C3%A9.html"]
 
 
 def test_http_fetch_goes_through_the_environment_proxy(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from navminer import load_corpus
 from navminer.navmodel import (_cluster_ordered, build_nav_tree, collect_partition,
                                reduce_to_snp, refine_clusters, token_seq)
-from navminer.normalize import pretty_print, to_xhtml
+from navminer.normalize import pretty_print, to_xhtml, walk
 from navminer.similarity import clone_pair, similarity, transclos
 
 from conftest import (DEMO_THRESHOLD, mirror_pages, partition_is_valid, random_document,
@@ -85,9 +85,9 @@ def test_page_reached_twice_is_owned_once(tmp_path):
         "shared.html": leaf("shared"),
     })
     _, tree = build(root)
-    owners = [node for node in tree.nodes() if "shared.html" in node.members]
-    assert len(owners) == 1
-    assert owners[0].level == 2
+    owners = [depth for node, depth, closing in walk(tree.root)
+              if not closing and "shared.html" in node.members]
+    assert owners == [2]
     partition = collect_partition(tree)
     assert partition_is_valid(partition)
 

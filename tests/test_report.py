@@ -329,11 +329,11 @@ def _odd_id(rng):
 
 
 def _random_nav_tree(rng):
-    root = NavNode((_odd_id(rng),), 0)
+    root = NavNode((_odd_id(rng),))
     nodes = [root]
     for _ in range(rng.randint(0, 12)):
         parent = rng.choice(nodes)
-        child = NavNode(tuple(_odd_id(rng) for _ in range(rng.randint(1, 3))), parent.level + 1)
+        child = NavNode(tuple(_odd_id(rng) for _ in range(rng.randint(1, 3))))
         parent.children.append(child)
         nodes.append(child)
     for node in nodes:
