@@ -55,12 +55,16 @@ class NavTree:
 
 
 def token_seq(corpus: Corpus, page_id: PageId, method: str):
-    """Distance substrate for one page, cached on the corpus; the pages'
-    schemas share the corpus's content models, each inferred once."""
-    key = (method, page_id)
+    """Distance substrate for one page, cached on the corpus per page
+    shape: the tokens of both methods depend on nothing but the tree's
+    names, nesting, attribute names and text positions, which
+    ``Document.shape`` records, so the pages of one shape share one
+    token tuple, computed once.  The schemas share the corpus's content
+    models, each inferred once."""
+    doc = corpus.pages[page_id].document
+    key = (method, doc.shape)
     seq = corpus.memo.get(key)
     if seq is None:
-        doc = corpus.pages[page_id].document
         if method == "MMS":
             seq = schema_mod.serialize_schema(schema_mod.extract_schema(doc, corpus.models))
         else:

@@ -27,12 +27,23 @@ resident after the trees holding them are released.
 
 The builder also lists every element it creates, and creation order is
 document order, so ``Document.elements`` hands schema inference and
-link extraction each element once without a walk of the tree.  It skips
-the stdlib tokenizer's line counting, which only serves ``getpos``, and
-keeps each tag's own work small: a whitespace-only text run (most runs
-of a template's indentation) is dropped before it is collapsed, a tag
-without attributes skips their cleaning, and a close tag pops and seals
-its elements in one loop.
+link extraction each element once without a walk of the tree.  It
+skips the stdlib tokenizer's line counting, which only serves
+``getpos``, and keeps each tag's own work small: a whitespace-only text
+run (most runs of a template's indentation) is dropped before it is
+collapsed, a tag without attributes skips their cleaning, and a close
+tag pops and seals its elements in one loop.
+
+The builder records each page's shape as well (``Document.shape``): the
+repaired tree's events in document order, an element's name (with its
+attribute names) where it opens, ``None`` where it closes and ``1`` for
+each text run.  Two pages of one shape have the same names, nesting,
+attribute names and text positions, which is all their schema and
+tag-stream tokens depend on, so ``navmodel`` caches tokens per shape and
+analyses each shape once.  Shapes, and the open events of elements with
+attributes, are shared through ``strings`` like the values, so a load
+holds one object per distinct shape: the 614 pages of the benchmark
+catalog (``perfbench/mirrors.py``, seeds 5, 51 and 101) have 28.
 
 A UTF-8 byte order mark is dropped when the bytes are decoded, so a
 page saved with one parses like the same page without.
@@ -120,6 +131,13 @@ class Document:
     # order), recorded by the parser; an index over ``root``, so equality
     # compares the trees alone
     elements: list[Element] = field(compare=False, repr=False)
+    # the tree's structure as a flat tuple of events in document order,
+    # recorded by the parser: an element's name opening it (a tuple of
+    # the name and its attribute names when it has attributes), ``None``
+    # closing it and ``1`` for a text run.  Equal shapes mean equal names,
+    # nesting, attribute names and text positions; like ``elements`` it is
+    # derived from ``root`` and not compared
+    shape: tuple = field(compare=False, repr=False)
 
 
 @dataclass
@@ -155,6 +173,8 @@ class _TreeBuilder(HTMLParser):
         self.target = self.top  # the children of the innermost open element
         self.elements: list[Element] = []  # in creation order, which is document order
         self.open_count: dict[str, int] = {}  # tag name -> elements of it on the stack
+        self.shape: list = []  # the events of Document.shape, as the tree grows
+        self.event = self.shape.append
 
     def updatepos(self, i, j):
         # the base class counts lines here only for getpos(), which
@@ -169,6 +189,7 @@ class _TreeBuilder(HTMLParser):
 
     def _seal(self, element):
         """Turn a closed element's children into their tuple."""
+        self.event(None)
         children = tuple(element.children)
         if len(children) == 1 and children[0].__class__ is str:  # text only
             children = self.strings.setdefault(children, children)
@@ -184,26 +205,37 @@ class _TreeBuilder(HTMLParser):
         if len(stack) != depth:
             self.target = stack[-1].children if stack else self.top
 
-    def _clean_attrs(self, attrs):
-        """The attributes of a tag that has some, as one shared tuple."""
+    def _clean_attrs(self, tag, attrs):
+        """The attributes of a tag that has some, as one shared tuple;
+        records the tag's open event on the way."""
         share = self.strings.setdefault
         seen = set()
         cleaned = []
+        names = [tag]
         for name, value in attrs:
             if name in seen:  # HTML5 keeps the first duplicate
                 continue
             seen.add(name)
-            cleaned.append((intern(name), "" if value is None else share(value, value)))
+            name = intern(name)
+            names.append(name)
+            cleaned.append((name, "" if value is None else share(value, value)))
+        names = tuple(names)
+        self.event(share(names, names))
         cleaned = tuple(cleaned)
         return share(cleaned, cleaned)
 
     def handle_starttag(self, tag, attrs, self_closing=False):
         self._close_implied(tag)
         tag = intern(tag)
-        attrs = self._clean_attrs(attrs) if attrs else ()
+        if attrs:
+            attrs = self._clean_attrs(tag, attrs)  # records the open event
+        else:
+            attrs = ()
+            self.event(tag)
         if self_closing or tag in VOID_ELEMENTS:
             element = Element(tag, attrs, (), True)
             self.target.append(element)
+            self.event(None)
         else:
             element = Element(tag, attrs, [])
             self.target.append(element)
@@ -245,15 +277,17 @@ class _TreeBuilder(HTMLParser):
             target[-1] = self.strings.setdefault(text, text)
         else:
             target.append(self.strings.setdefault(text, text))
+            self.event(1)
 
 
 def to_xhtml(text: str, strings: dict | None = None) -> Document:
     """Repair one page's possibly faulty markup into a well-formed Document.
 
     An attribute value or text run (or a tuple of attributes or of a
-    lone text run) equal to a key of ``strings`` is that key's object,
-    and a new one becomes a key, so the pages parsed with one dict share
-    one copy of each; by default a page has a dict of its own."""
+    lone text run, or a page shape or one of its open events) equal to a
+    key of ``strings`` is that key's object, and a new one becomes a
+    key, so the pages parsed with one dict share one copy of each; by
+    default a page has a dict of its own."""
     if _BINARY_BYTE.search(text, 0, _SNIFF_CHARS):
         raise EmptyDocumentError("binary data, not markup")
     builder = _TreeBuilder(strings)
@@ -263,12 +297,15 @@ def to_xhtml(text: str, strings: dict | None = None) -> Document:
     # no top-level element either
     if not builder.elements:
         raise EmptyDocumentError("no recognizable markup")
-    top = builder.top
+    top, shape = builder.top, builder.shape
     if len(top) == 1:  # the one top-level node, so an element
-        return Document(top[0], builder.elements)
-    # several top-level nodes: give the tree a single root
-    root = Element("html", (), tuple(top))
-    return Document(root, [root, *builder.elements])
+        root, elements = top[0], builder.elements
+    else:  # several top-level nodes: give the tree a single root
+        root = Element("html", (), tuple(top))
+        elements = [root, *builder.elements]
+        shape = ("html", *shape, None)
+    shape = tuple(shape)
+    return Document(root, elements, builder.strings.setdefault(shape, shape))
 
 
 def decode_markup(data: bytes) -> str:

@@ -31,13 +31,15 @@ inference input, ``(has_text, set of child-name sequences)``, and
 ``extract_schema`` takes a ``models`` dict from inputs to the models
 already inferred: the pages extracted with one dict (``navmodel`` passes
 the corpus's, which lives as long as the corpus) infer each distinct
-input once and share its ``ContentModel``.  On the catalog mirror of
-``perfbench/mirrors.py`` the 614 pages ask for 8,850 inferences of 29
-distinct inputs.
+input once and share its ``ContentModel``.  ``navmodel`` extracts one
+schema per distinct page shape (``normalize.Document.shape``), which
+fixes the schema: on the catalog mirror of ``perfbench/mirrors.py`` the
+614 pages have 28 shapes, whose schemas ask for 449 inferences of 29
+distinct inputs (8,850 with a schema per page).
 
 The token stream of ``serialize_schema`` is this module's format alone:
-the distance compares it, the clustering caches it per page and the
-verbose DTD dump (``dtd_text``) renders it directly, so no other module
+the distance compares it, the clustering caches it per page shape and
+the verbose DTD dump (``dtd_text``) renders it directly, so no other module
 reads a token apart or needs the ``Schema`` object back.
 """
 

@@ -139,11 +139,35 @@ def elements_of(root: Element) -> list[Element]:
             if not closing and node.__class__ is not str]
 
 
+def shape_of(root: Element) -> tuple:
+    """Oracle for ``Document.shape``, the parser's record of a tree's
+    structure, read off a walk of the tree: an element opening as its
+    name, or its name and attribute names when it has attributes, an
+    element closing as ``None`` and a text run as ``1``."""
+    events: list = []
+    for node, _, closing in walk(root):
+        if node.__class__ is str:
+            events.append(1)
+        elif closing:
+            events.append(None)
+        elif node.attrs:
+            events.append((node.name, *[name for name, _ in node.attrs]))
+        else:
+            events.append(node.name)
+    return tuple(events)
+
+
+def document_of(root: Element) -> Document:
+    """A tree built or edited by hand as a ``Document``, with the element
+    list and shape the parser records."""
+    return Document(root, elements_of(root), shape_of(root))
+
+
 def random_document(rng: random.Random, depth: int = 3) -> Document:
     root = Element("html")
     for _ in range(rng.randint(1, 4)):
         root.children += (random_element(rng, depth),)
-    return Document(root, elements_of(root))
+    return document_of(root)
 
 
 def all_elements(root: Element) -> list[Element]:
@@ -171,7 +195,7 @@ def mutate_document(rng: random.Random, doc: Document) -> Document:
             parent.attrs += ((rng.choice(_ATTR_NAMES), rng.choice(_WORDS)),)
         else:
             parent.children += (rng.choice(_WORDS),)
-    return Document(copy.root, elements_of(copy.root))
+    return document_of(copy.root)
 
 
 def _element_paths(root: Element) -> list[list[int]]:
@@ -210,5 +234,4 @@ def twin_docs_with_repeated_block(rng: random.Random) -> tuple[Document, Documen
         for _ in range(copies):
             parent.children = (*parent.children[:position], deepcopy(block),
                                *parent.children[position:])
-    return Document(doc_k.root, elements_of(doc_k.root)), \
-        Document(doc_k1.root, elements_of(doc_k1.root))
+    return document_of(doc_k.root), document_of(doc_k1.root)

@@ -667,9 +667,10 @@ def test_values_and_text_runs_are_not_interned(loads):
 
 
 def test_the_loaded_benchmark_catalog_stays_small(benchmark_mirrors):
-    """Exact-size tuples, text runs as ``str`` and values shared per load:
-    the 614 catalog trees hold 2.4 MB, under 3 MB (5.96 MB with lists,
-    text wrappers and a copy of every value per occurrence)."""
+    """Exact-size tuples, text runs as ``str`` and values and shapes
+    shared per load: the 614 catalog trees and their 28 shapes hold
+    2.4 MB, under 3 MB (5.96 MB with lists, text wrappers and a copy of
+    every value per occurrence; 2.75 MB with a shape tuple per page)."""
     root = benchmark_mirrors[0] / "index.html"
     load_corpus(root, max_depth=10, delay=0.0)  # module-level caches fill first
     gc.collect()
@@ -682,6 +683,8 @@ def test_the_loaded_benchmark_catalog_stays_small(benchmark_mirrors):
         tracemalloc.stop()
     assert len(corpus.pages) == 614
     assert held < 3_000_000
+    shapes = {id(page.document.shape) for page in corpus.pages.values()}
+    assert len(shapes) == len({page.document.shape for page in corpus.pages.values()}) == 28
 
 
 _LINK_TAGS = ("a", "area", "form", "frame", "iframe", "img", "link", "div")

@@ -6,9 +6,11 @@ from pathlib import Path
 import pytest
 
 from navminer import load_corpus
+from navminer.corpus import Corpus
 from navminer.navmodel import (_cluster_ordered, build_nav_tree, collect_partition,
                                reduce_to_snp, refine_clusters, token_seq)
 from navminer.normalize import pretty_print, to_xhtml, walk
+from navminer.schema import extract_schema, serialize_schema, sts_serialize
 from navminer.similarity import clone_pair, similarity, transclos
 
 from conftest import (DEMO_THRESHOLD, mirror_pages, partition_is_valid, random_document,
@@ -246,23 +248,27 @@ def test_cluster_ordered_matches_all_pairs_oracle(demo_corpus):
                     cluster_all_pairs(demo_corpus, method, sample, threshold)
 
 
-def test_memo_grows_with_pages_not_pairs(tmp_path):
+def test_memo_grows_with_shapes_not_pairs(tmp_path):
+    """50 clustered leaves of one template share one shape object, and the
+    memo holds one entry for it: ``(method, shape)``."""
     items = [f"item-{i:02d}.html" for i in range(50)]
     pages = {"index.html": linking("home", items)}
     pages.update({name: leaf(name) for name in items})
     corpus, tree = build(write_mirror(tmp_path, pages))
     refine_clusters(tree)
     assert [set(c.members) for c in tree.root.children] == [set(items)]
-    # every key names one page: (method, page)
-    assert all(isinstance(key[-1], str) and key[-1] in corpus.pages for key in corpus.memo)
-    assert len(corpus.memo) <= 2 * len(corpus.pages)
+    shape = corpus.pages[items[0]].document.shape
+    assert all(corpus.pages[name].document.shape is shape for name in items)
+    assert list(corpus.memo) == [("MMS", shape)]
+    assert next(iter(corpus.memo))[1] is shape
 
 
 def test_mms_tokens_infer_each_content_model_once_per_corpus(tmp_path):
     """The pages' schemas share their corpus's content models: an index
-    and 50 leaves of one template need 306 inferences, and 5 distinct
-    inputs are inferred.  STS infers none, the memo keeps its
-    ``(method, page)`` keys, and a new load starts with no models."""
+    and 50 leaves of one template have two shapes, so two schemas are
+    extracted, and 5 distinct inputs are inferred.  STS infers none, the
+    memo keys are ``(method, shape)``, one per method and distinct shape,
+    and a new load starts with no models."""
     items = [f"item-{i:02d}.html" for i in range(50)]
     pages = {"index.html": linking("home", items)}
     pages.update({name: leaf(name) for name in items})
@@ -277,9 +283,28 @@ def test_mms_tokens_infer_each_content_model_once_per_corpus(tmp_path):
     # index, one on the leaves) and the text-only instances of title, h1,
     # span and the index's a (one input for all four)
     assert len(corpus.models) == 5
-    assert set(corpus.memo) == {(method, page_id) for method in ("MMS", "STS")
-                                for page_id in corpus.pages}
+    shapes = {page.document.shape for page in corpus.pages.values()}
+    assert len(shapes) == 2
+    assert set(corpus.memo) == {(method, shape) for method in ("MMS", "STS")
+                                for shape in shapes}
     assert load_corpus(root, max_depth=10, delay=0.0).models == {}
+
+
+def test_token_seq_is_the_direct_computation(demo_corpus, benchmark_mirrors):
+    """Every demo and benchmark page's cached tokens, under both methods,
+    are those computed from the page itself, and each distinct shape is
+    one memo entry per method."""
+    corpora = [demo_corpus] + [load_corpus(directory / "index.html", max_depth=10, delay=0.0)
+                               for directory in benchmark_mirrors]
+    for corpus in corpora:
+        corpus = Corpus(corpus.root, corpus.pages)  # a memo of its own
+        for method in ("MMS", "STS"):
+            for page_id, page in corpus.pages.items():
+                direct = (serialize_schema(extract_schema(page.document)) if method == "MMS"
+                          else sts_serialize(page.document))
+                assert token_seq(corpus, page_id, method) == direct, (method, page_id)
+        assert len(corpus.memo) == 2 * len({p.document.shape for p in corpus.pages.values()})
+    assert [len({p.document.shape for p in c.pages.values()}) for c in corpora] == [12, 28, 9]
 
 
 def _indented_byte_count(doc) -> int:

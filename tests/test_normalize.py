@@ -2,6 +2,7 @@
 
 import ast
 import random
+import re
 import sys
 from dataclasses import dataclass
 from html.parser import HTMLParser
@@ -14,8 +15,8 @@ from navminer.normalize import (_BINARY_BYTE, _RAW_TEXT_TAGS, _SNIFF_CHARS, IMPL
                                 VOID_ELEMENTS, Document, EmptyDocumentError, Element,
                                 pretty_print, stripped_lines, to_xhtml, walk)
 
-from conftest import (DEMO_CORPUS, REPO_ROOT, all_elements, assert_packed, elements_of,
-                      mirror_pages, random_document, write_mirror)
+from conftest import (DEMO_CORPUS, REPO_ROOT, all_elements, assert_packed, document_of,
+                      elements_of, mirror_pages, random_document, shape_of, write_mirror)
 
 
 # oracles: the text form for round trips, and the copying form of stripped_lines
@@ -37,7 +38,7 @@ def remove_textual_content(doc: Document) -> Document:
             if open_copies:
                 open_copies[-1].children.append(copy)
             open_copies.append(copy)
-    return Document(root, elements_of(root))
+    return document_of(root)
 
 
 @dataclass(slots=True)
@@ -205,10 +206,11 @@ def _oracle_to_xhtml(text, builder_class):
     if not builder.elements:
         raise EmptyDocumentError("no recognizable markup")
     top = builder.top
+    # the oracles' trees are compared through _canonical, which reads no shape
     if len(top) == 1:
-        return Document(top[0], builder.elements)
+        return Document(top[0], builder.elements, None)
     root = Element("html", [], list(top))
-    return Document(root, [root, *builder.elements])
+    return Document(root, [root, *builder.elements], None)
 
 
 def _preorder(nodes):
@@ -308,6 +310,95 @@ def test_element_index_of_demo_and_benchmark_pages(benchmark_mirrors):
                 [id(e) for e in elements_of(doc.root)], page_id
 
 
+_SHAPE_TAGS = ("div", "p", "span", "ul", "li", "dl", "dt", "dd", "table", "tbody", "tr",
+               "td", "select", "option", "a", "br", "img", "input", "hr")
+_SHAPE_ATTRS = ("class", "id", "href", "checked")
+# text, text split by a comment, raw-text bodies holding tags, a bare "<"
+_SHAPE_PIECES = ("word", " ", "word<!-- c -->word", "<!-- c -->", "a < b", "&amp;",
+                 "<script>if (a<b) { x = '<p>'; }</script>", "<style>p > b {}</style>",
+                 "<script></script>", "<style/>")
+
+
+_START_TAG_ATTRS = re.compile(r"<\w+((?: \w+(?:=\"\w\")?)+)/?>")
+_ATTR_NAME = re.compile(r" (\w+)")
+
+
+def _random_shape_markup(rng: random.Random) -> str:
+    """Open tags with up to three attributes (duplicate and bare names
+    among them), stray and implied closes, void and ``/>`` tags, text,
+    comments splitting text and script/style bodies, in random order and
+    often several at the top level."""
+    parts = []
+    for _ in range(rng.randint(0, 60)):
+        tag = rng.choice(_SHAPE_TAGS)
+        attrs = "".join(
+            f" {name}" if name == "checked" else f' {name}="{rng.choice("xy")}"'
+            for name in rng.choices(_SHAPE_ATTRS, k=rng.choice((0, 0, 1, 2, 3))))
+        roll = rng.random()
+        if roll < 0.4:
+            parts.append(f"<{tag}{attrs}>")
+        elif roll < 0.6:
+            parts.append(f"</{tag}>")
+        elif roll < 0.7:
+            parts.append(f"<{tag}{attrs}/>")
+        else:
+            parts.append(rng.choice(_SHAPE_PIECES))
+    return "".join(parts)
+
+
+def test_the_recorded_shape_is_the_walk_of_the_tree_random():
+    """``Document.shape`` as the parser records it equals the oracle's
+    walk of the finished tree on 11,500 random malformed markups: implied
+    ends, stray closes, several top-level nodes, void and ``/>`` tags,
+    duplicate and bare attributes, merged text runs and script/style
+    bodies all occur."""
+    rng = random.Random(216)
+    texts = [_random_shape_markup(rng) for _ in range(10_000)]
+    texts += [_random_malformed_markup(rng) for _ in range(500)]
+    texts += [_random_tokenizer_markup(rng) for _ in range(500)]
+    texts += [_random_whitespace_markup(rng) for _ in range(500)] + list(_WHITESPACE_CASES)
+    seen = dict.fromkeys(("root", "duplicate", "merged", "raw", "void"), 0)
+    parsed = 0
+    for text in texts:
+        try:
+            doc = to_xhtml(text)
+        except EmptyDocumentError:
+            continue
+        assert doc.shape == shape_of(doc.root), text
+        parsed += 1
+        seen["root"] += doc.root.name == "html"  # the generators write no <html>
+        seen["duplicate"] += any(len(set(names)) < len(names) for names in (
+            _ATTR_NAME.findall(attrs) for attrs in _START_TAG_ATTRS.findall(text)))
+        seen["merged"] += "word word" in text.replace("<!-- c -->", " ") and any(
+            "word word" in node for node, _, _ in walk(doc.root) if node.__class__ is str)
+        seen["raw"] += any(e.name in _RAW_TEXT_TAGS for e in doc.elements)
+        seen["void"] += any(e.self_closing for e in doc.elements)
+    assert parsed > 10_000
+    assert min(seen.values()) > 1000, seen
+
+
+def test_the_recorded_shape_of_demo_and_benchmark_pages(benchmark_mirrors):
+    """The oracle holds on every page of the demo and benchmark mirrors,
+    and the pages parsed with one dict share one shape object per
+    distinct shape: 12 for the 29 demo pages, 28 for the 614 catalog
+    pages, and the 9 long table pages have a shape each.  The open events
+    of elements with attributes are shared too."""
+    distinct = []
+    for directory in (DEMO_CORPUS, *benchmark_mirrors):
+        strings: dict = {}
+        shapes: dict = {}
+        events: dict = {}
+        for page_id, text in mirror_pages(directory):
+            doc = to_xhtml(text, strings)
+            assert doc.shape == shape_of(doc.root), page_id
+            assert shapes.setdefault(doc.shape, doc.shape) is doc.shape, page_id
+            opened = [event for event in doc.shape if event.__class__ is tuple]
+            assert opened, page_id
+            assert all(events.setdefault(event, event) is event for event in opened), page_id
+        distinct.append(len(shapes))
+    assert distinct == [12, 28, 9]
+
+
 def test_packed_trees_equal_the_list_builder_oracle(benchmark_mirrors):
     """Tuples for lists, ``str`` runs for ``Text`` and shared values change
     no tree and no element list: on random malformed, tokenizer-path and
@@ -362,7 +453,7 @@ def test_self_closing_tags_in_and_around_implied_ends_match_the_list_builder():
 
 def test_documents_compare_by_tree():
     doc = to_xhtml("<div><p>x</p></div>")
-    assert doc == Document(doc.root, [])
+    assert doc == Document(doc.root, [], ())
     assert doc != to_xhtml("<div><p>y</p></div>")
 
 

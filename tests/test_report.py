@@ -142,7 +142,9 @@ def test_pipeline_verbose_dumps_schemas(demo_root, tmp_path):
 @pytest.mark.parametrize("method", ["MMS", "STS"])
 def test_verbose_run_extracts_each_schema_once(method, demo_root, tmp_path, monkeypatch):
     """The DTD dump reads the MMS tokens an MMS run has cached already,
-    and its bytes are those of the page's own extracted schema."""
+    each distinct page shape is extracted once (12 for the 29 demo
+    pages), and every page's dump is the DTD of its own extracted
+    schema."""
     calls = []
     extract = schema_mod.extract_schema
     monkeypatch.setattr(schema_mod, "extract_schema",
@@ -151,8 +153,10 @@ def test_verbose_run_extracts_each_schema_once(method, demo_root, tmp_path, monk
                  out_dir=str(tmp_path / "out"), verbose=True)
     result = run_pipeline(cfg)
     pages = result.corpus.pages
-    assert len(calls) == len(pages)
-    assert len({id(doc) for doc in calls}) == len(pages)
+    shapes = {page.document.shape for page in pages.values()}
+    assert len(pages) == 29 and len(shapes) == 12
+    assert len(calls) == len(shapes)
+    assert {doc.shape for doc in calls} == shapes
     for page_id in pages:
         dump = result.out_dir / "schemas" / f"{quote(page_id, safe='')}.dtd"
         assert dump.read_text() == schema_mod.dtd_text(
@@ -280,8 +284,8 @@ def test_each_page_is_parsed_and_link_scanned_once(method, demo_root, tmp_path, 
     corpus = result.corpus
     assert len(calls["to_xhtml"]) == len(corpus.pages) + len(corpus.excluded)
     assert sorted(args[1] for args in calls["extract_links"]) == sorted(corpus.pages)
-    # the memo holds token keys only
-    tokens = {(method, page) for page in corpus.pages}
+    # the memo holds token keys only, one per method and page shape
+    tokens = {(method, page.document.shape) for page in corpus.pages.values()}
     assert corpus.memo and set(corpus.memo) <= tokens
 
 

@@ -4,15 +4,15 @@ import random
 from collections import Counter
 
 from navminer.corpus import load_corpus
-from navminer.normalize import Document, to_xhtml, walk
+from navminer.normalize import Document, Element, to_xhtml, walk
 from navminer.schema import (CHOICE_STAR, EMPTY, IMPLIED, MIXED, PCDATA, PLUS,
                              REQUIRED, SEQUENCE, STAR, ContentModel, Schema,
                              _infer_model, dtd_text, extract_schema,
                              serialize_schema, sts_serialize)
 from navminer.similarity import levenshtein, similarity
 
-from conftest import (DEMO_CORPUS, mirror_pages, random_document,
-                      twin_docs_with_repeated_block)
+from conftest import (DEMO_CORPUS, document_of, mirror_pages, mutate_document,
+                      random_document, twin_docs_with_repeated_block)
 
 
 def extract_schema_walk(doc: Document) -> Schema:
@@ -232,6 +232,34 @@ def test_equal_tokens_of_different_pages_are_one_object():
         shared = [token for token in theirs if token in first]
         assert shared
         assert all(first[token] is token for token in shared)
+
+
+def _revalued(element: Element) -> Element:
+    """A copy of ``element`` with other attribute values and other text:
+    the tree differs, its shape does not."""
+    return Element(element.name, tuple((name, value + "!") for name, value in element.attrs),
+                   tuple(child + " more" if child.__class__ is str else _revalued(child)
+                         for child in element.children), element.self_closing)
+
+
+def test_documents_of_one_shape_have_equal_tokens(benchmark_mirrors):
+    """Equal shapes give equal MMS and STS tokens, which is what lets
+    ``navmodel.token_seq`` cache them per shape: over the demo and
+    benchmark pages, random documents and copies of them that differ in
+    every attribute value and text run."""
+    rng = random.Random(216)
+    docs = [random_document(rng, rng.randint(0, 5)) for _ in range(400)]
+    docs += [document_of(_revalued(doc.root)) for doc in docs]
+    docs += [mutate_document(rng, doc) for doc in docs[:400]]
+    for directory in (DEMO_CORPUS, *benchmark_mirrors):
+        docs += [to_xhtml(text) for _, text in mirror_pages(directory)]
+    by_shape: dict = {}
+    for doc in docs:
+        tokens = serialize_schema(extract_schema(doc)), sts_serialize(doc)
+        assert by_shape.setdefault(doc.shape, (doc, tokens))[1] == tokens, doc.shape
+    shared = sum(by_shape[doc.shape][0] is not doc and by_shape[doc.shape][0] != doc
+                 for doc in docs)
+    assert shared > 900
 
 
 def test_extract_schema_equals_the_tree_walking_oracle(benchmark_mirrors):
