@@ -14,7 +14,7 @@ its lines, their depths and the elements they open.
 
 The alignment table is bit-parallel: one int per line of A, one bit per
 line of B, built a machine word at a time instead of cell by cell, and
-read back by counting bits.  The backtrack over it is the canonical one
+read back one bit per step.  The backtrack over it is the canonical one
 of the full table, so the fragments are those of the classic DP.
 
 A component's inventory counts the elements its fragments open, as
@@ -61,15 +61,25 @@ def lcs_pairs(a: list[str], b: list[str]) -> list[tuple[int, int]]:
     The backtrack over it is canonical and symmetric: running it on
     (b, a) yields the mirrored pair set, which keeps the two one-sided
     diffs of a page pair consistent with a single alignment.
+
+    The backtrack keeps the current cell's value and reads single bits:
+    bit ``j - 1`` of row ``i`` says whether the left neighbour is one
+    less.  Only when it is not does the cell above matter; that one is
+    counted once per row and kept up to date bit by bit along it, and a
+    run of left steps is skipped with masks: to the row's next match
+    when the cell above is smaller, and to the next zero bit of row
+    ``i`` or ``i - 1`` while the two tie, comparing only lines there.
     """
     la, lb = len(a), len(b)
     start, end = shared_ends(a, b)
     ma = a[start:la - end]
     mb = b[start:lb - end]
     n, m = len(ma), len(mb)
+    wanted = set(ma)  # only lines of ma look their mask up
     match: dict[str, int] = {}  # line -> bit j set where mb[j] is that line
     for j, line in enumerate(mb):
-        match[line] = match.get(line, 0) | (1 << j)
+        if line in wanted:
+            match[line] = match.get(line, 0) | (1 << j)
     full = (1 << m) - 1
     rows = [full]  # a zero bit j in row i: dp[i][j + 1] == dp[i][j] + 1
     v = full
@@ -78,26 +88,38 @@ def lcs_pairs(a: list[str], b: list[str]) -> list[tuple[int, int]]:
         v = ((v + u) | (v - u)) & full
         rows.append(v)
 
-    def dp(i: int, j: int) -> int:
-        return j - (rows[i] & ((1 << j) - 1)).bit_count()
-
+    # on the backtrack's path dp[i][j] is the length minus the pairs found
+    length = m - v.bit_count()
     middle: list[tuple[int, int]] = []
     i, j = n, m
+    up_row = up = 0  # up is dp[i - 1][j] while stepping left along row up_row
     while i > 0 and j > 0:
         if ma[i - 1] == mb[j - 1]:
             middle.append((i - 1, j - 1))
             i -= 1
             j -= 1
-        else:
-            up, left = dp(i - 1, j), dp(i, j - 1)
-            if up > left:
-                i -= 1
-            elif up < left:
-                j -= 1
+        elif not rows[i] >> (j - 1) & 1:  # dp[i][j - 1] < dp[i][j] == dp[i - 1][j]
+            i -= 1
+        else:  # dp[i][j - 1] == dp[i][j], and dp[i - 1][j] is the same or one less
+            if up_row != i:
+                up_row, up = i, j - (rows[i - 1] & ((1 << j) - 1)).bit_count()
+            if up < length - len(middle):
+                # dp[i - 1][c] stays below dp[i][c] == dp[i][j] along the row
+                # until the row's next match: jump there
+                j = (match[ma[i - 1]] & ((1 << (j - 1)) - 1)).bit_length()
             elif ma[i - 1] > mb[j - 1]:  # tie: drop the larger line, keeps it symmetric
                 i -= 1
             else:
+                # a run of ties: step left while the next cell (i, c) is a tie
+                # too and mb[c - 1] is larger; a cell that is no match is one
+                # until bit c - 1 of row i or bit c of row i - 1 is zero
+                line = ma[i - 1]
+                look = rows[i] ^ full | (rows[i - 1] ^ full) >> 1
+                lo = (look & ((1 << (j - 1)) - 1)).bit_length()
                 j -= 1
+                while j > lo and line < mb[j - 1]:
+                    j -= 1
+                up -= not rows[i - 1] >> j & 1
     middle.reverse()
 
     pairs = [(k, k) for k in range(start)]

@@ -14,10 +14,13 @@ is dropped when the load returns.
 Internal means: the resolved path stays under the mirror root and the
 file's real location, symlinks followed, does too (filesystem mode), or
 host and port match the root URL (HTTP mode; http and https on that
-host are both the site).  Over HTTP, urllib follows a page's redirects
-on the site and refuses one to another host before requesting it; any
-final status outside 2xx leaves the page dangling, and a redirected
-page's links are resolved against the URL it was found at.
+host are both the site, and a default port counts as no port).  An HTTP
+page id is its URL with scheme and host lowercased, a default port
+dropped and an empty path written ``/``.  Over HTTP, urllib follows a
+page's redirects on the site and refuses one to another host before
+requesting it; any final status outside 2xx leaves the page dangling,
+and a redirected page's links are resolved against the URL it was found
+at.
 Links are read from ``a/@href``, ``area/@href`` (image maps),
 ``form/@action`` and ``frame|iframe/@src``, one lookup per element of
 the parser's ``Document.elements``; fragments are stripped, query
@@ -131,6 +134,17 @@ class FileResolver:
 # stdlib handler's ``max_repeats`` visits of one URL
 DEFAULT_REDIRECT_LIMIT = 30
 
+# the port a scheme's URLs name when they name none
+_DEFAULT_PORTS = {"http": ":80", "https": ":443"}
+
+
+def _authority(scheme: str, netloc: str) -> str:
+    """``netloc`` of an http(s) URL as page ids and the same-site test
+    write it (RFC 3986 §6.2.3): lowercased, without an empty port or
+    ``scheme``'s default."""
+    return netloc.lower().removesuffix(_DEFAULT_PORTS[scheme]).removesuffix(":")
+
+
 # what a path or a query may carry unencoded besides the unreserved
 # characters (RFC 3986); a split-off path holds no "?" to misread
 _URL_SAFE = "/?!$&'()*+,;=:@"
@@ -158,7 +172,8 @@ def _opener(netloc: str):
 
         def redirect_request(self, req, fp, code, msg, headers, newurl):
             parts = urlsplit(newurl)
-            if parts.scheme not in ("http", "https") or parts.netloc.lower() != netloc:
+            if (parts.scheme not in ("http", "https")
+                    or _authority(parts.scheme, parts.netloc) != netloc):
                 raise HTTPError(newurl, code, f"redirected off the site to {newurl}",
                                 headers, fp)
             return super().redirect_request(req, fp, code, msg, headers, newurl)
@@ -171,7 +186,7 @@ class HttpResolver:
 
     def __init__(self, root_url: str, delay: float):
         parts = urlsplit(root_url)
-        self.netloc = parts.netloc.lower()
+        self.netloc = _authority(parts.scheme.lower(), parts.netloc)
         self.delay = delay
         self._fetched_once = False
         self._opener = _opener(self.netloc)
@@ -179,8 +194,9 @@ class HttpResolver:
 
     def normalize(self, url: str) -> PageId:
         parts = urlsplit(url)
-        return unquote(urlunsplit((parts.scheme.lower(), parts.netloc.lower(),
-                                   parts.path, parts.query, "")))
+        scheme = parts.scheme.lower()
+        return unquote(urlunsplit((scheme, _authority(scheme, parts.netloc),
+                                   parts.path or "/", parts.query, "")))
 
     def resolve(self, base: PageId, href: str) -> PageId | None:
         href = href.strip()
@@ -192,9 +208,8 @@ class HttpResolver:
             parts = urlsplit(absolute)
         except ValueError:  # unparsable, such as an unclosed "[" in the host
             return None
-        if parts.scheme.lower() not in ("http", "https"):
-            return None
-        if parts.netloc.lower() != self.netloc:
+        scheme = parts.scheme.lower()
+        if scheme not in ("http", "https") or _authority(scheme, parts.netloc) != self.netloc:
             return None
         return self.normalize(absolute)
 

@@ -359,11 +359,13 @@ def _lines(root: Element, with_text: bool) -> LineText:
     opens: list[Element | None] = []
     depths: list[int] = []
     append, opened, indent = lines.append, opens.append, depths.append
+    open_tags: dict[str, str] = {}  # tag name -> its attribute-less open line, built once
     close_tags: dict[str, str] = {}  # tag name -> its close line, built once
     for node, depth, closing in walk(root):
         if node.__class__ is str:
             if with_text:
-                append(escape(node, False))
+                append(escape(node, False) if "&" in node or "<" in node or ">" in node
+                       else node)
                 opened(None)
                 indent(depth)
             continue
@@ -381,8 +383,13 @@ def _lines(root: Element, with_text: bool) -> LineText:
         else:
             if node.attrs:
                 append(_open_tag(node, self_close=one_line))
+            elif one_line:
+                append("<" + node.name + "/>")
             else:
-                append("<" + node.name + ("/>" if one_line else ">"))
+                line = open_tags.get(node.name)
+                if line is None:
+                    line = open_tags[node.name] = f"<{node.name}>"
+                append(line)
             opened(node)
             indent(depth)
     return LineText(lines, opens, depths)

@@ -1,6 +1,16 @@
 """Token-sequence edit distance, clone pairs, transitive-closure clustering,
 with the program's one union-find (``find``) and one shared head/tail
-trim (``shared_ends``, which ``components.lcs_pairs`` uses too)."""
+trim (``shared_ends``, which ``components.lcs_pairs`` uses too).
+
+The edit distance is bit-parallel (Myers 1999, "A fast bit-vector
+algorithm for approximate string matching based on dynamic
+programming", in the global form of Hyyro 2001, "Explaining and
+extending the bit-parallel approximate string matching algorithm of
+Myers"): after the trim, one DP column over the shorter sequence is two
+ints with one bit per token, and each token of the longer one updates
+them with 17 int operations, so a comparison costs one step per
+token, not one per DP cell.
+"""
 
 from __future__ import annotations
 
@@ -38,29 +48,26 @@ def levenshtein(a, b) -> int:
     a = a[start:len(a) - end]
     b = b[start:len(b) - end]
     n, m = len(a), len(b)
-    if n == 0:
-        return m
-    if m == 0:
-        return n
     if n > m:
         a, b, n, m = b, a, m, n
-    prev = list(range(n + 1))
-    for i in range(1, m + 1):
-        bi = b[i - 1]
-        cur = [i] * (n + 1)
-        for j in range(1, n + 1):
-            d = prev[j - 1]
-            if a[j - 1] != bi:
-                d += 1
-            up = prev[j] + 1
-            if up < d:
-                d = up
-            left = cur[j - 1] + 1
-            if left < d:
-                d = left
-            cur[j] = d
-        prev = cur
-    return prev[n]
+    if n == 0:
+        return m
+    match: dict = {}  # token -> bit j set where a[j] is that token
+    for j, token in enumerate(a):
+        match[token] = match.get(token, 0) | (1 << j)
+    full = (1 << n) - 1
+    # bit i of vp (vn): the column's cell i + 1 is one more (less) than cell i
+    vp, vn = full, 0
+    for token in b:
+        x = match.get(token, 0)
+        d0 = (((x & vp) + vp) ^ vp) | x | vn
+        hp = vn | ~(d0 | vp)
+        hn = (d0 & vp) << 1
+        hp = (hp << 1) | 1  # row 0 is 0, 1, 2, ...: it always grows by one
+        vp = (hn | ~(d0 | hp)) & full  # ~ sets every bit above the column too
+        vn = hp & d0  # d0's bit n is a carry out of vp's top bit, where hp has none
+    # the last column is m at row 0 plus its vertical steps
+    return m + vp.bit_count() - vn.bit_count()
 
 
 def similarity(a, b) -> float:

@@ -47,11 +47,16 @@ def demo_corpus():
 def benchmark_mirrors(tmp_path_factory) -> list[Path]:
     """The directories of the benchmark's catalog and longpage mirrors, at
     the benchmark's shapes (``perfbench/mirrors.py``, one seed)."""
-    sys.path.insert(0, str(REPO_ROOT / "perfbench"))
-    mirrors = importlib.import_module("mirrors")
+    mirrors = perfbench_mirrors()
     out = tmp_path_factory.mktemp("benchmark")
     return [mirrors.catalog(out / "catalog", 51, 12, 25).root.parent,
             mirrors.longpage(out / "longpage", 51, 4, 110).root.parent]
+
+
+def perfbench_mirrors():
+    """The benchmark's mirror generators, ``perfbench/mirrors.py``."""
+    sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+    return importlib.import_module("mirrors")
 
 
 @contextmanager

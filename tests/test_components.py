@@ -362,6 +362,35 @@ def test_lcs_pairs_equals_dp_oracle_on_demo_edges(demo_corpus):
                           stripped_lines(demo_corpus.pages[target].document).lines)
 
 
+def test_lcs_pairs_equals_dp_oracle_short_against_long():
+    """An index page against a section page: about 30 lines against 900
+    that share only a few, so the backtrack walks long runs along a row
+    (and, in the other order, up a column)."""
+    rng = random.Random(506)
+    long = table_lines(rng, 147, False)
+    assert len(long) > 850
+    pool = sorted(set(long))
+    for _ in range(12):
+        short = [rng.choice(pool) if rng.random() < 0.2 else f"<li{rng.randrange(4)}>"
+                 for _ in range(rng.randint(5, 40))]
+        assert_same_as_dp(short, long)
+
+
+def test_lcs_pairs_equals_dp_oracle_wider_than_a_word_with_ties():
+    """Line lists of 65-160 lines from two or three lines, or a shuffle
+    of one list against another: ties at most cells."""
+    rng = random.Random(507)
+    for case in range(80):
+        alphabet = [f"<t{k}>" for k in range(rng.randint(2, 3))]
+        a = [rng.choice(alphabet) for _ in range(rng.randint(65, 160))]
+        if case % 4 == 0:
+            b = a[:]
+            rng.shuffle(b)
+        else:
+            b = [rng.choice(alphabet) for _ in range(rng.randint(65, 160))]
+        assert_same_as_dp(a, b)
+
+
 def test_lcs_pairs_equals_dp_oracle_on_a_long_table_pair():
     rng = random.Random(504)
     view, edit = table_lines(rng, 147, False), table_lines(rng, 147, True)

@@ -334,6 +334,43 @@ def test_http_mode_same_authority_only(tmp_path):
         assert set(corpus.pages) == {f"{base}/index.html", f"{base}/a.html"}
 
 
+def test_http_ids_drop_a_default_port_and_give_an_empty_path_a_slash():
+    """RFC 3986 §6.2.3: ``http://host``, ``http://host/``, ``http://host:80/``
+    and ``http://host:/`` are one page."""
+    resolver = HttpResolver("http://Host.test:80", delay=0.0)
+    root = "http://host.test/"
+    for url in ("http://host.test", "HTTP://HOST.test:80", "http://host.test:/", root):
+        assert resolver.normalize(url) == root
+    assert resolver.normalize("https://host.test:443") == "https://host.test/"
+    assert resolver.normalize("https://host.test:80/a.html") == "https://host.test:80/a.html"
+    assert resolver.normalize("http://host.test:8080") == "http://host.test:8080/"
+    for href in ("/", "./", "http://host.test", "http://host.test:80", "//host.test:80/"):
+        assert resolver.resolve(root, href) == root
+    # an explicit default port is the same site, in both directions
+    assert resolver.resolve(root, "http://host.test/a.html") == "http://host.test/a.html"
+    assert resolver.resolve(root, "https://host.test:443/a.html") == "https://host.test/a.html"
+    assert HttpResolver("http://host.test/", delay=0.0).resolve(
+        root, "http://host.test:80/a.html") == "http://host.test/a.html"
+    # another port is another site
+    assert resolver.resolve(root, "http://host.test:8080/a.html") is None
+    assert resolver.resolve(root, "https://host.test:80/a.html") is None
+    assert HttpResolver("http://host.test:8080/", delay=0.0).resolve(
+        "http://host.test:8080/", "http://host.test/a.html") is None
+
+
+def test_http_root_without_a_path_is_one_page(tmp_path):
+    write_mirror(tmp_path, {
+        "index.html": '<html><body><a href="a.html">a</a><a href="/">home</a></body></html>',
+        "a.html": '<html><body><a href="/">home</a><a href="./">here</a></body></html>',
+    })
+    with serving(partial(SimpleHTTPRequestHandler, directory=str(tmp_path))) as base:
+        corpus = load_corpus(base, max_depth=3, delay=0.0)
+        assert corpus.root == f"{base}/"
+        assert set(corpus.pages) == {f"{base}/", f"{base}/a.html"}
+        assert corpus.pages[f"{base}/a.html"].links == (f"{base}/",)
+        assert corpus.dangling == []
+
+
 def test_http_unparsable_href_is_unresolvable(tmp_path, caplog):
     write_mirror(tmp_path, {
         "index.html": '<html><body><a href="http://[oops/x.html">bad</a>'
@@ -446,6 +483,19 @@ def test_http_scheme_change_on_the_same_host_loads():
         resolver.fetch("http://site.test/loop.html")
     loop_limit = urllib.request.HTTPRedirectHandler.max_repeats
     assert requested.count("http://site.test/loop.html") == loop_limit + 1
+
+
+def test_http_redirect_to_an_explicit_default_port_stays_on_the_site():
+    resolver, site = _fake_site({"http://site.test/a.html": "http://site.test:80/b.html",
+                                 "http://site.test/c.html": "https://SITE.test:443/d.html",
+                                 "http://site.test/e.html": "http://site.test:8080/f.html"})
+    assert "ok" in resolver.fetch("http://site.test/a.html")
+    assert "ok" in resolver.fetch("http://site.test/c.html")
+    with pytest.raises(PageReadError, match="off the site to http://site.test:8080/f.html"):
+        resolver.fetch("http://site.test/e.html")
+    assert site.requested == ["http://site.test/a.html", "http://site.test:80/b.html",
+                              "http://site.test/c.html", "https://SITE.test:443/d.html",
+                              "http://site.test/e.html"]
 
 
 def test_http_redirect_chain_loads_up_to_the_limit():

@@ -2,14 +2,43 @@
 
 import itertools
 import random
+import sys
 from functools import lru_cache
 
 import pytest
 
+from navminer import load_corpus
+from navminer.navmodel import build_nav_tree, refine_clusters
 from navminer.similarity import (PageId, Partition, clone_pair, levenshtein, shared_ends,
                                  similarity, spanning_clone_pairs, transclos)
 
-from conftest import partition_is_valid
+from conftest import partition_is_valid, perfbench_mirrors
+
+
+def levenshtein_dp(a, b) -> int:
+    """The row-by-row DP that ``levenshtein`` replaced, kept as its
+    oracle: one list of n + 1 ints per token of the longer sequence, no
+    trim."""
+    n, m = len(a), len(b)
+    if n > m:
+        a, b, n, m = b, a, m, n
+    prev = list(range(n + 1))
+    for i in range(1, m + 1):
+        bi = b[i - 1]
+        cur = [i] * (n + 1)
+        for j in range(1, n + 1):
+            d = prev[j - 1]
+            if a[j - 1] != bi:
+                d += 1
+            up = prev[j] + 1
+            if up < d:
+                d = up
+            left = cur[j - 1] + 1
+            if left < d:
+                d = left
+            cur[j] = d
+        prev = cur
+    return prev[n]
 
 
 # the all-pairs oracle for spanning_clone_pairs
@@ -95,6 +124,77 @@ def test_levenshtein_matches_recursive_oracle_small():
 
 def random_seq(rng, alphabet="abc", max_len=12):
     return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_len)))
+
+
+def _random_token_pair(rng: random.Random, shape: str) -> tuple[tuple, tuple]:
+    """Two token sequences of 0-200 tokens from a 1- to 8-token alphabet."""
+    alphabet = [f"<t{k}>" for k in range(rng.randint(1, 8))]
+    other = [f"<u{k}>" for k in range(len(alphabet))] if shape == "disjoint" else alphabet
+    longest = rng.choice((16, 100, 200))
+
+    def seq(tokens, longest=longest):
+        return tuple(rng.choice(tokens) for _ in range(rng.randint(0, longest)))
+
+    a, b = seq(alphabet), seq(other)
+    if shape == "ends":  # a long shared head and tail around short middles
+        head, tail = seq(alphabet, 80), seq(alphabet, 80)
+        a, b = head + seq(alphabet, 20) + tail, head + seq(alphabet, 20) + tail
+    elif shape == "empty":
+        a = ()
+    elif shape == "edited":  # a few edits of one sequence
+        edited = list(a)
+        for _ in range(rng.randint(0, 6)):
+            if edited and rng.random() < 0.5:
+                del edited[rng.randrange(len(edited))]
+            else:
+                edited.insert(rng.randint(0, len(edited)), rng.choice(alphabet))
+        b = tuple(edited)
+    return a, b
+
+
+def test_levenshtein_equals_dp_oracle_random():
+    """Masks wider than a machine word, tiny alphabets, long shared ends,
+    one empty side and disjoint alphabets, in both argument orders."""
+    rng = random.Random(406)
+    shapes = ("random", "ends", "empty", "disjoint", "edited")
+    wide = 0
+    for case in range(3000):
+        a, b = _random_token_pair(rng, shapes[case % len(shapes)])
+        expected = levenshtein_dp(a, b)
+        assert levenshtein(a, b) == expected, (a, b)
+        assert levenshtein(b, a) == expected, (a, b)
+        start, end = shared_ends(a, b)
+        wide += min(len(a), len(b)) - start - end > 64
+    assert wide > 250
+
+
+def test_levenshtein_equals_dp_oracle_on_every_catalog_sts_comparison(tmp_path, monkeypatch):
+    """The comparisons the benchmark's ``catalog-sts`` run makes at seed 101."""
+    root = perfbench_mirrors().catalog(tmp_path, 101, 12, 25).root
+    corpus = load_corpus(root, max_depth=10, delay=0.0)
+    module = sys.modules[levenshtein.__module__]
+    compared = []
+
+    def recording(a, b):
+        compared.append((a, b))
+        return levenshtein(a, b)
+
+    monkeypatch.setattr(module, "levenshtein", recording)
+    refine_clusters(build_nav_tree(corpus.root, corpus, 0.8, "STS", 10))
+    assert len(compared) == 497
+    for a, b in compared:
+        assert levenshtein(a, b) == levenshtein_dp(a, b)
+
+
+def test_levenshtein_of_5000_tokens_in_closed_form():
+    """Distances known without a DP, which would fill 25M cells here."""
+    n = 5000
+    a = tuple(f"<t{k}>" for k in range(n))
+    every_third = tuple(f"<x{k}>" if k % 3 == 1 else token for k, token in enumerate(a))
+    assert levenshtein(a, every_third) == len(range(1, n, 3))  # substitutions
+    assert levenshtein(a, a[::2]) == n // 2  # distinct tokens: deletions only
+    assert levenshtein(a, tuple(f"<u{k}>" for k in range(n))) == n  # disjoint
+    assert levenshtein(("<a>", "<b>") * (n // 2), ("<b>", "<a>") * (n // 2)) == 2
 
 
 def test_levenshtein_metric_properties():
