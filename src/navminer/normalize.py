@@ -31,8 +31,11 @@ link extraction each element once without a walk of the tree.  It
 skips the stdlib tokenizer's line counting, which only serves
 ``getpos``, and keeps each tag's own work small: a whitespace-only text
 run (most runs of a template's indentation) is dropped before it is
-collapsed, a tag without attributes skips their cleaning, and a close
-tag pops and seals its elements in one loop.
+collapsed, a start tag looks itself up among the innermost open
+element's ``IMPLIED_END`` closers and calls ``_close_implied`` only when
+it is one of them, a tag without attributes skips their cleaning, a tag
+with one attribute skips the duplicate-name set, and a close tag pops
+and seals its elements in one loop.
 
 The builder records each page's shape as well (``Document.shape``): the
 repaired tree's events in document order, an element's name (with its
@@ -58,7 +61,12 @@ lines back.  A line is kept without its indentation and its depth
 beside it, so a deep page's lines stay linear in its size rather than
 quadratic in its depth; ``LineText.printed`` is the one place that
 indents a line, and ``LineText.printed_size`` the one place that counts
-the printed bytes.
+the printed bytes.  The printer keeps its own explicit stack rather than
+driving ``walk``: one entry per open element, the iterator over its
+children and its close line, and an element whose children are one
+text run prints its open, text and close lines without an entry.  The
+open and close lines of attribute-less tags are built once per tag name
+per call.
 """
 
 from __future__ import annotations
@@ -196,36 +204,43 @@ class _TreeBuilder(HTMLParser):
         element.children = children
 
     def _close_implied(self, tag):
+        """Pop and seal the open elements ``tag`` closes implicitly; called
+        only when it closes the innermost one."""
         stack = self.stack
-        depth = len(stack)
         while stack and tag in IMPLIED_END.get(stack[-1].name, ()):
             element = stack.pop()
             self.open_count[element.name] -= 1
             self._seal(element)
-        if len(stack) != depth:
-            self.target = stack[-1].children if stack else self.top
+        self.target = stack[-1].children if stack else self.top
 
     def _clean_attrs(self, tag, attrs):
         """The attributes of a tag that has some, as one shared tuple;
         records the tag's open event on the way."""
         share = self.strings.setdefault
-        seen = set()
-        cleaned = []
-        names = [tag]
-        for name, value in attrs:
-            if name in seen:  # HTML5 keeps the first duplicate
-                continue
-            seen.add(name)
+        if len(attrs) == 1:  # no duplicate to drop
+            (name, value), = attrs
             name = intern(name)
-            names.append(name)
-            cleaned.append((name, "" if value is None else share(value, value)))
-        names = tuple(names)
+            names = (tag, name)
+            cleaned = ((name, "" if value is None else share(value, value)),)
+        else:
+            seen = set()
+            cleaned = []
+            names = [tag]
+            for name, value in attrs:
+                if name in seen:  # HTML5 keeps the first duplicate
+                    continue
+                seen.add(name)
+                name = intern(name)
+                names.append(name)
+                cleaned.append((name, "" if value is None else share(value, value)))
+            names, cleaned = tuple(names), tuple(cleaned)
         self.event(share(names, names))
-        cleaned = tuple(cleaned)
         return share(cleaned, cleaned)
 
     def handle_starttag(self, tag, attrs, self_closing=False):
-        self._close_implied(tag)
+        stack = self.stack
+        if stack and tag in IMPLIED_END.get(stack[-1].name, ()):
+            self._close_implied(tag)
         tag = intern(tag)
         if attrs:
             attrs = self._clean_attrs(tag, attrs)  # records the open event
@@ -239,7 +254,7 @@ class _TreeBuilder(HTMLParser):
         else:
             element = Element(tag, attrs, [])
             self.target.append(element)
-            self.stack.append(element)
+            stack.append(element)
             self.target = element.children
             self.open_count[tag] = self.open_count.get(tag, 0) + 1
         self.elements.append(element)
@@ -361,37 +376,60 @@ def _lines(root: Element, with_text: bool) -> LineText:
     append, opened, indent = lines.append, opens.append, depths.append
     open_tags: dict[str, str] = {}  # tag name -> its attribute-less open line, built once
     close_tags: dict[str, str] = {}  # tag name -> its close line, built once
-    for node, depth, closing in walk(root):
-        if node.__class__ is str:
-            if with_text:
-                append(escape(node, False) if "&" in node or "<" in node or ">" in node
-                       else node)
-                opened(None)
+    # one entry per open element: the iterator over its children still to
+    # print and its close line; the bottom entry iterates over the root
+    # alone and closes nothing, so the children of stack[-1] print at
+    # depth len(stack) - 1
+    stack = [(iter((root,)), None)]
+    while stack:
+        children, close = stack[-1]
+        depth = len(stack) - 1
+        for node in children:
+            if node.__class__ is str:
+                if with_text:
+                    append(escape(node, False) if "&" in node or "<" in node or ">" in node
+                           else node)
+                    opened(None)
+                    indent(depth)
+                continue
+            name, kids = node.name, node.children
+            if node.self_closing and not (
+                    kids if with_text else any(c.__class__ is not str for c in kids)):
+                append(_open_tag(node, self_close=True) if node.attrs else "<" + name + "/>")
+                opened(node)
                 indent(depth)
-            continue
-        one_line = node.self_closing and not (
-            node.children if with_text
-            else any(c.__class__ is not str for c in node.children))
-        if closing:
-            if not one_line:
-                line = close_tags.get(node.name)
-                if line is None:
-                    line = close_tags[node.name] = f"</{node.name}>"
-                append(line)
-                opened(None)
-                indent(depth)
-        else:
+                continue
             if node.attrs:
-                append(_open_tag(node, self_close=one_line))
-            elif one_line:
-                append("<" + node.name + "/>")
+                append(_open_tag(node))
             else:
-                line = open_tags.get(node.name)
+                line = open_tags.get(name)
                 if line is None:
-                    line = open_tags[node.name] = f"<{node.name}>"
+                    line = open_tags[name] = f"<{name}>"
                 append(line)
             opened(node)
             indent(depth)
+            line = close_tags.get(name)
+            if line is None:
+                line = close_tags[name] = f"</{name}>"
+            if len(kids) == 1 and kids[0].__class__ is str:  # one text run: no push
+                if with_text:
+                    text = kids[0]
+                    append(escape(text, False) if "&" in text or "<" in text or ">" in text
+                           else text)
+                    opened(None)
+                    indent(depth + 1)
+                append(line)
+                opened(None)
+                indent(depth)
+                continue
+            stack.append((iter(kids), line))
+            break
+        else:
+            stack.pop()
+            if close is not None:
+                append(close)
+                opened(None)
+                indent(depth - 1)
     return LineText(lines, opens, depths)
 
 

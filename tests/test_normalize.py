@@ -5,6 +5,7 @@ import random
 import re
 import sys
 from dataclasses import dataclass
+from html import escape
 from html.parser import HTMLParser
 
 import pytest
@@ -13,7 +14,8 @@ from navminer import normalize
 from navminer.cli import main
 from navminer.normalize import (_BINARY_BYTE, _RAW_TEXT_TAGS, _SNIFF_CHARS, IMPLIED_END,
                                 VOID_ELEMENTS, Document, EmptyDocumentError, Element,
-                                pretty_print, stripped_lines, to_xhtml, walk)
+                                LineText, _open_tag, pretty_print, stripped_lines, to_xhtml,
+                                walk)
 
 from conftest import (DEMO_CORPUS, REPO_ROOT, all_elements, assert_packed, document_of,
                       elements_of, mirror_pages, random_document, shape_of, write_mirror)
@@ -399,16 +401,29 @@ def test_the_recorded_shape_of_demo_and_benchmark_pages(benchmark_mirrors):
     assert distinct == [12, 28, 9]
 
 
+# start tags on each side of the builder's implied-end lookup and of its
+# one-attribute case: an empty stack, an open element no tag closes
+# implicitly, closers that exclude the tag, runs of elements that close
+# their predecessor, one bare attribute and a duplicate
+_START_TAG_CASES = ["<p>a</p><p>b", "<li>a</li><li>b", "<p><b>x", "<li><p>a<span>b",
+                    "<ul><li>a<li>b<li><p>c<li>d</ul><li>e",
+                    "<table><tr><td>a<td>b<th>c<tr><th>d<td>e<tr><td>f</table>",
+                    "<select><option>a<option>b<optgroup><option>c<option>d</select>",
+                    "<form><input disabled><input disabled><p>x</form>",
+                    "<p><a href=x href=y>l</a><a href=x>m</a><a href=y href=x>n</a>"]
+
+
 def test_packed_trees_equal_the_list_builder_oracle(benchmark_mirrors):
     """Tuples for lists, ``str`` runs for ``Text`` and shared values change
     no tree and no element list: on random malformed, tokenizer-path and
-    whitespace-run markup, and on the demo and benchmark pages, parsed
-    with one shared dict as a load parses its pages.  Elements a page
-    leaves open are packed too."""
+    whitespace-run markup, on the fixed start-tag cases, and on the demo
+    and benchmark pages, parsed with one shared dict as a load parses its
+    pages.  Elements a page leaves open are packed too."""
     rng = random.Random(210)
     texts = [_random_malformed_markup(rng) for _ in range(1500)]
     texts += [_random_tokenizer_markup(rng) for _ in range(500)]
     texts += [_random_whitespace_markup(rng) for _ in range(1000)] + list(_WHITESPACE_CASES)
+    texts += _START_TAG_CASES
     texts += [text for directory in (DEMO_CORPUS, *benchmark_mirrors)
               for _, text in mirror_pages(directory)]
     strings: dict = {}
@@ -918,6 +933,95 @@ def test_printed_lines_are_indented_two_spaces_a_depth():
     assert text.printed_size() == len("\n".join(text.printed()) + "\n")
 
 
+def _walk_lines(root: Element, with_text: bool) -> LineText:
+    """Oracle: the printer as a loop over ``walk``'s events."""
+    lines: list[str] = []
+    opens: list[Element | None] = []
+    depths: list[int] = []
+    append, opened, indent = lines.append, opens.append, depths.append
+    open_tags: dict[str, str] = {}  # tag name -> its attribute-less open line, built once
+    close_tags: dict[str, str] = {}  # tag name -> its close line, built once
+    for node, depth, closing in walk(root):
+        if node.__class__ is str:
+            if with_text:
+                append(escape(node, False) if "&" in node or "<" in node or ">" in node
+                       else node)
+                opened(None)
+                indent(depth)
+            continue
+        one_line = node.self_closing and not (
+            node.children if with_text
+            else any(c.__class__ is not str for c in node.children))
+        if closing:
+            if not one_line:
+                line = close_tags.get(node.name)
+                if line is None:
+                    line = close_tags[node.name] = f"</{node.name}>"
+                append(line)
+                opened(None)
+                indent(depth)
+        else:
+            if node.attrs:
+                append(_open_tag(node, self_close=one_line))
+            elif one_line:
+                append("<" + node.name + "/>")
+            else:
+                line = open_tags.get(node.name)
+                if line is None:
+                    line = open_tags[node.name] = f"<{node.name}>"
+                append(line)
+            opened(node)
+            indent(depth)
+    return LineText(lines, opens, depths)
+
+
+def test_printers_equal_the_walk_oracle(benchmark_mirrors):
+    """``pretty_print`` and ``stripped_lines`` print what a loop over
+    ``walk`` prints, line for line and depth for depth, and record the
+    same element objects: on random documents whose elements are
+    self-closing at random, with no, text-only, element and mixed
+    children; on parsed random markup, with text to escape; on a
+    10,000-deep chain; on lone roots; and on the demo and benchmark
+    pages."""
+    rng = random.Random(211)
+    docs = []
+    kinds = set()  # the child classes of each self-closing element
+    for _ in range(300):
+        doc = random_document(rng, depth=rng.randint(0, 5))
+        for element in all_elements(doc.root):  # the parser never does this
+            element.self_closing = rng.random() < 0.3
+            if element.self_closing:
+                kinds.add(frozenset(child.__class__ for child in element.children))
+        docs.append(doc)
+    assert kinds == {frozenset(), frozenset({str}), frozenset({Element}),
+                     frozenset({str, Element})}
+    for _ in range(300):
+        try:
+            docs.append(to_xhtml(_random_shape_markup(rng)))
+        except EmptyDocumentError:
+            pass
+    docs += [document_of(Element("br", self_closing=True)), document_of(Element("html")),
+             document_of(Element("p", (("class", "a&b"),), ("x < y",), True)),
+             document_of(Element("p", (), ("x", Element("b")), True))]
+    deep = to_xhtml("<html><body>" + "<div>x" * 10_000)
+    docs.append(deep)
+    docs += [to_xhtml(text) for directory in (DEMO_CORPUS, *benchmark_mirrors)
+             for _, text in mirror_pages(directory)]
+    escaped = 0
+    for doc in docs:
+        for printer, with_text in ((pretty_print, True), (stripped_lines, False)):
+            expected, actual = _walk_lines(doc.root, with_text), printer(doc)
+            assert actual.__class__ is LineText
+            assert actual.lines == expected.lines, expected.lines[:20]
+            assert actual.depths == expected.depths, expected.lines[:20]
+            assert len(actual.opens) == len(expected.opens), expected.lines[:20]
+            assert all(a is b for a, b in zip(actual.opens, expected.opens))
+            escaped += with_text and any("&amp;" in line or "&lt;" in line
+                                         for line in actual.lines)
+    assert max(pretty_print(deep).depths) == 10_002
+    assert escaped > 50
+
+
 def test_stripped_lines_equals_pretty_print_of_stripped_copy():
     rng = random.Random(204)
     for _ in range(60):
@@ -955,7 +1059,8 @@ def _callee(call):
 
 def test_package_has_no_recursive_function_and_no_elementtree():
     """Deep input must not meet Python's recursion limit: every tree is
-    walked by ``walk``, so no function calls itself by name."""
+    walked on an explicit stack (``walk``'s, or the printer's own), so no
+    function calls itself by name."""
     package = REPO_ROOT / "src" / "navminer"
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
