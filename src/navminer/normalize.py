@@ -31,11 +31,8 @@ link extraction each element once without a walk of the tree.  It
 skips the stdlib tokenizer's line counting, which only serves
 ``getpos``, and keeps each tag's own work small: a whitespace-only text
 run (most runs of a template's indentation) is dropped before it is
-collapsed, a start tag looks itself up among the innermost open
-element's ``IMPLIED_END`` closers and calls ``_close_implied`` only when
-it is one of them, a tag without attributes skips their cleaning, a tag
-with one attribute skips the duplicate-name set, and a close tag pops
-and seals its elements in one loop.
+collapsed, a tag without attributes skips their cleaning, and a close
+tag pops and seals its elements in one loop.
 
 The builder records each page's shape as well (``Document.shape``): the
 repaired tree's events in document order, an element's name (with its
@@ -204,43 +201,36 @@ class _TreeBuilder(HTMLParser):
         element.children = children
 
     def _close_implied(self, tag):
-        """Pop and seal the open elements ``tag`` closes implicitly; called
-        only when it closes the innermost one."""
         stack = self.stack
+        depth = len(stack)
         while stack and tag in IMPLIED_END.get(stack[-1].name, ()):
             element = stack.pop()
             self.open_count[element.name] -= 1
             self._seal(element)
-        self.target = stack[-1].children if stack else self.top
+        if len(stack) != depth:
+            self.target = stack[-1].children if stack else self.top
 
     def _clean_attrs(self, tag, attrs):
         """The attributes of a tag that has some, as one shared tuple;
         records the tag's open event on the way."""
         share = self.strings.setdefault
-        if len(attrs) == 1:  # no duplicate to drop
-            (name, value), = attrs
+        seen = set()
+        cleaned = []
+        names = [tag]
+        for name, value in attrs:
+            if name in seen:  # HTML5 keeps the first duplicate
+                continue
+            seen.add(name)
             name = intern(name)
-            names = (tag, name)
-            cleaned = ((name, "" if value is None else share(value, value)),)
-        else:
-            seen = set()
-            cleaned = []
-            names = [tag]
-            for name, value in attrs:
-                if name in seen:  # HTML5 keeps the first duplicate
-                    continue
-                seen.add(name)
-                name = intern(name)
-                names.append(name)
-                cleaned.append((name, "" if value is None else share(value, value)))
-            names, cleaned = tuple(names), tuple(cleaned)
+            names.append(name)
+            cleaned.append((name, "" if value is None else share(value, value)))
+        names = tuple(names)
         self.event(share(names, names))
+        cleaned = tuple(cleaned)
         return share(cleaned, cleaned)
 
     def handle_starttag(self, tag, attrs, self_closing=False):
-        stack = self.stack
-        if stack and tag in IMPLIED_END.get(stack[-1].name, ()):
-            self._close_implied(tag)
+        self._close_implied(tag)
         tag = intern(tag)
         if attrs:
             attrs = self._clean_attrs(tag, attrs)  # records the open event
@@ -254,7 +244,7 @@ class _TreeBuilder(HTMLParser):
         else:
             element = Element(tag, attrs, [])
             self.target.append(element)
-            stack.append(element)
+            self.stack.append(element)
             self.target = element.children
             self.open_count[tag] = self.open_count.get(tag, 0) + 1
         self.elements.append(element)

@@ -401,8 +401,8 @@ def test_the_recorded_shape_of_demo_and_benchmark_pages(benchmark_mirrors):
     assert distinct == [12, 28, 9]
 
 
-# start tags on each side of the builder's implied-end lookup and of its
-# one-attribute case: an empty stack, an open element no tag closes
+# start tags on each side of the builder's implied-end rules and its
+# attribute cleaning: an empty stack, an open element no tag closes
 # implicitly, closers that exclude the tag, runs of elements that close
 # their predecessor, one bare attribute and a duplicate
 _START_TAG_CASES = ["<p>a</p><p>b", "<li>a</li><li>b", "<p><b>x", "<li><p>a<span>b",
