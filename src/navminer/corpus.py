@@ -8,8 +8,9 @@ exactly once and, as it arrives, parsed and link-scanned once into a
 pipeline stages read those records and never touch the source again.
 The pages of a site repeat their templates' attribute values and
 boilerplate text, so the pages of one load share one copy of each
-(``normalize.to_xhtml``'s ``strings``); the dict that finds the copies
-is dropped when the load returns.
+(``normalize.to_xhtml``'s ``strings``), and each distinct tag text is
+tokenized once per load (its ``tags``); both dicts are dropped when the
+load returns.
 
 Internal means: the resolved path stays under the mirror root and the
 file's real location, symlinks followed, does too (filesystem mode), or
@@ -292,10 +293,11 @@ def load_corpus(root, max_depth: int, delay: float) -> Corpus:
         raise ValueError("max_depth must be non-negative")
     resolver, root_id = _open_root(root, delay)
     strings: dict = {}  # the pages' attribute values and text runs, shared
+    tags: dict = {}  # what each distinct tag text parses to
     corpus = Corpus(root=root_id, pages={})
 
     def load(page_id: PageId, depth: int) -> None:  # raises PageReadError, EmptyDocumentError
-        document = to_xhtml(resolver.fetch(page_id), strings)
+        document = to_xhtml(resolver.fetch(page_id), strings, tags)
         links = tuple(extract_links(document, page_id, resolver))
         corpus.pages[page_id] = Page(depth, document, links)
 
@@ -320,7 +322,9 @@ def load_corpus(root, max_depth: int, delay: float) -> Corpus:
             try:
                 load(target, page.depth + 1)
             except PageReadError as exc:
-                logger.warning("dangling link: %s", exc)
+                # the message alone: a kept record holding the exception
+                # would keep its traceback, this frame and the whole load
+                logger.warning("dangling link: %s", str(exc))
                 dangling.add(target)
             except EmptyDocumentError:
                 logger.warning("excluded (no markup): %s", target)

@@ -34,6 +34,28 @@ run (most runs of a template's indentation) is dropped before it is
 collapsed, a tag without attributes skips their cleaning, and a close
 tag pops and seals its elements in one loop.
 
+The pages of a site come from a few templates, so their tags repeat
+their exact text: the 619 page files of the benchmark catalog
+(``perfbench/mirrors.py``, seed 101) hold 16,989 start tags with 970
+distinct texts and 16,368 end tags with 18.  The builder therefore
+tokenizes each distinct tag text once per ``tags`` dict ``to_xhtml`` is
+handed (``corpus.load_corpus`` keeps one per load, beside ``strings``).
+The dict is keyed by a tag's exact source text: a start tag's up to the
+end ``check_for_whole_start_tag`` finds, an end tag's up to its first
+``>``.  A start key begins with ``<`` and a letter, an end key with
+``</``, so the two never collide.  A miss goes to the stdlib's own
+``parse_starttag`` or ``parse_endtag``, and what the stdlib dispatched is
+stored when it was one tag: for a start tag the interned name, the
+shared attribute tuple, the open event and whether the element closes
+at once, for an end tag its name.  A hit replays that: the implied ends
+and the element for a start tag, ``handle_endtag`` for an end tag.  This
+is no second tokenizer: a stored entry is what the stdlib made of the
+identical text, and when the stdlib dispatches a tag it reads nothing
+past the tag's closing ``>``.  Raw text stays the stdlib's: a start tag
+that enters raw-text mode (``script``, ``style``) is never stored, and
+end tags are looked up only outside that mode, so ``</div>`` in a
+script stays text.
+
 The builder records each page's shape as well (``Document.shape``): the
 repaired tree's events in document order, an element's name (with its
 attribute names) where it opens, ``None`` where it closes and ``1`` for
@@ -169,10 +191,15 @@ class LineText:
 class _TreeBuilder(HTMLParser):
     """Tolerant tree construction on top of the stdlib tokenizer."""
 
-    def __init__(self, strings: dict | None = None):
+    def __init__(self, strings: dict | None = None, tags: dict | None = None):
         super().__init__(convert_charrefs=True)
         # values, text runs and tuples of them: one copy of each
         self.strings = {} if strings is None else strings
+        # a tag's exact source text -> what it does: a start tag's
+        # ``_open`` arguments, an end tag's name
+        self.tags = {} if tags is None else tags
+        self.opened = None  # the ``_open`` arguments handle_starttag last built
+        self.closed = None  # the name handle_endtag was last called with
         self.top: list[Element | str] = []
         self.stack: list[Element] = []
         self.target = self.top  # the children of the innermost open element
@@ -180,6 +207,37 @@ class _TreeBuilder(HTMLParser):
         self.open_count: dict[str, int] = {}  # tag name -> elements of it on the stack
         self.shape: list = []  # the events of Document.shape, as the tree grows
         self.event = self.shape.append
+
+    def parse_starttag(self, i):
+        end = self.check_for_whole_start_tag(i)
+        if end >= 0:
+            opened = self.tags.get(self.rawdata[i:end])
+            if opened is not None:  # the text was tokenized before: replay it
+                self._close_implied(opened[0])
+                self._open(*opened)
+                return end
+        self.opened = None
+        end = HTMLParser.parse_starttag(self, i)
+        # one start tag dispatched, and no raw-text mode (script, style)
+        # to enter, which a replay would skip
+        if self.opened is not None and self.cdata_elem is None:
+            self.tags[self.rawdata[i:end]] = self.opened
+        return end
+
+    def parse_endtag(self, i):
+        if self.cdata_elem is not None:  # "</div>" in a script is text
+            return HTMLParser.parse_endtag(self, i)
+        rawdata = self.rawdata
+        end = rawdata.find(">", i + 2) + 1
+        name = self.tags.get(rawdata[i:end])
+        if name is not None:
+            self.handle_endtag(name)
+            return end
+        self.closed = None
+        k = HTMLParser.parse_endtag(self, i)
+        if k == end and self.closed is not None:
+            self.tags[rawdata[i:end]] = self.closed
+        return k
 
     def updatepos(self, i, j):
         # the base class counts lines here only for getpos(), which
@@ -211,8 +269,8 @@ class _TreeBuilder(HTMLParser):
             self.target = stack[-1].children if stack else self.top
 
     def _clean_attrs(self, tag, attrs):
-        """The attributes of a tag that has some, as one shared tuple;
-        records the tag's open event on the way."""
+        """The attributes of a tag that has some, as one shared tuple,
+        and the tag's shared open event."""
         share = self.strings.setdefault
         seen = set()
         cleaned = []
@@ -225,19 +283,20 @@ class _TreeBuilder(HTMLParser):
             names.append(name)
             cleaned.append((name, "" if value is None else share(value, value)))
         names = tuple(names)
-        self.event(share(names, names))
         cleaned = tuple(cleaned)
-        return share(cleaned, cleaned)
+        return share(cleaned, cleaned), share(names, names)
 
     def handle_starttag(self, tag, attrs, self_closing=False):
         self._close_implied(tag)
         tag = intern(tag)
-        if attrs:
-            attrs = self._clean_attrs(tag, attrs)  # records the open event
-        else:
-            attrs = ()
-            self.event(tag)
-        if self_closing or tag in VOID_ELEMENTS:
+        attrs, event = self._clean_attrs(tag, attrs) if attrs else ((), tag)
+        self.opened = opened = (tag, attrs, event, self_closing or tag in VOID_ELEMENTS)
+        self._open(*opened)
+
+    def _open(self, tag, attrs, event, closed):
+        """Add a cleaned start tag's element; ``closed``: it opens nothing."""
+        self.event(event)
+        if closed:
             element = Element(tag, attrs, (), True)
             self.target.append(element)
             self.event(None)
@@ -253,6 +312,7 @@ class _TreeBuilder(HTMLParser):
         self.handle_starttag(tag, attrs, self_closing=True)
 
     def handle_endtag(self, tag):
+        self.closed = tag
         # void names never enter open_count, so a void close tag is stray
         open_count = self.open_count
         if not open_count.get(tag):
@@ -285,17 +345,20 @@ class _TreeBuilder(HTMLParser):
             self.event(1)
 
 
-def to_xhtml(text: str, strings: dict | None = None) -> Document:
+def to_xhtml(text: str, strings: dict | None = None, tags: dict | None = None) -> Document:
     """Repair one page's possibly faulty markup into a well-formed Document.
 
     An attribute value or text run (or a tuple of attributes or of a
     lone text run, or a page shape or one of its open events) equal to a
     key of ``strings`` is that key's object, and a new one becomes a
-    key, so the pages parsed with one dict share one copy of each; by
-    default a page has a dict of its own."""
+    key, so the pages parsed with one dict share one copy of each.
+    ``tags`` memoizes what each distinct tag text parses to, so the pages
+    parsed with one dict tokenize each tag text once; it holds objects
+    shared through ``strings`` and belongs with that dict.  By default a
+    page has dicts of its own."""
     if _BINARY_BYTE.search(text, 0, _SNIFF_CHARS):
         raise EmptyDocumentError("binary data, not markup")
-    builder = _TreeBuilder(strings)
+    builder = _TreeBuilder(strings, tags)
     builder.feed(text)
     builder.close()
     # every element hangs below a top-level one, so none at all means

@@ -3,9 +3,11 @@
 import email.message
 import gc
 import io
+import logging
 import random
 import sys
 import tracemalloc
+import types
 import urllib.request
 from functools import partial
 from http.server import BaseHTTPRequestHandler, SimpleHTTPRequestHandler
@@ -200,6 +202,24 @@ def test_missing_linked_page_recorded_as_dangling(tmp_path):
     corpus = load_corpus(root, max_depth=2, delay=0.0)
     assert corpus.dangling == ["gone.html"]
     assert set(corpus.pages) == {"index.html", "a.html"}
+
+
+def test_a_kept_dangling_link_warning_holds_no_exception(tmp_path, caplog):
+    """A handler that keeps its records (pytest's capture here, or a
+    ``MemoryHandler``) keeps whatever a record references.  An exception
+    would bring its traceback, and with it ``load_corpus``'s frame and the
+    whole load; so the warning carries the message alone."""
+    root = write_mirror(tmp_path, {
+        "index.html": '<html><body><a href="gone.html">x</a></body></html>',
+    })
+    with caplog.at_level(logging.WARNING, logger=logger.name):
+        assert load_corpus(root, max_depth=2, delay=0.0).dangling == ["gone.html"]
+    assert [record.getMessage().split(":")[0] for record in caplog.records] == ["dangling link"]
+    assert "gone.html" in caplog.records[0].getMessage()
+    for record in caplog.records:
+        assert record.exc_info is None and record.exc_text is None
+        assert not [arg for arg in record.args
+                    if isinstance(arg, (BaseException, types.TracebackType))]
 
 
 def test_markup_free_linked_page_excluded(tmp_path):

@@ -501,14 +501,17 @@ def _random_tokenizer_markup(rng: random.Random) -> str:
     return "".join(pieces) + rng.choice(_TOKENIZER_TAILS)
 
 
-def _tree_and_index(builder, text):
+def _parsed(text, strings=None, tags=None, builder=normalize._TreeBuilder):
+    """The tree and element list (``_canonical``), the element names and
+    the shape ``to_xhtml`` gives ``text`` with ``builder``, or None when
+    it finds no markup."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(normalize, "_TreeBuilder", builder)
         try:
-            doc = to_xhtml(text)
+            doc = to_xhtml(text, strings, tags)
         except EmptyDocumentError:
             return None
-    return _events(doc), [(e.name, e.attrs, e.self_closing) for e in doc.elements]
+    return _canonical(doc), [element.name for element in doc.elements], doc.shape
 
 
 def test_skipping_the_line_count_changes_no_tree_random():
@@ -516,8 +519,7 @@ def test_skipping_the_line_count_changes_no_tree_random():
     texts = [_random_tokenizer_markup(rng) for _ in range(2000)]
     texts += [_random_whitespace_markup(rng) for _ in range(1000)] + list(_WHITESPACE_CASES)
     for text in texts:
-        assert _tree_and_index(normalize._TreeBuilder, text) == \
-            _tree_and_index(_LineCountingBuilder, text), text
+        assert _parsed(text) == _parsed(text, builder=_LineCountingBuilder), text
 
 
 def test_the_tree_builder_counts_no_lines():
@@ -529,6 +531,105 @@ def test_the_tree_builder_counts_no_lines():
     counting.feed("<div>\n<p>\none</p>\n</div>")
     counting.close()
     assert counting.getpos() == (4, 6)
+
+
+class _StdlibTags(normalize._TreeBuilder):
+    """Oracle: the tree builder with every tag tokenized by the stdlib,
+    its tag memo never read or filled."""
+
+    parse_starttag = HTMLParser.parse_starttag
+    parse_endtag = HTMLParser.parse_endtag
+
+
+class _CountingMemo(dict):
+    """A tag memo that counts the lookups it answers."""
+
+    hits = 0
+
+    def get(self, key, default=None):
+        value = dict.get(self, key, default)
+        self.hits += value is not None
+        return value
+
+
+def _raw_text_openers(tags):
+    """The memo's start-tag entries that open a script or style element:
+    a replay of one would skip the stdlib's raw-text mode."""
+    return [key for key, value in tags.items()
+            if value.__class__ is tuple and value[0] in _RAW_TEXT_TAGS and not value[3]]
+
+
+def test_the_tag_memo_equals_the_stdlib_tokenizer_random():
+    """Start and end tags replayed from the memo build what the stdlib's
+    tokenizing builds, tree, element order and shape, on 4,000 random
+    markups from every generator above.  They are fed in batches of 50
+    that share one memo and one strings dict, as a load's pages do, so a
+    tag first tokenized in one context is replayed in another: after
+    implied ends, beside raw-text bodies that hold the same text, near a
+    tag cut off at the end.  No stored entry opens a raw-text element."""
+    rng = random.Random(219)
+    generators = (_random_shape_markup, _random_malformed_markup,
+                  _random_tokenizer_markup, _random_whitespace_markup)
+    hits = stored = 0
+    for _ in range(80):
+        strings, tags = {}, _CountingMemo()
+        for _ in range(50):
+            text = rng.choice(generators)(rng)
+            assert _parsed(text, strings, tags) == _parsed(text, builder=_StdlibTags), text
+        assert _raw_text_openers(tags) == []
+        hits += tags.hits
+        stored += len(tags)
+    assert hits > 2 * stored > 10_000
+
+
+# tags the memo must replay exactly or not at all: tag texts inside
+# raw-text bodies and the same texts outside, the escapable raw-text
+# elements, upper case, charrefs, duplicate and bare attributes, "/>" and
+# void tags, implied ends before a replayed tag, tags cut off at the end
+# of the input and odd tag texts
+_TAG_MEMO_CASES = (
+    '<div class="x"><script>s = \'<div class="x">\'; </div> <p></script>a</div>',
+    "<div>b</div><script></div><p>c</p></script></div>",
+    "<div><style>div > p { }</div></style><div><p>d</div></div>",
+    "<SCRIPT>x = '<b>';</SCRIPT><b>e</b>",
+    "<title>f &amp; <b>g</b></title><b>h</b>",
+    "<textarea><div>i</div></textarea><div>j</div>",
+    '<DIV CLASS="A">k</DIV><div class="A">l</div><Div Class="A">m</dIV>',
+    '<a href="q?a=1&amp;b=2">n</a><a href="q?a=1&b=2">o</a><a title=\'&lt;&#62;&copy\'>p</a>',
+    "<input disabled disabled=x><input disabled><input disabled=''>",
+    "<a href=x href=y>q</a><a href=x>r</a><a href=y href=x>s</a>",
+    "<br><br/><br /><img src=i><img src=i/><div/><div />t<div>u</div>",
+    "<ul><li>v<li>w<li><p>x<li>y</ul>", "<p>z<p>a<div>b</div><p>c",
+    "<table><tr><td>d<td>e<tr><td>f</table>",
+    '<div>g<div class="never', "<p>h<a href=x", "<div>i<div",
+    '<div"x>j</div"x><div"x>', "<a>k</a b><a>l</a b>", "<b>m</>n</ >o</b>",
+)
+
+
+def test_the_tag_memo_equals_the_stdlib_tokenizer_on_fixed_cases():
+    """The cases above, in both orders and each twice, with one memo:
+    the second time every tag text has been seen.  Tags are replayed, and
+    no script or style start tag is ever stored."""
+    for cases in (_TAG_MEMO_CASES, _TAG_MEMO_CASES[::-1]):
+        strings, tags = {}, _CountingMemo()
+        for text in cases * 2:
+            assert _parsed(text, strings, tags) == _parsed(text, builder=_StdlibTags), text
+        assert tags.hits > 100
+        assert [key for key in tags if key.lower().startswith(("<script", "<style"))] == []
+        assert {'<div class="x">', "</div>", "<li>", "</a b>"} <= tags.keys()
+
+
+def test_the_tag_memo_equals_the_stdlib_tokenizer_on_demo_and_benchmark_pages(
+        benchmark_mirrors):
+    """Each mirror's pages parsed with one memo, as a load parses them,
+    build what the stdlib's tokenizing builds; most of their tags are
+    replays."""
+    for directory in (DEMO_CORPUS, *benchmark_mirrors):
+        strings, tags = {}, _CountingMemo()
+        for page_id, text in mirror_pages(directory):
+            assert _parsed(text, strings, tags) == _parsed(text, builder=_StdlibTags), page_id
+        assert _raw_text_openers(tags) == []
+        assert tags.hits > 10 * len(tags), directory
 
 
 def test_isspace_and_split_agree_on_every_code_point():
