@@ -26,6 +26,10 @@ Links are read from ``a/@href``, ``area/@href`` (image maps),
 ``form/@action`` and ``frame|iframe/@src``, one lookup per element of
 the parser's ``Document.elements``; fragments are stripped, query
 strings kept, ``mailto:``/``javascript:``/external targets dropped.
+In filesystem mode only an href's path, up to its first ``?``, is
+joined to the page's path (without the page's own query) and checked,
+as ``urljoin`` does over HTTP; an href without a path names the page
+itself, and a non-empty query is appended to the result.
 Page bytes are read as UTF-8, a byte order mark dropped, or else as
 Latin-1 (``normalize.decode_markup``).  In filesystem mode a link to a
 directory of the mirror (``sub/``, ``sub``, or the root itself: ``/``,
@@ -92,27 +96,30 @@ class FileResolver:
         self.root_dir = Path(root_dir).resolve()
         self._prefix = os.path.join(self.root_dir, "")
         self._real_dir = functools.lru_cache(maxsize=None)(os.path.realpath)
-        self._index_of = functools.lru_cache(maxsize=None)(_directory_index)
 
     def resolve(self, base: PageId, href: str) -> PageId | None:
         href = href.split("#", 1)[0].strip()
         if not href or href.lower().startswith(_SKIP_PREFIXES):
             return None
-        if "://" in href or href.startswith("//"):
+        # only the path is joined and checked; the query is kept as written
+        path, _, query = href.partition("?")
+        if "://" in path or path.startswith("//"):
             return None  # absolute URLs point outside the mirror
-        href = unquote(href)
-        if href.startswith("/"):
-            candidate = href.lstrip("/")
-        else:
-            candidate = posixpath.join(posixpath.dirname(base), href)
+        path = unquote(path)
+        if path.startswith("/"):
+            candidate = path.lstrip("/")
+        else:  # an empty path is the base page itself
+            base = base.partition("?")[0]
+            candidate = posixpath.join(posixpath.dirname(base), path) if path else base
         candidate = posixpath.normpath(candidate)  # never "": the mirror root is "."
         if candidate == ".." or candidate.startswith("../"):
             return None  # escapes the mirror; "..data.html" is a plain name
-        # a directory (the root too) stands for its index page, as on an HTTP server
-        index = self._index_of(self._prefix + candidate)
-        if index is None:
-            return candidate
-        return posixpath.normpath(posixpath.join(candidate, index))  # "." gives "index.html"
+        # a directory (the root too) stands for its index page, as on an
+        # HTTP server; "." gives "index.html"
+        index = _directory_index(self._prefix + candidate)
+        if index is not None:
+            candidate = posixpath.normpath(posixpath.join(candidate, index))
+        return candidate + "?" + unquote(query) if query else candidate
 
     def fetch(self, page_id: PageId) -> str:
         path = os.path.join(self.root_dir, page_id)
@@ -258,10 +265,9 @@ def extract_links(doc: Document, base: PageId, resolver) -> list[PageId]:
 class Corpus:
     root: PageId
     pages: dict[PageId, Page]
-    dangling: list[PageId] = field(default_factory=list)
+    dangling: list[PageId] = field(default_factory=list)  # sorted, each target once
     excluded: list[PageId] = field(default_factory=list)  # fetched but markup-free
     memo: dict = field(default_factory=dict)  # navmodel.token_seq: (method, Document.shape)
-    models: dict = field(default_factory=dict)  # navmodel.token_seq: inferred content models
 
 
 def _open_root(root, delay: float):

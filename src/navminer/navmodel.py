@@ -59,14 +59,13 @@ def token_seq(corpus: Corpus, page_id: PageId, method: str):
     shape: the tokens of both methods depend on nothing but the tree's
     names, nesting, attribute names and text positions, which
     ``Document.shape`` records, so the pages of one shape share one
-    token tuple, computed once.  The schemas share the corpus's content
-    models, each inferred once."""
+    token tuple, computed once."""
     doc = corpus.pages[page_id].document
     key = (method, doc.shape)
     seq = corpus.memo.get(key)
     if seq is None:
         if method == "MMS":
-            seq = schema_mod.serialize_schema(schema_mod.extract_schema(doc, corpus.models))
+            seq = schema_mod.serialize_schema(schema_mod.extract_schema(doc))
         else:
             seq = schema_mod.sts_serialize(doc)
         corpus.memo[key] = seq

@@ -235,7 +235,7 @@ def _build_artifacts(cfg: Config, result: PipelineResult) -> dict[str, str]:
     artifacts = {
         "navmodel.dot": emit_dot(result.tree),
         "navmodel.xml": emit_xml(result.tree, result.components, result.evaluation),
-        "dangling.txt": "".join(line + "\n" for line in sorted(set(result.corpus.dangling))),
+        "dangling.txt": "".join(line + "\n" for line in result.corpus.dangling),
         "report/index.html": _report_index(result.components, result.evaluation),
     }
     for index, component in enumerate(result.components):

@@ -25,17 +25,9 @@ walk of the tree):
 An attribute is REQUIRED when every instance of the element carries it,
 IMPLIED otherwise.  Attribute *values* never enter the schema.
 
-A site's pages come from a few templates, so the same content models
-recur from page to page.  A model depends only on its element name's
-inference input, ``(has_text, set of child-name sequences)``, and
-``extract_schema`` takes a ``models`` dict from inputs to the models
-already inferred: the pages extracted with one dict (``navmodel`` passes
-the corpus's, which lives as long as the corpus) infer each distinct
-input once and share its ``ContentModel``.  ``navmodel`` extracts one
-schema per distinct page shape (``normalize.Document.shape``), which
-fixes the schema: on the catalog mirror of ``perfbench/mirrors.py`` the
-614 pages have 28 shapes, whose schemas ask for 449 inferences of 29
-distinct inputs (8,850 with a schema per page).
+``navmodel`` extracts one schema per distinct page shape
+(``normalize.Document.shape``), which fixes the schema, so a run infers
+each element's content model once per shape.
 
 The token stream of ``serialize_schema`` is this module's format alone:
 the distance compares it, the clustering caches it per page shape and
@@ -136,13 +128,8 @@ def _infer_model(seqs: list[tuple[str, ...]], has_text: bool) -> ContentModel:
     return ContentModel(CHOICE_STAR, tuple((n, STAR) for n in child_names))
 
 
-def extract_schema(doc: Document, models: dict | None = None) -> Schema:
-    """Infer the schema of one well-formed document.
-
-    ``models`` maps each inference input met so far, ``(has_text, set
-    of the instances' child-name sequences)``, to its model; a new input
-    is inferred and added.  Without one the document has a dict of its
-    own."""
+def extract_schema(doc: Document) -> Schema:
+    """Infer the schema of one well-formed document."""
     sequences: dict[str, list[tuple[str, ...]]] = {}  # one child-name sequence per instance
     has_text: set[str] = set()
     attr_counts: dict[str, dict[str, int]] = {}
@@ -163,17 +150,10 @@ def extract_schema(doc: Document, models: dict | None = None) -> Schema:
         for attr_name, _ in element.attrs:
             counts[attr_name] = counts.get(attr_name, 0) + 1
 
-    if models is None:
-        models = {}  # this document's own
     schema = Schema()
     for name in sorted(sequences):
         seqs = sequences[name]
-        text = name in has_text
-        key = (text, frozenset(seqs))  # _infer_model reads only the set
-        model = models.get(key)
-        if model is None:
-            model = models[key] = _infer_model(seqs, text)
-        schema.declarations[name] = model
+        schema.declarations[name] = _infer_model(seqs, name in has_text)
         specs = tuple(
             (attr, REQUIRED if count == len(seqs) else IMPLIED)
             for attr, count in sorted(attr_counts[name].items())

@@ -109,12 +109,93 @@ def test_extract_links_sees_forms_and_frames(tmp_path):
         ["submit.html", "inner.html"]
 
 
+SITE = "http://site.test/"
+
+
+def _http_id(resolver: HttpResolver, base: PageId, href: str) -> PageId | None:
+    """What ``resolver``, for the site at ``SITE``, makes of ``href`` on
+    page ``base``, written as a filesystem id: the site prefix dropped."""
+    target = resolver.resolve(SITE + base, href)
+    return None if target is None else target.removeprefix(SITE)
+
+
 def test_relative_resolution_and_escape_rejection(tmp_path):
-    resolver = FileResolver(tmp_path)
+    resolver, http = FileResolver(tmp_path), HttpResolver(SITE, delay=0.0)
     assert resolver.resolve("sub/page.html", "../other.html") == "other.html"
     assert resolver.resolve("sub/page.html", "deeper/x.html") == "sub/deeper/x.html"
     assert resolver.resolve("page.html", "../../outside.html") is None
     assert resolver.resolve("page.html", "a%20b.html") == "a b.html"
+    # a query is kept as written, and only the path part is joined, as urljoin does
+    for base, href, expected in (
+            ("items/p.html", "q.html?u=../../x", "items/q.html?u=../../x"),
+            ("index.html", "search.html?u=http://x", "search.html?u=http://x"),
+            ("items/p.html", "?x=1", "items/p.html?x=1"),
+            ("items/p.html?u=a/b", "q.html", "items/q.html"),
+            ("items/p.html", "sub?", "items/sub"),
+            ("items/p.html", "q.html?a%20b", "items/q.html?a b")):
+        assert resolver.resolve(base, href) == expected, (base, href)
+        assert _http_id(http, base, href) == expected, (base, href)
+
+
+def _random_base(rng) -> PageId:
+    path = rng.choice(["index.html", "p.html", "items/p.html", "a/b/c.html"])
+    if rng.random() < 0.4:
+        path += "?" + rng.choice(["id=1", "u=a/b", "u=../x", "u=http://x", "a?b", ""])
+    return path
+
+
+def _random_href(rng) -> str:
+    segments = [rng.choice([".", "..", "items", "sub", "x.html", "q.html", "a%20b.html"])
+                for _ in range(rng.randint(0, 3))]
+    path = ("/" if rng.random() < 0.25 else "") + "/".join(segments)
+    if segments and rng.random() < 0.2:
+        path += "/"
+    href = path
+    if rng.random() < 0.5:
+        href += "?" + rng.choice(["", "id=2", "u=a/b", "u=../../x", "u=http://x",
+                                  "a?b", "u=//x"])
+    if rng.random() < 0.15:
+        href += "#" + rng.choice(["", "top", "a/b"])
+    return rng.choice([href] * 8 + [
+        "#top", "mailto:a@b.test", "http://other.test/x.html", "//other.test/x.html",
+        SITE + path.lstrip("/"), "//site.test/" + path.lstrip("/")])
+
+
+def test_file_and_http_resolution_agree(tmp_path):
+    """The two resolvers, over an empty mirror and a site, give the same id
+    for generated links except in four classes, each of which occurs:
+    (a) a link above the root, which a URL clamps to the root;
+    (b) a target that ends in "/" or names the root or a directory, which a
+        URL keeps as a directory where an empty mirror has a plain name;
+    (c) a same-host absolute URL, which a mirror cannot hold;
+    (d) a bare "?" on a page with a query, where urljoin keeps the query."""
+    resolver, http = FileResolver(tmp_path), HttpResolver(SITE, delay=0.0)
+    rng = random.Random(230)
+    classes = {"agree": 0, "a": 0, "b": 0, "c": 0, "d": 0}
+    for _ in range(20_000):
+        base, href = _random_base(rng), _random_href(rng)
+        got, url = resolver.resolve(base, href), _http_id(http, base, href)
+        path, _, query = href.split("#", 1)[0].partition("?")
+        if got == url:
+            kind = "agree"
+        elif href.startswith((SITE, "//site.test/")):
+            kind = "c"
+            assert got is None and url is not None
+        elif got is None:
+            kind = "a"
+            assert ".." in path.split("/") and url is not None
+        elif href.startswith("?") and not path and not query:
+            kind = "d"
+            assert "?" in base and (got, url) == (base.partition("?")[0], base)
+        else:
+            kind = "b"
+            got_path, _, got_query = got.partition("?")
+            url_path, _, url_query = url.partition("?")
+            assert url_path in ("", got_path + "/") and got_query == url_query
+            assert got_path == "." or url_path
+        classes[kind] += 1
+    assert all(classes.values()), classes
+    assert classes["agree"] > 10_000, classes
 
 
 def test_names_starting_with_two_dots_stay_in_the_mirror(tmp_path):

@@ -263,31 +263,21 @@ def test_memo_grows_with_shapes_not_pairs(tmp_path):
     assert next(iter(corpus.memo))[1] is shape
 
 
-def test_mms_tokens_infer_each_content_model_once_per_corpus(tmp_path):
-    """The pages' schemas share their corpus's content models: an index
-    and 50 leaves of one template have two shapes, so two schemas are
-    extracted, and 5 distinct inputs are inferred.  STS infers none, the
-    memo keys are ``(method, shape)``, one per method and distinct shape,
-    and a new load starts with no models."""
+def test_token_seq_memo_holds_one_entry_per_method_and_shape(tmp_path):
+    """An index and 50 leaves of one template have two shapes, so the memo
+    holds one token tuple per method and shape, keyed ``(method, shape)``."""
     items = [f"item-{i:02d}.html" for i in range(50)]
     pages = {"index.html": linking("home", items)}
     pages.update({name: leaf(name) for name in items})
     root = write_mirror(tmp_path, pages)
     corpus = load_corpus(root, max_depth=10, delay=0.0)
-    for page_id in corpus.pages:
-        token_seq(corpus, page_id, "STS")
-    assert corpus.models == {}
-    for page_id in corpus.pages:
-        token_seq(corpus, page_id, "MMS")
-    # html and head (one input each on every page), body (one on the
-    # index, one on the leaves) and the text-only instances of title, h1,
-    # span and the index's a (one input for all four)
-    assert len(corpus.models) == 5
+    for method in ("STS", "MMS"):
+        for page_id in corpus.pages:
+            token_seq(corpus, page_id, method)
     shapes = {page.document.shape for page in corpus.pages.values()}
     assert len(shapes) == 2
     assert set(corpus.memo) == {(method, shape) for method in ("MMS", "STS")
                                 for shape in shapes}
-    assert load_corpus(root, max_depth=10, delay=0.0).models == {}
 
 
 def test_token_seq_is_the_direct_computation(demo_corpus, benchmark_mirrors):

@@ -576,6 +576,24 @@ def test_demo_artifact_bytes_match_the_golden_digests(demo_root, demo_reference,
                              "the new digests:\n" + "\n".join(got))
 
 
+@pytest.mark.parametrize("seed", ["0", "4242"])
+def test_demo_artifact_bytes_do_not_depend_on_the_hash_seed(seed, demo_root, demo_reference,
+                                                            tmp_path):
+    """A fresh interpreter with its own string-hash seed writes the pinned
+    bytes too, so no artifact follows the iteration order of a set or
+    dict of strings.  One test process has a single seed."""
+    code = ("import sys\nfrom pathlib import Path\n"
+            "from test_report import _demo_artifact_digests\n"
+            "print('\\n'.join(_demo_artifact_digests(*map(Path, sys.argv[1:]))))")
+    paths = [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests"), os.environ.get("PYTHONPATH", "")]
+    run = subprocess.run([sys.executable, "-c", code, str(demo_root), str(demo_reference),
+                          str(tmp_path)], capture_output=True, text=True, timeout=300,
+                         env=dict(os.environ, PYTHONHASHSEED=seed,
+                                  PYTHONPATH=os.pathsep.join(filter(None, paths))))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == GOLDEN_ARTIFACTS.read_text(encoding="utf-8").splitlines()
+
+
 def test_config_file_with_a_byte_order_mark_loads(tmp_path, demo_root, capsys):
     config = tmp_path / "run.conf"
     config.write_text(f"\ufeffroot = {demo_root}\nout = {tmp_path / 'out'}\n", encoding="utf-8")

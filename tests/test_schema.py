@@ -3,7 +3,6 @@
 import random
 from collections import Counter
 
-from navminer.corpus import load_corpus
 from navminer.normalize import Document, Element, to_xhtml, walk
 from navminer.schema import (CHOICE_STAR, EMPTY, IMPLIED, MIXED, PCDATA, PLUS,
                              REQUIRED, SEQUENCE, STAR, ContentModel, Schema,
@@ -271,30 +270,3 @@ def test_extract_schema_equals_the_tree_walking_oracle(benchmark_mirrors):
     assert len(docs) > 950
     for doc in docs:
         assert extract_schema(doc) == extract_schema_walk(doc)
-
-
-def test_shared_models_change_no_schema(benchmark_mirrors):
-    """One ``models`` dict shared by many documents, in load order and
-    shuffled, gives each document the schema it has without one, on random
-    documents and on the demo and benchmark pages.  On the benchmark
-    catalog the dict ends up with far fewer entries than the inferences it
-    stands for, and the pages share each model object."""
-    rng = random.Random(211)
-    docs = [random_document(rng, rng.randint(0, 5)) for _ in range(300)]
-    for root in (DEMO_CORPUS, *benchmark_mirrors):
-        corpus = load_corpus(root / "index.html", max_depth=10, delay=0.0)
-        docs += [page.document for page in corpus.pages.values()]  # load order
-    assert len(docs) > 950
-    expected = [extract_schema(doc) for doc in docs]
-    for order in (range(len(docs)), rng.sample(range(len(docs)), len(docs))):
-        models: dict = {}
-        for index in order:
-            assert extract_schema(docs[index], models) == expected[index]
-
-    catalog = [to_xhtml(text) for _, text in mirror_pages(benchmark_mirrors[0])]
-    models = {}
-    schemas = [extract_schema(doc, models) for doc in catalog]
-    inferences = sum(len(schema.declarations) for schema in schemas)
-    assert inferences > 50 * len(models)
-    shared = {id(model) for schema in schemas for model in schema.declarations.values()}
-    assert len(shared) == len(models)

@@ -136,8 +136,8 @@ def _module_level(scope):
 
 
 def test_the_program_keeps_no_cache_between_runs():
-    """Every cache lives as long as one run (``corpus.Corpus.memo`` and
-    ``models``, ``load_corpus``'s strings, a ``FileResolver``'s lookups):
+    """Every cache lives as long as one run (``corpus.Corpus.memo``,
+    ``load_corpus``'s strings and tags, a ``FileResolver``'s real paths):
     no module or class of ``src/navminer`` holds an empty container to
     fill, and none memoizes with ``functools.cache`` or ``lru_cache``.
     A benchmark repetition is then as cold as a command-line run."""
