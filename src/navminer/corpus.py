@@ -26,6 +26,9 @@ Links are read from ``a/@href``, ``area/@href`` (image maps),
 ``form/@action`` and ``frame|iframe/@src``, one lookup per element of
 the parser's ``Document.elements``; fragments are stripped, query
 strings kept, ``mailto:``/``javascript:``/external targets dropped.
+Tabs and newlines inside an href are dropped first, in both modes, as a
+URL parser drops them, and an href that is a bare ``?`` names the page
+without its query (RFC 3986 §5.2.2), as file mode has it.
 In filesystem mode only an href's path, up to its first ``?``, is
 joined to the page's path (without the page's own query) and checked,
 as ``urljoin`` does over HTTP; an href without a path names the page
@@ -78,6 +81,17 @@ _LINK_ATTRS = {"a": "href", "area": "href", "form": "action", "frame": "src", "i
 
 _SKIP_PREFIXES = ("mailto:", "javascript:", "tel:", "data:")
 
+# ASCII tab, LF and CR, which a URL parser removes from anywhere in a URL
+# (WHATWG URL; ``urlsplit`` too)
+_URL_NOISE = str.maketrans("", "", "\t\n\r")
+
+
+def _without_noise(href: str) -> str:
+    """``href`` without the tabs and newlines a URL parser drops."""
+    if "\t" in href or "\n" in href or "\r" in href:
+        return href.translate(_URL_NOISE)
+    return href
+
 
 def _directory_index(path) -> str | None:
     """The index page name inside directory ``path``, None when ``path``
@@ -98,7 +112,7 @@ class FileResolver:
         self._real_dir = functools.lru_cache(maxsize=None)(os.path.realpath)
 
     def resolve(self, base: PageId, href: str) -> PageId | None:
-        href = href.split("#", 1)[0].strip()
+        href = _without_noise(href).split("#", 1)[0].strip()
         if not href or href.lower().startswith(_SKIP_PREFIXES):
             return None
         # only the path is joined and checked; the query is kept as written
@@ -207,12 +221,14 @@ class HttpResolver:
                                    parts.path or "/", parts.query, "")))
 
     def resolve(self, base: PageId, href: str) -> PageId | None:
-        href = href.strip()
+        href = _without_noise(href).strip()
         if not href or href.startswith("#") or href.lower().startswith(_SKIP_PREFIXES):
             return None
         try:
             # a redirected page's links are relative to where it was found
             absolute = urljoin(self._final_url.get(base, base), href)
+            if href.partition("#")[0] == "?":  # an empty query replaces the base's
+                absolute = absolute.partition("?")[0]  # (RFC 3986 §5.2.2)
             parts = urlsplit(absolute)
         except ValueError:  # unparsable, such as an unclosed "[" in the host
             return None

@@ -56,10 +56,9 @@ class NavTree:
 
 def token_seq(corpus: Corpus, page_id: PageId, method: str):
     """Distance substrate for one page, cached on the corpus per page
-    shape: the tokens of both methods depend on nothing but the tree's
-    names, nesting, attribute names and text positions, which
-    ``Document.shape`` records, so the pages of one shape share one
-    token tuple, computed once."""
+    shape: the tokens of both methods are read from ``Document.shape``
+    alone, so the key is their whole input and the pages of one shape
+    share one token tuple, computed once."""
     doc = corpus.pages[page_id].document
     key = (method, doc.shape)
     seq = corpus.memo.get(key)

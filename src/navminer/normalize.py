@@ -26,13 +26,13 @@ one run).  Values and text are not interned: interned strings can stay
 resident after the trees holding them are released.
 
 The builder also lists every element it creates, and creation order is
-document order, so ``Document.elements`` hands schema inference and
-link extraction each element once without a walk of the tree.  It
-skips the stdlib tokenizer's line counting, which only serves
-``getpos``, and keeps each tag's own work small: a whitespace-only text
-run (most runs of a template's indentation) is dropped before it is
-collapsed, a tag without attributes skips their cleaning, and a close
-tag pops and seals its elements in one loop.
+document order, so ``Document.elements`` hands link extraction each
+element once without a walk of the tree.  It skips the stdlib
+tokenizer's line counting, which only serves ``getpos``, and keeps each
+tag's own work small: a whitespace-only text run (most runs of a
+template's indentation) is dropped before it is collapsed, a tag
+without attributes skips their cleaning, and a close tag pops and seals
+its elements in one loop.
 
 The pages of a site come from a few templates, so their tags repeat
 their exact text: the 619 page files of the benchmark catalog
@@ -60,12 +60,13 @@ The builder records each page's shape as well (``Document.shape``): the
 repaired tree's events in document order, an element's name (with its
 attribute names) where it opens, ``None`` where it closes and ``1`` for
 each text run.  Two pages of one shape have the same names, nesting,
-attribute names and text positions, which is all their schema and
-tag-stream tokens depend on, so ``navmodel`` caches tokens per shape and
-analyses each shape once.  Shapes, and the open events of elements with
-attributes, are shared through ``strings`` like the values, so a load
-holds one object per distinct shape: the 614 pages of the benchmark
-catalog (``perfbench/mirrors.py``, seeds 5, 51 and 101) have 28.
+attribute names and text positions.  The shape feeds the schema and
+tag-stream tokens, which ``schema`` reads from it and from nothing else,
+so ``navmodel`` caches tokens per shape and analyses each shape once.
+Shapes, and the open events of elements with attributes, are shared
+through ``strings`` like the values, so a load holds one object per
+distinct shape: the 614 pages of the benchmark catalog
+(``perfbench/mirrors.py``, seeds 5, 51 and 101) have 28.
 
 A UTF-8 byte order mark is dropped when the bytes are decoded, so a
 page saved with one parses like the same page without.
@@ -155,15 +156,16 @@ class Element:
 class Document:
     root: Element
     # every element of the tree in document order (``walk``'s opening
-    # order), recorded by the parser; an index over ``root``, so equality
-    # compares the trees alone
+    # order), recorded by the parser for link extraction; an index over
+    # ``root``, so equality compares the trees alone
     elements: list[Element] = field(compare=False, repr=False)
     # the tree's structure as a flat tuple of events in document order,
     # recorded by the parser: an element's name opening it (a tuple of
     # the name and its attribute names when it has attributes), ``None``
     # closing it and ``1`` for a text run.  Equal shapes mean equal names,
-    # nesting, attribute names and text positions; like ``elements`` it is
-    # derived from ``root`` and not compared
+    # nesting, attribute names and text positions, all that ``schema``'s
+    # tokens read; like ``elements`` it is derived from ``root`` and not
+    # compared
     shape: tuple = field(compare=False, repr=False)
 
 

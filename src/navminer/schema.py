@@ -9,8 +9,7 @@ kind of screen with different amounts of repeated content compare as
 identical.
 
 Inference rules, applied per element name over all of its instances in
-one document (read from the parser's ``Document.elements``, not from a
-walk of the tree):
+one document:
 
 * no children and no text anywhere      -> EMPTY
 * text but never element children      -> PCDATA
@@ -25,8 +24,12 @@ walk of the tree):
 An attribute is REQUIRED when every instance of the element carries it,
 IMPLIED otherwise.  Attribute *values* never enter the schema.
 
-``navmodel`` extracts one schema per distinct page shape
-(``normalize.Document.shape``), which fixes the schema, so a run infers
+Both token formats are read from the page's shape
+(``normalize.Document.shape``) alone, never from its tree: one pass over
+the shape's events with a stack of the open elements gives each
+element instance's child names, text flag and attribute names, or the
+open and close tokens.  The shape is then the whole input of both, and
+``navmodel`` caches their tokens per distinct shape, so a run infers
 each element's content model once per shape.
 
 The token stream of ``serialize_schema`` is this module's format alone:
@@ -40,7 +43,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 
-from .normalize import Document, walk
+from .normalize import Document
 
 EMPTY = "EMPTY"
 PCDATA = "PCDATA"
@@ -129,26 +132,37 @@ def _infer_model(seqs: list[tuple[str, ...]], has_text: bool) -> ContentModel:
 
 
 def extract_schema(doc: Document) -> Schema:
-    """Infer the schema of one well-formed document."""
+    """Infer the schema of one well-formed document from its shape."""
     sequences: dict[str, list[tuple[str, ...]]] = {}  # one child-name sequence per instance
     has_text: set[str] = set()
-    attr_counts: dict[str, dict[str, int]] = {}
+    with_attrs: dict[tuple, int] = {}  # open event with attribute names -> its instances
+    names: list[str] = []  # the open elements
+    kids: list[list[str]] = [[]]  # their child names; the bottom entry takes the root's
 
-    for element in doc.elements:
-        name = element.name
-        children = element.children
-        seq = tuple([c.name for c in children if c.__class__ is not str])
-        seqs = sequences.get(name)
-        if seqs is None:
-            sequences[name] = [seq]
-            counts = attr_counts[name] = {}
+    for event in doc.shape:
+        if event is None:
+            name = names.pop()
+            seq = tuple(kids.pop())
+            seqs = sequences.get(name)
+            if seqs is None:
+                sequences[name] = [seq]
+            else:
+                seqs.append(seq)
+        elif event.__class__ is int:  # a text run
+            has_text.add(names[-1])
         else:
-            seqs.append(seq)
-            counts = attr_counts[name]
-        if len(seq) != len(children):
-            has_text.add(name)
-        for attr_name, _ in element.attrs:
-            counts[attr_name] = counts.get(attr_name, 0) + 1
+            if event.__class__ is tuple:
+                with_attrs[event] = with_attrs.get(event, 0) + 1
+                event = event[0]
+            kids[-1].append(event)
+            kids.append([])
+            names.append(event)
+
+    attr_counts: dict[str, dict[str, int]] = {}
+    for event, count in with_attrs.items():
+        counts = attr_counts.setdefault(event[0], {})
+        for attr_name in event[1:]:
+            counts[attr_name] = counts.get(attr_name, 0) + count
 
     schema = Schema()
     for name in sorted(sequences):
@@ -156,7 +170,7 @@ def extract_schema(doc: Document) -> Schema:
         schema.declarations[name] = _infer_model(seqs, name in has_text)
         specs = tuple(
             (attr, REQUIRED if count == len(seqs) else IMPLIED)
-            for attr, count in sorted(attr_counts[name].items())
+            for attr, count in sorted(attr_counts.get(name, {}).items())
         )
         if specs:
             schema.attributes[name] = specs
@@ -187,10 +201,19 @@ def serialize_schema(schema: Schema) -> TokenSeq:
 
 def sts_serialize(doc: Document) -> TokenSeq:
     """Baseline substrate: the tag tree as open/close tokens, text
-    ignored; interned, like ``serialize_schema``'s."""
+    ignored, read from the document's shape; interned, like
+    ``serialize_schema``'s."""
     intern = sys.intern
-    return tuple(intern(("close:" if closing else "open:") + node.name)
-                 for node, _, closing in walk(doc.root) if node.__class__ is not str)
+    tokens: list[str] = []
+    names: list[str] = []  # the open elements
+    for event in doc.shape:
+        if event is None:
+            tokens.append(intern("close:" + names.pop()))
+        elif event.__class__ is not int:  # not a text run
+            name = event if event.__class__ is str else event[0]
+            names.append(name)
+            tokens.append(intern("open:" + name))
+    return tuple(tokens)
 
 
 _FLAG_SUFFIX = {PLUS: "+", STAR: "*"}

@@ -132,7 +132,10 @@ def test_relative_resolution_and_escape_rejection(tmp_path):
             ("items/p.html", "?x=1", "items/p.html?x=1"),
             ("items/p.html?u=a/b", "q.html", "items/q.html"),
             ("items/p.html", "sub?", "items/sub"),
-            ("items/p.html", "q.html?a%20b", "items/q.html?a b")):
+            ("items/p.html", "q.html?a%20b", "items/q.html?a b"),
+            ("items/p.html?id=1", "?", "items/p.html"),  # RFC 3986 §5.2.2
+            ("items/p.html?id=1", "?#top", "items/p.html"),
+            ("items/p.html", "q\n.html?a\tb\r", "items/q.html?ab")):
         assert resolver.resolve(base, href) == expected, (base, href)
         assert _http_id(http, base, href) == expected, (base, href)
 
@@ -156,37 +159,41 @@ def _random_href(rng) -> str:
                                   "a?b", "u=//x"])
     if rng.random() < 0.15:
         href += "#" + rng.choice(["", "top", "a/b"])
-    return rng.choice([href] * 8 + [
+    href = rng.choice([href] * 8 + [
         "#top", "mailto:a@b.test", "http://other.test/x.html", "//other.test/x.html",
         SITE + path.lstrip("/"), "//site.test/" + path.lstrip("/")])
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):  # tabs and newlines: a URL parser drops them
+        at = rng.randint(0, len(href))
+        href = href[:at] + rng.choice("\t\n\r") + href[at:]
+    return href
 
 
 def test_file_and_http_resolution_agree(tmp_path):
     """The two resolvers, over an empty mirror and a site, give the same id
-    for generated links except in four classes, each of which occurs:
+    for generated links, tabs and newlines among them, except in three
+    classes, each of which occurs:
     (a) a link above the root, which a URL clamps to the root;
     (b) a target that ends in "/" or names the root or a directory, which a
         URL keeps as a directory where an empty mirror has a plain name;
-    (c) a same-host absolute URL, which a mirror cannot hold;
-    (d) a bare "?" on a page with a query, where urljoin keeps the query."""
+    (c) a same-host absolute URL, which a mirror cannot hold."""
     resolver, http = FileResolver(tmp_path), HttpResolver(SITE, delay=0.0)
     rng = random.Random(230)
-    classes = {"agree": 0, "a": 0, "b": 0, "c": 0, "d": 0}
+    classes = {"agree": 0, "a": 0, "b": 0, "c": 0}
+    noisy = 0
     for _ in range(20_000):
         base, href = _random_base(rng), _random_href(rng)
         got, url = resolver.resolve(base, href), _http_id(http, base, href)
-        path, _, query = href.split("#", 1)[0].partition("?")
+        clean = href.replace("\t", "").replace("\n", "").replace("\r", "")
+        noisy += clean != href
+        path = clean.split("#", 1)[0].partition("?")[0]
         if got == url:
             kind = "agree"
-        elif href.startswith((SITE, "//site.test/")):
+        elif clean.startswith((SITE, "//site.test/")):
             kind = "c"
             assert got is None and url is not None
         elif got is None:
             kind = "a"
             assert ".." in path.split("/") and url is not None
-        elif href.startswith("?") and not path and not query:
-            kind = "d"
-            assert "?" in base and (got, url) == (base.partition("?")[0], base)
         else:
             kind = "b"
             got_path, _, got_query = got.partition("?")
@@ -196,6 +203,23 @@ def test_file_and_http_resolution_agree(tmp_path):
         classes[kind] += 1
     assert all(classes.values()), classes
     assert classes["agree"] > 10_000, classes
+    assert noisy > 5_000
+
+
+def test_tabs_and_newlines_in_an_href_are_dropped(tmp_path):
+    """As a URL parser does, so a file-mode load finds the page an HTTP
+    crawl of the same mirror would."""
+    root = write_mirror(tmp_path, {
+        "index.html": '<html><body><a href="a\nb.html">ab</a><a href="c\td.html">cd</a>'
+                      '<a href="\r\nsub/\te.html">e</a></body></html>',
+        "ab.html": "<html><body>ab</body></html>",
+        "cd.html": "<html><body>cd</body></html>",
+        "sub/e.html": "<html><body>e</body></html>",
+    })
+    corpus = load_corpus(root, max_depth=2, delay=0.0)
+    assert set(corpus.pages) == {"index.html", "ab.html", "cd.html", "sub/e.html"}
+    assert corpus.pages["index.html"].links == ("ab.html", "cd.html", "sub/e.html")
+    assert corpus.dangling == []
 
 
 def test_names_starting_with_two_dots_stay_in_the_mirror(tmp_path):

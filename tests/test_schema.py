@@ -3,6 +3,8 @@
 import random
 from collections import Counter
 
+import pytest
+
 from navminer.normalize import Document, Element, to_xhtml, walk
 from navminer.schema import (CHOICE_STAR, EMPTY, IMPLIED, MIXED, PCDATA, PLUS,
                              REQUIRED, SEQUENCE, STAR, ContentModel, Schema,
@@ -15,7 +17,7 @@ from conftest import (DEMO_CORPUS, document_of, mirror_pages, mutate_document,
 
 
 def extract_schema_walk(doc: Document) -> Schema:
-    """The tree-walking ``extract_schema`` that the element index replaced,
+    """The tree-walking ``extract_schema`` that the shape pass replaced,
     kept as its oracle."""
     sequences: dict[str, list[tuple[str, ...]]] = {}
     has_text: dict[str, bool] = {}
@@ -47,6 +49,11 @@ def extract_schema_walk(doc: Document) -> Schema:
     return schema
 
 
+def sts_serialize_walk(doc: Document) -> tuple:
+    """The tree-walking ``sts_serialize`` that the shape pass replaced,
+    kept as its oracle."""
+    return tuple(("close:" if closing else "open:") + node.name
+                 for node, _, closing in walk(doc.root) if node.__class__ is not str)
 
 
 def is_closed(schema: Schema) -> bool:
@@ -261,12 +268,48 @@ def test_documents_of_one_shape_have_equal_tokens(benchmark_mirrors):
     assert shared > 900
 
 
-def test_extract_schema_equals_the_tree_walking_oracle(benchmark_mirrors):
+def _odd_documents() -> list[Document]:
+    """Hand-built trees the parser never makes, and parsed pages at its
+    edges: adjacent text runs, a repeated attribute name, self-closing
+    elements with children and a synthetic ``html`` root."""
+    a, b = Element("a", (("href", "x"), ("href", "y"))), Element("a", (("href", "z"),))
+    trees = [
+        Element("p", (), ("one", "two", Element("b", (), ("x", "y")), "three")),
+        Element("div", (), (a, b, Element("a"))),
+        Element("div", (), (Element("br", (("c", "1"),), ("t", Element("i")), True),
+                            Element("br", (), (), True))),
+        Element("img", (("src", "s"), ("src", "t")), (Element("img", (), ("x",), True),), True),
+        Element("html", (), (Element("html", (), ("x",)), "y", Element("html"))),
+    ]
+    docs = [document_of(tree) for tree in trees]
+    docs += [to_xhtml(text) for text in (
+        '<p a="1" b="2">x<p a="3">y<br c="4"></p><p b=5 b=6/>',
+        "text before<div>a<!-- c -->b</div>text after<div/>",
+        "<b>one</b><i>two</i>", "x<br>y<br/>z",
+        "<div><img src=a>t</img><br>u</br></div>")]
+    assert any(len(doc.root.children) > 1 and doc.root.name == "html" for doc in docs[-4:])
+    return docs
+
+
+@pytest.fixture(scope="module")
+def oracle_documents(benchmark_mirrors) -> list[Document]:
+    """Random documents, mutated copies of them, the demo and benchmark
+    pages and the odd documents above."""
     rng = random.Random(210)
     docs = [random_document(rng, rng.randint(0, 5)) for _ in range(300)]
+    docs += [mutate_document(rng, doc) for doc in docs[:200]]
     for directory in (DEMO_CORPUS, *benchmark_mirrors):
         docs += [to_xhtml(text) for _, text in mirror_pages(directory)]
-    docs.append(to_xhtml('<p a="1" b="2">x<p a="3">y<br c="4"></p><p b=5 b=6/>'))
+    docs += _odd_documents()
     assert len(docs) > 950
-    for doc in docs:
+    return docs
+
+
+def test_extract_schema_equals_the_tree_walking_oracle(oracle_documents):
+    for doc in oracle_documents:
         assert extract_schema(doc) == extract_schema_walk(doc)
+
+
+def test_sts_serialize_equals_the_tree_walking_oracle(oracle_documents):
+    for doc in oracle_documents:
+        assert sts_serialize(doc) == sts_serialize_walk(doc)

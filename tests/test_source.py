@@ -167,3 +167,17 @@ def test_importing_the_program_loads_no_http_client():
     loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                             capture_output=True, text=True).stdout
     assert loaded.strip() == "[]"
+
+
+def test_the_tokens_read_the_page_shape_alone():
+    """``schema`` derives both token formats from ``Document.shape``, the
+    key ``navmodel.token_seq`` caches them under: it imports nothing from
+    the package but ``normalize.Document`` and reads no tree attribute."""
+    tree = ast.parse((SRC / "schema.py").read_text(encoding="utf-8"))
+    imported = {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names}
+    assert imported == {("normalize", "Document")}
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert read & {"root", "elements", "children", "attrs"} == set()
+    assert "shape" in read
