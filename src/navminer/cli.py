@@ -26,7 +26,7 @@ def _truthy(value: str) -> bool:
 _SETTINGS = {
     "root": ("root", str, "root page: mirror file/directory or http(s) URL"),
     "threshold": ("threshold", float, "similarity threshold in [0,1]"),
-    "depth": ("max_depth", int, "maximum link depth"),
+    "depth": ("max_depth", int, "maximum link depth of the crawl"),
     "method": ("method", str,
                "similarity substrate: page schemas (MMS) or syntax trees (STS)"),
     "out": ("out_dir", str, "output directory"),

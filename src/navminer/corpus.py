@@ -26,9 +26,10 @@ Links are read from ``a/@href``, ``area/@href`` (image maps),
 ``form/@action`` and ``frame|iframe/@src``, one lookup per element of
 the parser's ``Document.elements``; fragments are stripped, query
 strings kept, ``mailto:``/``javascript:``/external targets dropped.
-Tabs and newlines inside an href are dropped first, in both modes, as a
-URL parser drops them, and an href that is a bare ``?`` names the page
-without its query (RFC 3986 §5.2.2), as file mode has it.
+Tabs and newlines inside an href are dropped first, and C0 controls and
+whitespace at either end trimmed, in both modes, as a URL parser does,
+and an href that is a bare ``?`` names the page without its query
+(RFC 3986 §5.2.2), as file mode has it.
 In filesystem mode only an href's path, up to its first ``?``, is
 joined to the page's path (without the page's own query) and checked,
 as ``urljoin`` does over HTTP; an href without a path names the page
@@ -85,12 +86,18 @@ _SKIP_PREFIXES = ("mailto:", "javascript:", "tel:", "data:")
 # (WHATWG URL; ``urlsplit`` too)
 _URL_NOISE = str.maketrans("", "", "\t\n\r")
 
+# what an href loses at both ends: the C0 controls and space, which the
+# WHATWG URL parser trims, and the other characters ``str.strip`` trims
+_HREF_TRIM = ("".join(map(chr, range(0x21))) + "\x85\xa0\u1680"
+              + "".join(map(chr, range(0x2000, 0x200B))) + "\u2028\u2029\u202f\u205f\u3000")
 
-def _without_noise(href: str) -> str:
-    """``href`` without the tabs and newlines a URL parser drops."""
+
+def _clean_href(href: str) -> str:
+    """``href`` as a URL parser reads it: without tabs and newlines
+    anywhere, and without C0 controls or whitespace at either end."""
     if "\t" in href or "\n" in href or "\r" in href:
-        return href.translate(_URL_NOISE)
-    return href
+        href = href.translate(_URL_NOISE)
+    return href.strip(_HREF_TRIM)
 
 
 def _directory_index(path) -> str | None:
@@ -112,7 +119,7 @@ class FileResolver:
         self._real_dir = functools.lru_cache(maxsize=None)(os.path.realpath)
 
     def resolve(self, base: PageId, href: str) -> PageId | None:
-        href = _without_noise(href).split("#", 1)[0].strip()
+        href = _clean_href(href.split("#", 1)[0])
         if not href or href.lower().startswith(_SKIP_PREFIXES):
             return None
         # only the path is joined and checked; the query is kept as written
@@ -221,7 +228,7 @@ class HttpResolver:
                                    parts.path or "/", parts.query, "")))
 
     def resolve(self, base: PageId, href: str) -> PageId | None:
-        href = _without_noise(href).strip()
+        href = _clean_href(href)
         if not href or href.startswith("#") or href.lower().startswith(_SKIP_PREFIXES):
             return None
         try:

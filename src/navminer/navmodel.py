@@ -1,21 +1,25 @@
 """Level-by-level clustering of linked pages into a navigational tree.
 
-The tree is built depth-first from the root page.  Expanding a node
-means extracting the links of its member pages: targets seen for the
-first time are clustered (clone pairs + transitive closure, per parent
-page) and attached as child nodes; targets owned by an earlier node
-become back-references.  Clustering is strictly per level: linked
-pages are only ever compared with the other pages linked from the same
-node, never with the whole corpus.  Pages with identical token
+The tree is built depth-first from the corpus's root page, over the
+pages the crawl loaded and nothing else: the crawl's ``max_depth`` is
+the only depth limit, and the links of every page placed in the tree
+are expanded, so every loaded page is a member of exactly one node.
+Expanding a node means reading the links of its member pages: loaded
+targets seen for the first time are clustered (clone pairs + transitive
+closure, per parent page) and attached as child nodes; targets owned by
+an earlier node become back-references.  Clustering is strictly per
+level: linked pages are only ever compared with the other pages linked
+from the same node, never with the whole corpus.  Pages with identical token
 sequences are grouped without a comparison and a pair already joined
 through other pages is skipped (``similarity.spanning_clone_pairs``);
 the clusters are those of comparing every pair.
 
-Refinement then walks the tree root-down and, for every node with two
-or more member pages, re-clusters the union of the members' outgoing
-pages jointly, replacing the per-page child sets.  Reduction finally
-picks one representative per node (the largest member page), which
-turns the refined tree into the simplified navigational path used for
+Refinement then grows the tree again root-down, in the same loop
+(``_grow``), from the build's records: for every node with two or more
+member pages it re-clusters the union of the members' outgoing pages
+jointly, replacing the per-page child sets.  Reduction finally picks
+one representative per node (the largest member page), which turns the
+refined tree into the simplified navigational path used for
 differencing.
 """
 
@@ -100,75 +104,76 @@ def _cluster_ordered(corpus, method, pages, threshold) -> list[tuple[PageId, ...
     return clusters
 
 
-def _node_backrefs(members, page_backrefs) -> tuple[PageId, ...]:
-    member_set = set(members)
-    targets = {t for p in members for t in page_backrefs.get(p, ()) if t not in member_set}
-    return tuple(sorted(targets))
+def _grow(members, clusters_of, page_backrefs) -> NavNode:
+    """A tree grown from a root node of ``members``: each node, in
+    depth-first order, gets one child per cluster of
+    ``clusters_of(its members)`` and, as its back-references, those of
+    its members' back-references that point outside it."""
+    root = NavNode(members)
+    # walk reads a node's children after yielding it, so each node is
+    # grown before its subtree, in depth-first order
+    for node, _, closing in walk(root):
+        if closing:
+            continue
+        node.children = [NavNode(cluster) for cluster in clusters_of(node.members)]
+        member_set = set(node.members)
+        node.backrefs = tuple(sorted({t for p in node.members for t in page_backrefs[p]
+                                      if t not in member_set}))
+    return root
 
 
-def build_nav_tree(root: PageId, corpus: Corpus, threshold: float,
-                   method: str, max_depth: int) -> NavTree:
-    """Depth-first construction of the navigational tree.
+def build_nav_tree(corpus: Corpus, threshold: float, method: str) -> NavTree:
+    """Depth-first construction of the navigational tree from
+    ``corpus.root``, over the loaded pages alone.
 
-    A page's links are expanded only on its first visit; later
-    appearances anywhere in the tree are recorded as back-references.
+    The links of every page placed in the tree are expanded, once, when
+    its node is grown: a target seen for the first time joins a child
+    cluster, a later one is a back-reference.  The crawl's depth limit
+    is the only one, so every loaded page is a member of exactly one node.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if root not in corpus.pages:
-        raise ValueError(f"root {root!r} not in corpus")
-
-    visited = {root}
+    pages = corpus.pages
+    visited = {corpus.root}
     page_children: dict[PageId, list[tuple[PageId, ...]]] = {}
     page_backrefs: dict[PageId, tuple[PageId, ...]] = {}
 
-    def expand_page(page_id: PageId, depth: int):
-        new: list[PageId] = []
-        back: list[PageId] = []
-        if depth < max_depth:
-            for target in corpus.pages[page_id].links:
-                if target not in corpus.pages:
-                    continue  # dangling or beyond the crawl depth, logged at load
+    def expand(members) -> list[tuple[PageId, ...]]:
+        for page_id in members:
+            new: list[PageId] = []
+            back: list[PageId] = []
+            for target in pages[page_id].links:
+                if target not in pages:
+                    continue  # dangling, excluded or beyond the crawl depth
                 if target in visited:
                     back.append(target)
                 else:
                     visited.add(target)
                     new.append(target)
-        page_backrefs[page_id] = tuple(back)
-        page_children[page_id] = _cluster_ordered(corpus, method, new, threshold)
+            page_backrefs[page_id] = tuple(back)
+            page_children[page_id] = _cluster_ordered(corpus, method, new, threshold)
+        return [cluster for page_id in members for cluster in page_children[page_id]]
 
-    root_node = NavNode((root,))
-    # walk reads a node's children after yielding it, so each node is
-    # expanded before its subtree, in depth-first order
-    for node, depth, closing in walk(root_node):
-        if closing:
-            continue
-        for page_id in node.members:
-            expand_page(page_id, depth)
-        node.children = [NavNode(cluster)
-                         for page_id in node.members for cluster in page_children[page_id]]
-        node.backrefs = _node_backrefs(node.members, page_backrefs)
-    return NavTree(root_node, corpus, method, threshold, page_children, page_backrefs)
+    root = _grow((corpus.root,), expand, page_backrefs)
+    return NavTree(root, corpus, method, threshold, page_children, page_backrefs)
 
 
 def refine_clusters(tree: NavTree) -> NavTree:
-    """Root-down refinement: the union of a multi-page node's outgoing
-    pages is re-clustered jointly, with the tree's method and threshold,
-    and replaces its per-page child sets."""
+    """Refinement, grown root-down from the build's records: the union of
+    a multi-page node's outgoing pages is re-clustered jointly, with the
+    tree's method and threshold, and replaces its per-page child sets.
+    No page is expanded again, so ownership stays the build's."""
     corpus, method, threshold = tree.corpus, tree.method, tree.threshold
-    root = NavNode(tree.root.members)
-    for node, _, closing in walk(root):
-        if closing:
-            continue
-        members = node.members
-        if len(members) >= 2:
-            union = [q for p in members for c in tree.page_children.get(p, []) for q in c]
-            clusters = _cluster_ordered(corpus, method, union, threshold)
-        else:
-            clusters = tree.page_children.get(members[0], [])
-        node.children = [NavNode(c) for c in clusters]
-        node.backrefs = _node_backrefs(members, tree.page_backrefs)
-    return NavTree(root, corpus, method, threshold, tree.page_children, tree.page_backrefs)
+    page_children = tree.page_children
+
+    def joint(members) -> list[tuple[PageId, ...]]:
+        if len(members) == 1:
+            return page_children[members[0]]
+        union = [q for p in members for cluster in page_children[p] for q in cluster]
+        return _cluster_ordered(corpus, method, union, threshold)
+
+    root = _grow(tree.root.members, joint, tree.page_backrefs)
+    return NavTree(root, corpus, method, threshold, page_children, tree.page_backrefs)
 
 
 def reduce_to_snp(tree: NavTree) -> NavTree:
@@ -185,6 +190,6 @@ def reduce_to_snp(tree: NavTree) -> NavTree:
 def collect_partition(tree: NavTree) -> Partition:
     """All node member sets across the tree, as one corpus partition."""
     clusters = [frozenset(node.members) for node in tree.nodes()]
-    universe = frozenset().union(*clusters) if clusters else frozenset()
+    universe = frozenset().union(*clusters)
     clusters.sort(key=lambda c: sorted(c))
     return Partition(tuple(clusters), universe)

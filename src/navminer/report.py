@@ -304,7 +304,7 @@ def run_pipeline(cfg: Config) -> PipelineResult:
     logger.info("loaded %d page(s), %d dangling link(s)",
                 len(corpus.pages), len(corpus.dangling))
 
-    tree = build_nav_tree(corpus.root, corpus, cfg.threshold, cfg.method, cfg.max_depth)
+    tree = build_nav_tree(corpus, cfg.threshold, cfg.method)
     tree = refine_clusters(tree)
     tree = reduce_to_snp(tree)
     components = extract_candidates(tree)

@@ -1,5 +1,5 @@
 """Shared fixtures: demo mirror paths, tiny mirror writer, loopback server,
-random documents."""
+random documents and random mirrors."""
 
 from __future__ import annotations
 
@@ -240,3 +240,57 @@ def twin_docs_with_repeated_block(rng: random.Random) -> tuple[Document, Documen
             parent.children = (*parent.children[:position], deepcopy(block),
                                *parent.children[position:])
     return document_of(doc_k.root), document_of(doc_k1.root)
+
+
+# ---------------------------------------------------------------------------
+# random mirror machinery (seeded, stdlib only)
+
+
+def _table_page(rng: random.Random, rows: int) -> str:
+    cells = "".join(f"<tr><td>{rng.choice(_WORDS)}</td><td>{i}</td></tr>" for i in range(rows))
+    return f"<table><tr><th>name</th><th>n</th></tr>{cells}</table>"
+
+
+def _list_page(rng: random.Random, items: int) -> str:
+    return "<ul>" + "".join(f"<li>{rng.choice(_WORDS)}</li>" for _ in range(items)) + "</ul>"
+
+
+def _paragraph_page(rng: random.Random, paragraphs: int) -> str:
+    return "".join(f"<p>{rng.choice(_WORDS)} <b>{rng.choice(_WORDS)}</b></p>"
+                   for _ in range(paragraphs))
+
+
+def _nested_page(rng: random.Random, blocks: int) -> str:
+    return "".join(f'<div class="card"><div class="body"><span>{rng.choice(_WORDS)}</span>'
+                   f"<i>{i}</i></div></div>" for i in range(blocks))
+
+
+# the page bodies a random mirror draws from: table rows, a list,
+# paragraphs and nested divs, each with a random number of repeats
+MIRROR_TEMPLATES = (_table_page, _list_page, _paragraph_page, _nested_page)
+
+_EXTRA_BLOCKS = ('<form action="search.html"><input name="q"><button>go</button></form>',
+                 '<div class="extra"><h2>more</h2><p>extra</p></div>',
+                 '<img src="logo.png" alt="logo">')
+
+
+def random_mirror(root: Path, rng: random.Random, pages: int, links: tuple[int, int],
+                  templates=MIRROR_TEMPLATES) -> Path:
+    """A random site of ``pages`` pages, ``index.html`` and ``p1.html`` to
+    ``p{pages - 1}.html``, written through ``write_mirror``; returns the
+    root page path.  Each page's body comes from one of ``templates``
+    (functions of the generator and a repeat count, giving markup), with
+    an extra block on about half the pages, and links to between
+    ``links[0]`` and ``links[1]`` random targets: any page, itself
+    included, or now and then a page that does not exist."""
+    names = ["index.html"] + [f"p{i}.html" for i in range(1, pages)]
+    site = {}
+    for name in names:
+        targets = [rng.choice(names) if rng.random() < 0.9 else f"missing{rng.randrange(5)}.html"
+                   for _ in range(rng.randint(*links))]
+        anchors = "".join(f'<a href="{target}">{target}</a>' for target in targets)
+        body = rng.choice(templates)(rng, rng.randint(1, 6))
+        extra = rng.choice(_EXTRA_BLOCKS) if rng.random() < 0.5 else ""
+        site[name] = (f"<html><head><title>{name}</title></head><body>"
+                      f'<div class="nav">{anchors}</div>{body}{extra}</body></html>')
+    return write_mirror(root, site)

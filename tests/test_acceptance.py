@@ -40,7 +40,7 @@ def criterion(number, description, budget_seconds):
 
 
 def _snp(corpus, threshold, method):
-    tree = build_nav_tree(corpus.root, corpus, threshold, method, 10)
+    tree = build_nav_tree(corpus, threshold, method)
     return reduce_to_snp(refine_clusters(tree))
 
 

@@ -255,7 +255,7 @@ def _chain_mirror(tmp_path):
 
 def test_chain_of_three_yields_two_components(tmp_path):
     corpus = load_corpus(_chain_mirror(tmp_path), max_depth=5, delay=0.0)
-    tree = build_nav_tree(corpus.root, corpus, 1.0, "MMS", 5)
+    tree = build_nav_tree(corpus, 1.0, "MMS")
     snp = reduce_to_snp(refine_clusters(tree))
     components = extract_candidates(snp)
     assert [(c.source, c.target) for c in components] == \
@@ -265,14 +265,14 @@ def test_chain_of_three_yields_two_components(tmp_path):
 def test_single_node_tree_yields_no_components(tmp_path):
     root = write_mirror(tmp_path, {"index.html": "<html><body>x</body></html>"})
     corpus = load_corpus(root, max_depth=5, delay=0.0)
-    snp = reduce_to_snp(build_nav_tree(corpus.root, corpus, 0.9, "MMS", 5))
+    snp = reduce_to_snp(build_nav_tree(corpus, 0.9, "MMS"))
     assert extract_candidates(snp) == []
 
 
 def test_unreduced_tree_is_rejected(tmp_path):
     root = write_mirror(tmp_path, {"index.html": "<html><body>x</body></html>"})
     corpus = load_corpus(root, max_depth=5, delay=0.0)
-    tree = build_nav_tree(corpus.root, corpus, 0.9, "MMS", 5)
+    tree = build_nav_tree(corpus, 0.9, "MMS")
     with pytest.raises(ValueError):
         extract_candidates(tree)
 
@@ -284,7 +284,7 @@ def test_identical_representatives_yield_empty_edge(tmp_path):
     })
     corpus = load_corpus(root, max_depth=5, delay=0.0)
     snp = reduce_to_snp(refine_clusters(
-        build_nav_tree(corpus.root, corpus, 0.9, "MMS", 5)))
+        build_nav_tree(corpus, 0.9, "MMS")))
     components = extract_candidates(snp)
     assert len(components) == 1
     assert components[0].fragments == []  # stripped forms are line-identical
@@ -294,7 +294,7 @@ def test_demo_index_to_category_component(demo_corpus):
     """The index -> category edge carries exactly the category-specific
     markup: the home anchor and the items table, minus the five anchor
     close lines the alignment shares with the index page's own links."""
-    tree = build_nav_tree(demo_corpus.root, demo_corpus, DEMO_THRESHOLD, "MMS", 10)
+    tree = build_nav_tree(demo_corpus, DEMO_THRESHOLD, "MMS")
     snp = reduce_to_snp(refine_clusters(tree))
     component = extract_candidates(snp)[0]
     assert (component.source, component.target) == ("index.html", "cat-fish.html")
@@ -353,7 +353,7 @@ def test_lcs_pairs_equals_dp_oracle_on_random_line_lists():
 def test_lcs_pairs_equals_dp_oracle_on_demo_edges(demo_corpus):
     edges = set()
     for method in ("MMS", "STS"):
-        tree = build_nav_tree(demo_corpus.root, demo_corpus, DEMO_THRESHOLD, method, 10)
+        tree = build_nav_tree(demo_corpus, DEMO_THRESHOLD, method)
         snp = reduce_to_snp(refine_clusters(tree))
         edges.update((c.source, c.target) for c in extract_candidates(snp))
     assert len(edges) >= 10

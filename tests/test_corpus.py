@@ -17,9 +17,9 @@ from urllib.response import addinfourl
 import pytest
 
 from navminer.cli import main
-from navminer.corpus import (_LINK_ATTRS, DEFAULT_REDIRECT_LIMIT, CorpusError, FileResolver,
-                             HttpResolver, PageId, PageReadError, extract_links, load_corpus,
-                             logger)
+from navminer.corpus import (_HREF_TRIM, _LINK_ATTRS, DEFAULT_REDIRECT_LIMIT, CorpusError,
+                             FileResolver, HttpResolver, PageId, PageReadError, extract_links,
+                             load_corpus, logger)
 from navminer.navmodel import token_seq
 from navminer.normalize import Document, to_xhtml, walk
 
@@ -135,7 +135,12 @@ def test_relative_resolution_and_escape_rejection(tmp_path):
             ("items/p.html", "q.html?a%20b", "items/q.html?a b"),
             ("items/p.html?id=1", "?", "items/p.html"),  # RFC 3986 §5.2.2
             ("items/p.html?id=1", "?#top", "items/p.html"),
-            ("items/p.html", "q\n.html?a\tb\r", "items/q.html?ab")):
+            ("items/p.html", "q\n.html?a\tb\r", "items/q.html?ab"),
+            # C0 controls and whitespace are trimmed at both ends, as a URL parser does
+            ("p.html", "\x01a.html", "a.html"),
+            ("p.html", "a.html\x01", "a.html"),
+            ("items/p.html", "\x00 q.html?x=1\x1f\u3000", "items/q.html?x=1"),
+            ("p.html", "a\x01b.html", "a\x01b.html")):
         assert resolver.resolve(base, href) == expected, (base, href)
         assert _http_id(http, base, href) == expected, (base, href)
 
@@ -145,6 +150,9 @@ def _random_base(rng) -> PageId:
     if rng.random() < 0.4:
         path += "?" + rng.choice(["id=1", "u=a/b", "u=../x", "u=http://x", "a?b", ""])
     return path
+
+
+_C0_OR_SPACE = "".join(map(chr, range(0x21)))
 
 
 def _random_href(rng) -> str:
@@ -165,13 +173,16 @@ def _random_href(rng) -> str:
     for _ in range(rng.choice([0, 0, 0, 1, 2])):  # tabs and newlines: a URL parser drops them
         at = rng.randint(0, len(href))
         href = href[:at] + rng.choice("\t\n\r") + href[at:]
+    if rng.random() < 0.2:  # C0 controls and spaces at the ends: a URL parser trims them
+        href = "".join(rng.choices(_C0_OR_SPACE, k=rng.randint(0, 2))) + href + \
+            "".join(rng.choices(_C0_OR_SPACE, k=rng.randint(0, 2)))
     return href
 
 
 def test_file_and_http_resolution_agree(tmp_path):
     """The two resolvers, over an empty mirror and a site, give the same id
-    for generated links, tabs and newlines among them, except in three
-    classes, each of which occurs:
+    for generated links, tabs and newlines among them and C0 controls and
+    spaces at their ends, except in three classes, each of which occurs:
     (a) a link above the root, which a URL clamps to the root;
     (b) a target that ends in "/" or names the root or a directory, which a
         URL keeps as a directory where an empty mirror has a plain name;
@@ -179,12 +190,14 @@ def test_file_and_http_resolution_agree(tmp_path):
     resolver, http = FileResolver(tmp_path), HttpResolver(SITE, delay=0.0)
     rng = random.Random(230)
     classes = {"agree": 0, "a": 0, "b": 0, "c": 0}
-    noisy = 0
+    noisy = trimmed = 0
     for _ in range(20_000):
         base, href = _random_base(rng), _random_href(rng)
         got, url = resolver.resolve(base, href), _http_id(http, base, href)
         clean = href.replace("\t", "").replace("\n", "").replace("\r", "")
         noisy += clean != href
+        trimmed += clean != clean.strip(_C0_OR_SPACE)
+        clean = clean.strip(_C0_OR_SPACE)
         path = clean.split("#", 1)[0].partition("?")[0]
         if got == url:
             kind = "agree"
@@ -204,6 +217,15 @@ def test_file_and_http_resolution_agree(tmp_path):
     assert all(classes.values()), classes
     assert classes["agree"] > 10_000, classes
     assert noisy > 5_000
+    assert trimmed > 2_000
+
+
+def test_an_href_is_trimmed_of_c0_controls_and_whitespace():
+    """Both resolvers trim one set at an href's ends: the C0 controls and
+    space, which the WHATWG URL parser trims, and whatever ``str.strip``
+    trims."""
+    whitespace = {chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()}
+    assert set(_HREF_TRIM) == set(_C0_OR_SPACE) | whitespace
 
 
 def test_tabs_and_newlines_in_an_href_are_dropped(tmp_path):

@@ -7,14 +7,15 @@ import pytest
 
 from navminer import load_corpus
 from navminer.corpus import Corpus
-from navminer.navmodel import (_cluster_ordered, build_nav_tree, collect_partition,
+from navminer.navmodel import (METHODS, _cluster_ordered, build_nav_tree, collect_partition,
                                reduce_to_snp, refine_clusters, token_seq)
 from navminer.normalize import pretty_print, to_xhtml, walk
+from navminer.report import Config
 from navminer.schema import extract_schema, serialize_schema, sts_serialize
 from navminer.similarity import clone_pair, similarity, transclos
 
 from conftest import (DEMO_THRESHOLD, mirror_pages, partition_is_valid, random_document,
-                      write_mirror)
+                      random_mirror, write_mirror)
 
 GOLDEN_TREE = Path(__file__).parent / "data" / "demo_tree.txt"
 
@@ -32,7 +33,7 @@ def linking(title, targets):
 
 def build(root, threshold=0.9, method="MMS", max_depth=10):
     corpus = load_corpus(root, max_depth=max_depth, delay=0.0)
-    return corpus, build_nav_tree(corpus.root, corpus, threshold, method, max_depth)
+    return corpus, build_nav_tree(corpus, threshold, method)
 
 
 def test_root_without_links_is_single_node(tmp_path):
@@ -92,6 +93,29 @@ def test_page_reached_twice_is_owned_once(tmp_path):
     assert owners == [2]
     partition = collect_partition(tree)
     assert partition_is_valid(partition)
+
+
+def test_every_loaded_page_is_in_exactly_one_node(tmp_path):
+    """The crawl's depth limit is the only one: on random mirrors, loaded at
+    depths 0-4 with dense links and at the default depth with sparse ones,
+    the nodes of the built and of the refined tree partition exactly the
+    loaded pages, under both methods."""
+    rng = random.Random(2206)
+    for index in range(40):
+        if index < 20:
+            root = random_mirror(tmp_path / str(index), rng, rng.randint(6, 30), (1, 6))
+            depths = range(5)
+        else:
+            root = random_mirror(tmp_path / str(index), rng, rng.randint(6, 60), (1, 3))
+            depths = (Config.max_depth,)  # the default
+        for depth in depths:
+            corpus = load_corpus(root, max_depth=depth, delay=0.0)
+            for method in METHODS:
+                tree = build_nav_tree(corpus, 0.8, method)
+                for partition in (collect_partition(tree),
+                                  collect_partition(refine_clusters(tree))):
+                    assert partition_is_valid(partition), (index, depth, method)
+                    assert partition.universe == frozenset(corpus.pages), (index, depth, method)
 
 
 def _figure_mirror(tmp_path):
@@ -189,13 +213,11 @@ def test_reduce_never_changes_shape(tmp_path):
     assert all(node.representative in node.members for node in snp.nodes())
 
 
-def test_rejects_unknown_method_and_missing_root(tmp_path):
+def test_rejects_unknown_method(tmp_path):
     root = write_mirror(tmp_path, {"index.html": leaf("a")})
     corpus = load_corpus(root, max_depth=1, delay=0.0)
     with pytest.raises(ValueError):
-        build_nav_tree(corpus.root, corpus, 0.9, "XXX", 1)
-    with pytest.raises(ValueError):
-        build_nav_tree("nope.html", corpus, 0.9, "MMS", 1)
+        build_nav_tree(corpus, 0.9, "XXX")
 
 
 def _layout(node, indent=0):
@@ -204,14 +226,14 @@ def _layout(node, indent=0):
 
 
 def test_demo_corpus_matches_golden_tree(demo_corpus):
-    tree = build_nav_tree(demo_corpus.root, demo_corpus, DEMO_THRESHOLD, "MMS", 10)
+    tree = build_nav_tree(demo_corpus, DEMO_THRESHOLD, "MMS")
     tree = refine_clusters(tree)
     assert _layout(tree.root) + "\n" == GOLDEN_TREE.read_text(encoding="utf-8")
 
 
 def test_demo_partition_is_valid_for_both_methods(demo_corpus):
     for method in ("MMS", "STS"):
-        tree = build_nav_tree(demo_corpus.root, demo_corpus, 0.8, method, 10)
+        tree = build_nav_tree(demo_corpus, 0.8, method)
         tree = refine_clusters(tree)
         partition = collect_partition(tree)
         assert partition_is_valid(partition)

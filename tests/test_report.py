@@ -27,7 +27,7 @@ from conftest import DEMO_THRESHOLD, REPO_ROOT, write_mirror
 
 def snp_of(root, threshold=0.9, method="MMS", depth=10):
     corpus = load_corpus(root, max_depth=depth, delay=0.0)
-    tree = build_nav_tree(corpus.root, corpus, threshold, method, depth)
+    tree = build_nav_tree(corpus, threshold, method)
     return reduce_to_snp(refine_clusters(tree))
 
 
@@ -118,6 +118,26 @@ def test_pipeline_single_page_mirror(tmp_path):
     assert (result.out_dir / "dangling.txt").read_text() == ""
     assert result.components == []
     assert result.evaluation is None
+
+
+def test_a_page_the_crawl_loads_is_in_the_model(tmp_path):
+    """At depth 3 the crawl loads all six pages, ``f.html`` at link depth 3.
+    The depth-first build meets ``e.html`` below ``a.html`` and ``c.html``,
+    at tree depth 3, and still expands it: the crawl's limit is the only
+    one, so ``f.html`` is in the model."""
+    root = write_mirror(tmp_path / "mirror", {
+        "index.html": _page("home", "a.html", "b.html"),
+        "a.html": _page("a", "c.html"),
+        "b.html": '<html><body><form><select><option>x</option></select></form>'
+                  '<a href="e.html">e</a></body></html>',
+        "c.html": _page("c", "e.html"),
+        "e.html": _page("e", "f.html"),
+        "f.html": _page("f"),
+    })
+    result = run_pipeline(Config(root=str(root), max_depth=3, out_dir=str(tmp_path / "out")))
+    assert len(result.corpus.pages) == 6
+    xml = (result.out_dir / "navmodel.xml").read_text(encoding="utf-8")
+    assert "f.html" in xml
 
 
 def test_pipeline_writes_component_and_report_files(demo_root, tmp_path):

@@ -180,7 +180,7 @@ def test_levenshtein_equals_dp_oracle_on_every_catalog_sts_comparison(tmp_path, 
         return levenshtein(a, b)
 
     monkeypatch.setattr(module, "levenshtein", recording)
-    refine_clusters(build_nav_tree(corpus.root, corpus, 0.8, "STS", 10))
+    refine_clusters(build_nav_tree(corpus, 0.8, "STS"))
     assert len(compared) == 497
     for a, b in compared:
         assert levenshtein(a, b) == levenshtein_dp(a, b)

@@ -181,3 +181,19 @@ def test_the_tokens_read_the_page_shape_alone():
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert read & {"root", "elements", "children", "attrs"} == set()
     assert "shape" in read
+
+
+def test_only_the_crawl_reads_the_depth_limit():
+    """``max_depth`` bounds the crawl in ``corpus`` and nothing else:
+    beside ``corpus``, only ``report`` (the configuration that passes it
+    on) and ``cli`` (its flag) name it."""
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.arg if isinstance(node, (ast.arg, ast.keyword)) else
+                    node.value if isinstance(node, ast.Constant) else None)
+            if name == "max_depth":
+                readers.add(path.stem)
+    assert readers == {"corpus", "report", "cli"}
