@@ -12,6 +12,18 @@ boilerplate text, so the pages of one load share one copy of each
 tokenized once per load (its ``tags``); both dicts are dropped when the
 load returns.
 
+A resolver serves one load, and the links of a site's templates repeat:
+a load of the seed-101 benchmark catalog resolves 1,827 links with 641
+distinct (directory, href) keys.  So each resolver remembers the target
+of each href per directory the href resolves against: in filesystem
+mode the base page's directory, its query dropped; over HTTP the
+scheme, host and directory of the URL the base page's redirects ended
+at.  Every page of that directory resolves an href with a non-empty
+path alike.  An href with an empty path (``?q``, ``#f``, ``""``, a bare
+``?``) names the base page itself, and is resolved every time.  The
+memo also spares a repeated link the ``stat`` calls of its
+directory-index check.
+
 Internal means: the resolved path stays under the mirror root and the
 file's real location, symlinks followed, does too (filesystem mode), or
 host and port match the root URL (HTTP mode; http and https on that
@@ -100,6 +112,10 @@ def _clean_href(href: str) -> str:
     return href.strip(_HREF_TRIM)
 
 
+# a resolver memo's answer for an href it has not resolved yet
+_UNSEEN = object()
+
+
 def _directory_index(path) -> str | None:
     """The index page name inside directory ``path``, None when ``path``
     is not a directory or holds no index page."""
@@ -117,20 +133,33 @@ class FileResolver:
         self.root_dir = Path(root_dir).resolve()
         self._prefix = os.path.join(self.root_dir, "")
         self._real_dir = functools.lru_cache(maxsize=None)(os.path.realpath)
+        # base page's directory -> href -> target, for hrefs with a path
+        self._memo: dict[str, dict[str, PageId | None]] = {}
 
     def resolve(self, base: PageId, href: str) -> PageId | None:
-        href = _clean_href(href.split("#", 1)[0])
-        if not href or href.lower().startswith(_SKIP_PREFIXES):
+        base = base.partition("?")[0]
+        memo = self._memo.setdefault(base[:base.rfind("/") + 1], {})
+        target = memo.get(href, _UNSEEN)
+        if target is not _UNSEEN:
+            return target
+        clean = _clean_href(href.split("#", 1)[0])
+        if not clean or clean.lower().startswith(_SKIP_PREFIXES):
             return None
         # only the path is joined and checked; the query is kept as written
-        path, _, query = href.partition("?")
+        path, _, query = clean.partition("?")
+        target = self._locate(base, path, query)
+        if path:  # one without names the base page itself
+            memo[href] = target
+        return target
+
+    def _locate(self, base: PageId, path: str, query: str) -> PageId | None:
+        """The page an href of ``path`` and ``query`` names from page ``base``."""
         if "://" in path or path.startswith("//"):
             return None  # absolute URLs point outside the mirror
         path = unquote(path)
         if path.startswith("/"):
             candidate = path.lstrip("/")
         else:  # an empty path is the base page itself
-            base = base.partition("?")[0]
             candidate = posixpath.join(posixpath.dirname(base), path) if path else base
         candidate = posixpath.normpath(candidate)  # never "": the mirror root is "."
         if candidate == ".." or candidate.startswith("../"):
@@ -220,6 +249,9 @@ class HttpResolver:
         self._fetched_once = False
         self._opener = _opener(self.netloc)
         self._final_url: dict[PageId, str] = {}  # page -> where its redirects ended
+        # (scheme, host, directory) of a base page's final URL -> href ->
+        # target, for hrefs with a path
+        self._memo: dict[tuple[str, str, str], dict[str, PageId | None]] = {}
 
     def normalize(self, url: str) -> PageId:
         parts = urlsplit(url)
@@ -228,21 +260,32 @@ class HttpResolver:
                                    parts.path or "/", parts.query, "")))
 
     def resolve(self, base: PageId, href: str) -> PageId | None:
-        href = _clean_href(href)
-        if not href or href.startswith("#") or href.lower().startswith(_SKIP_PREFIXES):
-            return None
+        # a redirected page's links are relative to where it was found
+        base = self._final_url.get(base, base)
         try:
-            # a redirected page's links are relative to where it was found
-            absolute = urljoin(self._final_url.get(base, base), href)
-            if href.partition("#")[0] == "?":  # an empty query replaces the base's
+            scheme, netloc, path = urlsplit(base)[:3]
+            memo = self._memo.setdefault((scheme, netloc, path[:path.rfind("/") + 1]), {})
+            target = memo.get(href, _UNSEEN)
+            if target is not _UNSEEN:
+                return target
+            clean = _clean_href(href)
+            if not clean or clean.startswith("#") or clean.lower().startswith(_SKIP_PREFIXES):
+                return None
+            absolute = urljoin(base, clean)
+            if clean.partition("#")[0] == "?":  # an empty query replaces the base's
                 absolute = absolute.partition("?")[0]  # (RFC 3986 §5.2.2)
             parts = urlsplit(absolute)
+            remembered = urlsplit(clean).path != ""  # an empty one names the base page
         except ValueError:  # unparsable, such as an unclosed "[" in the host
             return None
         scheme = parts.scheme.lower()
         if scheme not in ("http", "https") or _authority(scheme, parts.netloc) != self.netloc:
-            return None
-        return self.normalize(absolute)
+            target = None
+        else:
+            target = self.normalize(absolute)
+        if remembered:
+            memo[href] = target
+        return target
 
     def fetch(self, page_id: PageId) -> str:
         from http.client import HTTPException  # IncompleteRead, BadStatusLine, ...

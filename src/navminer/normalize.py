@@ -46,9 +46,17 @@ end ``check_for_whole_start_tag`` finds, an end tag's up to its first
 ``</``, so the two never collide.  A miss goes to the stdlib's own
 ``parse_starttag`` or ``parse_endtag``, and what the stdlib dispatched is
 stored when it was one tag: for a start tag the interned name, the
-shared attribute tuple, the open event and whether the element closes
-at once, for an end tag its name.  A hit replays that: the implied ends
-and the element for a start tag, ``handle_endtag`` for an end tag.  This
+shared attribute tuple, the open event, whether the element closes at
+once and the names of the open elements it closes implicitly (its entry
+in ``_IMPLIED_BY``, the inverse of ``IMPLIED_END``), for an end tag its
+interned name.  A hit replays that in ``parse_starttag`` or
+``parse_endtag`` itself, without a ``handle_*`` call: a start tag runs
+the implied-end loop only when the innermost open element is one it
+closes, then builds its element; an end tag that names the innermost
+open element pops and seals it in place, and one that closes several
+elements, or is stray, goes through ``handle_endtag``.  A miss scans its
+start tag for the end once: ``check_for_whole_start_tag`` hands the
+stdlib's ``parse_starttag`` the end the memo lookup found.  This
 is no second tokenizer: a stored entry is what the stdlib made of the
 identical text, and when the stdlib dispatches a tag it reads nothing
 past the tag's closing ``>``.  Raw text stays the stdlib's: a start tag
@@ -130,6 +138,11 @@ IMPLIED_END = {
     "option": frozenset({"option", "optgroup"}),
 }
 
+# the inverse of IMPLIED_END: an incoming tag -> the open elements it
+# closes; a tag missing here closes none
+_IMPLIED_BY = {tag: frozenset(name for name, closers in IMPLIED_END.items() if tag in closers)
+               for tag in frozenset().union(*IMPLIED_END.values())}
+
 _RAW_TEXT_TAGS = frozenset({"script", "style"})
 
 # the WHATWG binary data bytes: a file with one of these in its first
@@ -198,10 +211,14 @@ class _TreeBuilder(HTMLParser):
         # values, text runs and tuples of them: one copy of each
         self.strings = {} if strings is None else strings
         # a tag's exact source text -> what it does: a start tag's
-        # ``_open`` arguments, an end tag's name
+        # ``opened``, an end tag's name
         self.tags = {} if tags is None else tags
-        self.opened = None  # the ``_open`` arguments handle_starttag last built
+        # what handle_starttag last built: the interned name, the shared
+        # attributes, the open event, whether the element closes at once
+        # and the open elements the tag closes implicitly (_IMPLIED_BY)
+        self.opened = None
         self.closed = None  # the name handle_endtag was last called with
+        self.scanned = None  # (position, end) of the start tag the stdlib is parsing
         self.top: list[Element | str] = []
         self.stack: list[Element] = []
         self.target = self.top  # the children of the innermost open element
@@ -211,20 +228,46 @@ class _TreeBuilder(HTMLParser):
         self.event = self.shape.append
 
     def parse_starttag(self, i):
-        end = self.check_for_whole_start_tag(i)
+        # the stdlib's scan; the override below only answers its repeat
+        end = HTMLParser.check_for_whole_start_tag(self, i)
         if end >= 0:
             opened = self.tags.get(self.rawdata[i:end])
             if opened is not None:  # the text was tokenized before: replay it
-                self._close_implied(opened[0])
-                self._open(*opened)
+                tag, attrs, event, closed, implies = opened
+                stack = self.stack
+                if stack and stack[-1].name in implies:
+                    self._close_implied(tag)
+                # what handle_starttag builds, inline
+                self.event(event)
+                if closed:
+                    element = Element(tag, attrs, (), True)
+                    self.target.append(element)
+                    self.event(None)
+                else:
+                    element = Element(tag, attrs, [])
+                    self.target.append(element)
+                    stack.append(element)
+                    self.target = element.children
+                    open_count = self.open_count
+                    open_count[tag] = open_count.get(tag, 0) + 1
+                self.elements.append(element)
                 return end
         self.opened = None
+        self.scanned = i, end  # the stdlib's parse_starttag scans the tag again
         end = HTMLParser.parse_starttag(self, i)
+        self.scanned = None
         # one start tag dispatched, and no raw-text mode (script, style)
         # to enter, which a replay would skip
         if self.opened is not None and self.cdata_elem is None:
             self.tags[self.rawdata[i:end]] = self.opened
         return end
+
+    def check_for_whole_start_tag(self, i):
+        # the end parse_starttag found, when it asks for the same tag
+        scanned = self.scanned
+        if scanned is not None and scanned[0] == i:
+            return scanned[1]
+        return HTMLParser.check_for_whole_start_tag(self, i)
 
     def parse_endtag(self, i):
         if self.cdata_elem is not None:  # "</div>" in a script is text
@@ -233,12 +276,24 @@ class _TreeBuilder(HTMLParser):
         end = rawdata.find(">", i + 2) + 1
         name = self.tags.get(rawdata[i:end])
         if name is not None:
-            self.handle_endtag(name)
+            stack = self.stack
+            if stack and stack[-1].name == name:  # closes the innermost element
+                element = stack.pop()
+                self.open_count[name] -= 1
+                # ``_seal``, inline
+                self.event(None)
+                children = tuple(element.children)
+                if len(children) == 1 and children[0].__class__ is str:  # text only
+                    children = self.strings.setdefault(children, children)
+                element.children = children
+                self.target = stack[-1].children if stack else self.top
+            else:
+                self.handle_endtag(name)
             return end
         self.closed = None
         k = HTMLParser.parse_endtag(self, i)
         if k == end and self.closed is not None:
-            self.tags[rawdata[i:end]] = self.closed
+            self.tags[rawdata[i:end]] = intern(self.closed)
         return k
 
     def updatepos(self, i, j):
@@ -292,11 +347,8 @@ class _TreeBuilder(HTMLParser):
         self._close_implied(tag)
         tag = intern(tag)
         attrs, event = self._clean_attrs(tag, attrs) if attrs else ((), tag)
-        self.opened = opened = (tag, attrs, event, self_closing or tag in VOID_ELEMENTS)
-        self._open(*opened)
-
-    def _open(self, tag, attrs, event, closed):
-        """Add a cleaned start tag's element; ``closed``: it opens nothing."""
+        closed = self_closing or tag in VOID_ELEMENTS  # the element opens nothing
+        self.opened = (tag, attrs, event, closed, _IMPLIED_BY.get(tag, ()))
         self.event(event)
         if closed:
             element = Element(tag, attrs, (), True)

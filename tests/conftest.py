@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import gc
 import importlib
+import posixpath
 import random
 import sys
 import threading
@@ -274,21 +275,71 @@ _EXTRA_BLOCKS = ('<form action="search.html"><input name="q"><button>go</button>
                  '<img src="logo.png" alt="logo">')
 
 
+# the directories a random mirror's pages live in: the root ("", twice,
+# so that about two pages in five live there) and three below it
+_MIRROR_DIRECTORIES = ("", "", "d0/", "d1/", "d1/e/")
+
+# a linked file that is not markup: a load excludes it
+_BINARY_FILE = ("files/manual.pdf", "%PDF-1.4\n\x00\x01\x02 binary")
+
+
+def _mirror_href(rng: random.Random, page: str, target: str) -> str:
+    """A link on ``page`` to ``target``, a path from the mirror root:
+    relative (with ``../`` where it climbs), root-relative, to the
+    target's directory rather than its ``index.html``, with a query, or
+    with a percent-escaped letter."""
+    if target.endswith("index.html") and rng.random() < 0.5:
+        target = target.removesuffix("index.html") + rng.choice(["", ".", "./"])
+    if rng.random() < 0.2:
+        href = "/" + target
+    else:
+        href = posixpath.relpath(target or ".", posixpath.dirname(page) or ".")
+        if target.endswith("/") and href != ".":
+            href += rng.choice(["/", ""])  # a directory, with or without its slash
+    if rng.random() < 0.15:
+        href += "?" + rng.choice(["q=1", "q=2", "u=../x", ""])
+    if rng.random() < 0.15 and any(c.isalpha() for c in href):
+        at = rng.choice([i for i, c in enumerate(href) if c.isalpha()])
+        href = href[:at] + f"%{ord(href[at]):02X}" + href[at + 1:]
+    return href
+
+
 def random_mirror(root: Path, rng: random.Random, pages: int, links: tuple[int, int],
                   templates=MIRROR_TEMPLATES) -> Path:
-    """A random site of ``pages`` pages, ``index.html`` and ``p1.html`` to
-    ``p{pages - 1}.html``, written through ``write_mirror``; returns the
-    root page path.  Each page's body comes from one of ``templates``
-    (functions of the generator and a repeat count, giving markup), with
-    an extra block on about half the pages, and links to between
-    ``links[0]`` and ``links[1]`` random targets: any page, itself
-    included, or now and then a page that does not exist."""
-    names = ["index.html"] + [f"p{i}.html" for i in range(1, pages)]
+    """A random site of ``pages`` pages, written through ``write_mirror``;
+    returns the root page path.  Beside ``index.html``, pages
+    ``p1.html`` to ``p{pages - 1}.html`` live in the root or in
+    subdirectories (``d0/``, ``d1/``, ``d1/e/``), some of which have an
+    ``index.html`` of their own among the pages, and now and then a
+    binary file sits in ``files/``.  Each page's body comes from one of
+    ``templates`` (functions of the generator and a repeat count, giving
+    markup), with an extra block on about half the pages, and links to
+    between ``links[0]`` and ``links[1]`` random targets: any page, itself
+    included, a directory with or without an index, the binary file, or
+    now and then a page that does not exist.  The links are relative
+    (``../`` included) or root-relative and carry queries and
+    percent-escapes now and then (``_mirror_href``); about half the pages
+    also link themselves by an href without a path (``?q=1``, ``#top``)."""
+    names = ["index.html"] + [rng.choice(_MIRROR_DIRECTORIES) + f"p{i}.html"
+                              for i in range(1, pages)]
+    for directory in _MIRROR_DIRECTORIES[2:]:
+        if pages > 1 and rng.random() < 0.5:
+            names[rng.randrange(1, pages)] = directory + "index.html"
+    names = list(dict.fromkeys(names))  # one index may have replaced two pages
     site = {}
+    extra_targets = [*_MIRROR_DIRECTORIES[2:]]
+    if rng.random() < 0.5:
+        site[_BINARY_FILE[0]] = _BINARY_FILE[1]
+        extra_targets.append(_BINARY_FILE[0])
     for name in names:
-        targets = [rng.choice(names) if rng.random() < 0.9 else f"missing{rng.randrange(5)}.html"
+        targets = [rng.choice(names) if rng.random() < 0.8 else
+                   rng.choice(extra_targets) if rng.random() < 0.5 else
+                   f"missing{rng.randrange(5)}.html"
                    for _ in range(rng.randint(*links))]
-        anchors = "".join(f'<a href="{target}">{target}</a>' for target in targets)
+        anchors = "".join(f'<a href="{_mirror_href(rng, name, target)}">{target}</a>'
+                          for target in targets)
+        if rng.random() < 0.5:  # the page itself, by an href without a path
+            anchors += f'<a href="{rng.choice(["?q=1", "?q=2", "?", "#top", ""])}">self</a>'
         body = rng.choice(templates)(rng, rng.randint(1, 6))
         extra = rng.choice(_EXTRA_BLOCKS) if rng.random() < 0.5 else ""
         site[name] = (f"<html><head><title>{name}</title></head><body>"

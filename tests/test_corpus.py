@@ -11,11 +11,12 @@ import types
 import urllib.request
 from functools import partial
 from http.server import BaseHTTPRequestHandler, SimpleHTTPRequestHandler
-from urllib.parse import quote
+from urllib.parse import quote, urljoin
 from urllib.response import addinfourl
 
 import pytest
 
+from navminer import corpus as corpus_module
 from navminer.cli import main
 from navminer.corpus import (_HREF_TRIM, _LINK_ATTRS, DEFAULT_REDIRECT_LIMIT, CorpusError,
                              FileResolver, HttpResolver, PageId, PageReadError, extract_links,
@@ -24,7 +25,7 @@ from navminer.navmodel import token_seq
 from navminer.normalize import Document, to_xhtml, walk
 
 from conftest import (DEMO_CORPUS, DEMO_PAGE_COUNT, assert_packed, mirror_pages,
-                      random_document, serving, write_mirror)
+                      random_document, random_mirror, serving, write_mirror)
 
 
 def extract_links_walk(doc: Document, base: PageId, resolver) -> list[PageId]:
@@ -179,6 +180,12 @@ def _random_href(rng) -> str:
     return href
 
 
+def _generated_pairs() -> list[tuple[PageId, str]]:
+    """20,000 generated (page, href) pairs, the same on every call."""
+    rng = random.Random(230)
+    return [(_random_base(rng), _random_href(rng)) for _ in range(20_000)]
+
+
 def test_file_and_http_resolution_agree(tmp_path):
     """The two resolvers, over an empty mirror and a site, give the same id
     for generated links, tabs and newlines among them and C0 controls and
@@ -188,11 +195,9 @@ def test_file_and_http_resolution_agree(tmp_path):
         URL keeps as a directory where an empty mirror has a plain name;
     (c) a same-host absolute URL, which a mirror cannot hold."""
     resolver, http = FileResolver(tmp_path), HttpResolver(SITE, delay=0.0)
-    rng = random.Random(230)
     classes = {"agree": 0, "a": 0, "b": 0, "c": 0}
     noisy = trimmed = 0
-    for _ in range(20_000):
-        base, href = _random_base(rng), _random_href(rng)
+    for base, href in _generated_pairs():
         got, url = resolver.resolve(base, href), _http_id(http, base, href)
         clean = href.replace("\t", "").replace("\n", "").replace("\r", "")
         noisy += clean != href
@@ -218,6 +223,100 @@ def test_file_and_http_resolution_agree(tmp_path):
     assert classes["agree"] > 10_000, classes
     assert noisy > 5_000
     assert trimmed > 2_000
+
+
+# pages of one directory, with and without a query, and hrefs for them:
+# most without a path (each names the page it is on), a few with one
+_SAME_DIRECTORY_BASES = ("items/p.html", "items/q.html", "items/p.html?id=1",
+                         "items/q.html?u=a/b", "index.html", "p.html?id=2", "moved.html")
+_SAME_DIRECTORY_HREFS = ("", "?", "?x=1", "#top", "?#f", "?x=1#f", " ?y", "http:",
+                         "http:?y", "http:#f", "https:", ";p", "x.html", "../q.html", ".",
+                         "./", "sub/")
+
+# where a page's redirects ended, over HTTP: into another directory, to a
+# directory, to another query and to another scheme and port on the site
+_REDIRECTED = {"moved.html": "items/new/", "a/b/c.html": "a/b/c/",
+               "p.html?id=1": "p.html?id=3", "items/q.html": "https://site.test:443/items/q.html"}
+
+
+def test_a_warm_resolver_equals_a_fresh_resolver_per_link(tmp_path, monkeypatch):
+    """A resolver remembers what each href with a path resolves to, per
+    directory of the page it is on (over HTTP, of the URL the page's
+    redirects ended at).  One resolver per mode, resolving the generated
+    pairs and pages of one directory with mostly path-less hrefs, all
+    shuffled, gives for each what a fresh resolver gives; over HTTP some
+    pages were redirected, in both."""
+    write_mirror(tmp_path, {"index.html": "i", "items/index.html": "i", "a/b/index.htm": "i"})
+    (tmp_path / "sub").mkdir()  # a directory without an index page
+    pairs = _generated_pairs()
+    pairs += [(base, href) for base in _SAME_DIRECTORY_BASES
+              for href in _SAME_DIRECTORY_HREFS] * 3
+    random.Random(231).shuffle(pairs)
+    monkeypatch.setattr(corpus_module, "_opener", lambda netloc: None)  # no fetch here
+
+    def http_resolver():
+        resolver = HttpResolver(SITE, delay=0.0)
+        resolver._final_url.update({SITE + page: urljoin(SITE, url)
+                                    for page, url in _REDIRECTED.items()})
+        return resolver
+
+    for fresh, base_of in ((partial(FileResolver, tmp_path), str),
+                           (http_resolver, lambda base: SITE + base)):
+        warm, targets = fresh(), set()
+        for base, href in pairs:
+            target = warm.resolve(base_of(base), href)
+            assert target == fresh().resolve(base_of(base), href), (base, href)
+            targets.add(target)
+        assert len(targets) > 100
+
+
+class _MemoFree:
+    """Oracle: a resolver that remembers nothing between links."""
+
+    def resolve(self, base, href):
+        self._memo.clear()
+        return super().resolve(base, href)
+
+
+class _MemoFreeFiles(_MemoFree, FileResolver):
+    pass
+
+
+class _MemoFreeHttp(_MemoFree, HttpResolver):
+    pass
+
+
+def _loaded(root) -> tuple:
+    """What a load of ``root`` found: each page's depth and links, the
+    dangling and the excluded targets."""
+    corpus = load_corpus(root, max_depth=10, delay=0.0)
+    return ({page_id: (page.depth, page.links) for page_id, page in corpus.pages.items()},
+            corpus.dangling, corpus.excluded)
+
+
+def test_random_mirrors_load_alike_with_and_without_the_resolution_memo(tmp_path,
+                                                                         monkeypatch):
+    """Random mirrors with subdirectories, ``../`` and root-relative links,
+    links to directories, queries and escapes load the same pages, links,
+    dangling and excluded targets with the resolvers' memos and with every
+    link resolved afresh: from the files, and over HTTP for a few."""
+    rng = random.Random(2301)
+    loaded = dangling = 0
+    for index in range(24):
+        root = random_mirror(tmp_path / str(index), rng, rng.randint(4, 30), (1, 6))
+        remembered = _loaded(root)
+        if index < 4:
+            with serving(partial(SimpleHTTPRequestHandler, directory=str(root.parent))) as url:
+                over_http = _loaded(f"{url}/index.html")
+                with monkeypatch.context() as patch:
+                    patch.setattr(corpus_module, "HttpResolver", _MemoFreeHttp)
+                    assert _loaded(f"{url}/index.html") == over_http, index
+        with monkeypatch.context() as patch:
+            patch.setattr(corpus_module, "FileResolver", _MemoFreeFiles)
+            assert _loaded(root) == remembered, index
+        loaded += len(remembered[0])
+        dangling += len(remembered[1])
+    assert loaded > 200 and dangling > 100
 
 
 def test_an_href_is_trimmed_of_c0_controls_and_whitespace():

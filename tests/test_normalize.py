@@ -603,6 +603,17 @@ _TAG_MEMO_CASES = (
     "<table><tr><td>d<td>e<tr><td>f</table>",
     '<div>g<div class="never', "<p>h<a href=x", "<div>i<div",
     '<div"x>j</div"x><div"x>', "<a>k</a b><a>l</a b>", "<b>m</>n</ >o</b>",
+    # replayed start tags that imply ends, one open element or several
+    "<ul><li>a<li>b</ul><ol><li>c<li>d<li>e</ol>",
+    "<table><tr><th>f<td>g<th>h<td>i</table>",
+    "<table><tr><td>j<tr><td>k<tr><th>l<tr></table>",
+    "<div><p>m<div>n</div><p>o<div>p</div></div>",
+    "<select><optgroup><option>q<option>r<optgroup><option>s</select>",
+    "<dl><dt>t<dd>u<dt>v<dd>w</dl>",
+    # replayed end tags that close several elements, or none at all
+    "<div><b><i>x</div><div><b><i>y</div><div><span><b>z</div>",
+    "<b>a</b></b></i><b>b</b></b></li><p>c</p></p></div>",
+    "<ul><li><p>d</ul><ul><li><p>e</ul></ul>",
 )
 
 
@@ -617,6 +628,28 @@ def test_the_tag_memo_equals_the_stdlib_tokenizer_on_fixed_cases():
         assert tags.hits > 100
         assert [key for key in tags if key.lower().startswith(("<script", "<style"))] == []
         assert {'<div class="x">', "</div>", "<li>", "</a b>"} <= tags.keys()
+
+
+def test_a_tag_memo_miss_scans_its_start_tag_once(monkeypatch):
+    """A start tag the memo has not seen is scanned for its end once, not
+    once for the memo key and again by the stdlib's ``parse_starttag``;
+    a replayed one is scanned once too."""
+    scans = []
+    scan = HTMLParser.check_for_whole_start_tag
+
+    def counting(parser, i):
+        scans.append(i)
+        return scan(parser, i)
+
+    monkeypatch.setattr(HTMLParser, "check_for_whole_start_tag", counting)
+    text = "".join(f'<div id="d{n}"><a href="{n}.html" class="c{n}">{n}</a></div>'
+                   for n in range(20))
+    expected = _parsed(text, builder=_StdlibTags)
+    tags: dict = {}
+    for pass_ in range(2):  # every tag a miss, then every tag a replay
+        scans.clear()
+        assert _parsed(text, {}, tags) == expected
+        assert len(scans) == len(set(scans)) == 40, pass_
 
 
 def test_the_tag_memo_equals_the_stdlib_tokenizer_on_demo_and_benchmark_pages(
