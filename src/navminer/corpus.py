@@ -34,9 +34,9 @@ page's redirects on the site and refuses one to another host before
 requesting it; any final status outside 2xx leaves the page dangling,
 and a redirected page's links are resolved against the URL it was found
 at.
-Links are read from ``a/@href``, ``area/@href`` (image maps),
-``form/@action`` and ``frame|iframe/@src``, one lookup per element of
-the parser's ``Document.elements``; fragments are stripped, query
+Links are the values of ``a/@href``, ``area/@href`` (image maps),
+``form/@action`` and ``frame|iframe/@src`` that the parser recorded in
+``Document.hrefs``, in document order; fragments are stripped, query
 strings kept, ``mailto:``/``javascript:``/external targets dropped.
 Tabs and newlines inside an href are dropped first, and C0 controls and
 whitespace at either end trimmed, in both modes, as a URL parser does,
@@ -88,9 +88,6 @@ class Page:
     document: Document
     links: tuple[PageId, ...]  # internal link targets, as ``extract_links`` gives them
 
-
-# attributes that carry navigation targets, checked in this order per tag
-_LINK_ATTRS = {"a": "href", "area": "href", "form": "action", "frame": "src", "iframe": "src"}
 
 _SKIP_PREFIXES = ("mailto:", "javascript:", "tel:", "data:")
 
@@ -313,16 +310,12 @@ def extract_links(doc: Document, base: PageId, resolver) -> list[PageId]:
     duplicates (first occurrence wins)."""
     links: list[PageId] = []
     seen: set[PageId] = set()
-    for element in doc.elements:
-        attr_name = _LINK_ATTRS.get(element.name)
-        if attr_name is None:
-            continue
-        value = next((v for k, v in element.attrs if k == attr_name), None)
-        target = None if value is None else resolver.resolve(base, value)
+    for value in doc.hrefs:
+        target = resolver.resolve(base, value)
         if target is not None and target not in seen:
             seen.add(target)
             links.append(target)
-        elif target is None and value and value.strip():
+        elif target is None and value.strip():
             logger.debug("unresolvable reference %r on %s", value, base)
     return links
 

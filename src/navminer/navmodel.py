@@ -91,9 +91,10 @@ def page_size(corpus: Corpus, page_id: PageId) -> int:
 
 def _cluster_ordered(corpus, method, pages, threshold) -> list[tuple[PageId, ...]]:
     """Clone-pair clustering of ``pages``, clusters and members kept in
-    discovery order."""
-    if not pages:
-        return []
+    discovery order.  A lone page is its own cluster, and its tokens are
+    not read."""
+    if len(pages) < 2:
+        return [(page,) for page in pages]
     order = {p: i for i, p in enumerate(pages)}
     seqs = {p: token_seq(corpus, p, method) for p in pages}
     pairs = spanning_clone_pairs(pages, seqs, threshold,

@@ -25,14 +25,17 @@ children of a text-only element (adjacent text runs merge, so that is
 one run).  Values and text are not interned: interned strings can stay
 resident after the trees holding them are released.
 
-The builder also lists every element it creates, and creation order is
-document order, so ``Document.elements`` hands link extraction each
-element once without a walk of the tree.  It skips the stdlib
-tokenizer's line counting, which only serves ``getpos``, and keeps each
-tag's own work small: a whitespace-only text run (most runs of a
-template's indentation) is dropped before it is collapsed, a tag
-without attributes skips their cleaning, and a close tag pops and seals
-its elements in one loop.
+The builder also records the value of each link attribute, in document
+order (``Document.hrefs``): ``a`` and ``area`` link by ``href``,
+``form`` by ``action``, ``frame`` and ``iframe`` by ``src``
+(``_LINK_ATTRS``), and the value is the attribute's cleaned one, the
+first of duplicates and ``""`` for a bare attribute.  Link extraction
+reads these values alone, without a walk of the tree.  The builder
+skips the stdlib tokenizer's line counting, which only serves
+``getpos``, and keeps each tag's own work small: a whitespace-only text
+run (most runs of a template's indentation) is dropped before it is
+collapsed, a tag without attributes skips their cleaning, and a close
+tag pops and seals its elements in one loop.
 
 The pages of a site come from a few templates, so their tags repeat
 their exact text: the 619 page files of the benchmark catalog
@@ -47,14 +50,15 @@ end ``check_for_whole_start_tag`` finds, an end tag's up to its first
 ``parse_starttag`` or ``parse_endtag``, and what the stdlib dispatched is
 stored when it was one tag: for a start tag the interned name, the
 shared attribute tuple, the open event, whether the element closes at
-once and the names of the open elements it closes implicitly (its entry
-in ``_IMPLIED_BY``, the inverse of ``IMPLIED_END``), for an end tag its
-interned name.  A hit replays that in ``parse_starttag`` or
-``parse_endtag`` itself, without a ``handle_*`` call: a start tag runs
-the implied-end loop only when the innermost open element is one it
-closes, then builds its element; an end tag that names the innermost
-open element pops and seals it in place, and one that closes several
-elements, or is stray, goes through ``handle_endtag``.  A miss scans its
+once, the names of the open elements it closes implicitly (its entry
+in ``_IMPLIED_BY``, the inverse of ``IMPLIED_END``) and its link value,
+for an end tag its interned name.  A hit replays that in
+``parse_starttag`` or ``parse_endtag`` itself, without a ``handle_*``
+call: a start tag runs the implied-end loop only when the innermost open
+element is one it closes, then builds its element and records its link
+value; an end tag that names the innermost open element pops and seals
+it in place, and one that closes several elements, or is stray, goes
+through ``handle_endtag``.  A miss scans its
 start tag for the end once: ``check_for_whole_start_tag`` hands the
 stdlib's ``parse_starttag`` the end the memo lookup found.  This
 is no second tokenizer: a stored entry is what the stdlib made of the
@@ -62,7 +66,8 @@ identical text, and when the stdlib dispatches a tag it reads nothing
 past the tag's closing ``>``.  Raw text stays the stdlib's: a start tag
 that enters raw-text mode (``script``, ``style``) is never stored, and
 end tags are looked up only outside that mode, so ``</div>`` in a
-script stays text.
+script stays text.  A tag that is not replayed records its link value in
+``handle_starttag``, so one entering raw-text mode records it too.
 
 The builder records each page's shape as well (``Document.shape``): the
 repaired tree's events in document order, an element's name (with its
@@ -145,6 +150,10 @@ _IMPLIED_BY = {tag: frozenset(name for name, closers in IMPLIED_END.items() if t
 
 _RAW_TEXT_TAGS = frozenset({"script", "style"})
 
+# the attribute that carries a link's target, per tag: what
+# ``Document.hrefs`` records
+_LINK_ATTRS = {"a": "href", "area": "href", "form": "action", "frame": "src", "iframe": "src"}
+
 # the WHATWG binary data bytes: a file with one of these in its first
 # 1,024 characters is not a text document
 _BINARY_BYTE = re.compile("[\x00-\x08\x0b\x0e-\x1a\x1c-\x1f]")
@@ -168,18 +177,18 @@ class Element:
 @dataclass(slots=True)
 class Document:
     root: Element
-    # every element of the tree in document order (``walk``'s opening
-    # order), recorded by the parser for link extraction; an index over
-    # ``root``, so equality compares the trees alone
-    elements: list[Element] = field(compare=False, repr=False)
     # the tree's structure as a flat tuple of events in document order,
     # recorded by the parser: an element's name opening it (a tuple of
     # the name and its attribute names when it has attributes), ``None``
     # closing it and ``1`` for a text run.  Equal shapes mean equal names,
     # nesting, attribute names and text positions, all that ``schema``'s
-    # tokens read; like ``elements`` it is derived from ``root`` and not
-    # compared
+    # tokens read; derived from ``root``, so equality compares the trees
+    # alone
     shape: tuple = field(compare=False, repr=False)
+    # the value of each link element's link attribute (``_LINK_ATTRS``)
+    # in document order, recorded by the parser for link extraction; not
+    # compared either
+    hrefs: tuple[str, ...] = field(compare=False, repr=False)
 
 
 @dataclass
@@ -214,15 +223,16 @@ class _TreeBuilder(HTMLParser):
         # ``opened``, an end tag's name
         self.tags = {} if tags is None else tags
         # what handle_starttag last built: the interned name, the shared
-        # attributes, the open event, whether the element closes at once
-        # and the open elements the tag closes implicitly (_IMPLIED_BY)
+        # attributes, the open event, whether the element closes at once,
+        # the open elements the tag closes implicitly (_IMPLIED_BY) and
+        # its link value, None when it has none
         self.opened = None
         self.closed = None  # the name handle_endtag was last called with
         self.scanned = None  # (position, end) of the start tag the stdlib is parsing
         self.top: list[Element | str] = []
         self.stack: list[Element] = []
         self.target = self.top  # the children of the innermost open element
-        self.elements: list[Element] = []  # in creation order, which is document order
+        self.hrefs: list[str] = []  # the values of Document.hrefs, in document order
         self.open_count: dict[str, int] = {}  # tag name -> elements of it on the stack
         self.shape: list = []  # the events of Document.shape, as the tree grows
         self.event = self.shape.append
@@ -233,7 +243,7 @@ class _TreeBuilder(HTMLParser):
         if end >= 0:
             opened = self.tags.get(self.rawdata[i:end])
             if opened is not None:  # the text was tokenized before: replay it
-                tag, attrs, event, closed, implies = opened
+                tag, attrs, event, closed, implies, href = opened
                 stack = self.stack
                 if stack and stack[-1].name in implies:
                     self._close_implied(tag)
@@ -250,7 +260,8 @@ class _TreeBuilder(HTMLParser):
                     self.target = element.children
                     open_count = self.open_count
                     open_count[tag] = open_count.get(tag, 0) + 1
-                self.elements.append(element)
+                if href is not None:
+                    self.hrefs.append(href)
                 return end
         self.opened = None
         self.scanned = i, end  # the stdlib's parse_starttag scans the tag again
@@ -348,7 +359,11 @@ class _TreeBuilder(HTMLParser):
         tag = intern(tag)
         attrs, event = self._clean_attrs(tag, attrs) if attrs else ((), tag)
         closed = self_closing or tag in VOID_ELEMENTS  # the element opens nothing
-        self.opened = (tag, attrs, event, closed, _IMPLIED_BY.get(tag, ()))
+        link = _LINK_ATTRS.get(tag)  # None for a tag that links nothing
+        href = next((v for k, v in attrs if k == link), None)
+        if href is not None:
+            self.hrefs.append(href)
+        self.opened = (tag, attrs, event, closed, _IMPLIED_BY.get(tag, ()), href)
         self.event(event)
         if closed:
             element = Element(tag, attrs, (), True)
@@ -360,7 +375,6 @@ class _TreeBuilder(HTMLParser):
             self.stack.append(element)
             self.target = element.children
             self.open_count[tag] = self.open_count.get(tag, 0) + 1
-        self.elements.append(element)
 
     def handle_startendtag(self, tag, attrs):
         self.handle_starttag(tag, attrs, self_closing=True)
@@ -415,19 +429,18 @@ def to_xhtml(text: str, strings: dict | None = None, tags: dict | None = None) -
     builder = _TreeBuilder(strings, tags)
     builder.feed(text)
     builder.close()
-    # every element hangs below a top-level one, so none at all means
-    # no top-level element either
-    if not builder.elements:
-        raise EmptyDocumentError("no recognizable markup")
     top, shape = builder.top, builder.shape
-    if len(top) == 1:  # the one top-level node, so an element
-        root, elements = top[0], builder.elements
+    # every element hangs below a top-level one, so a page without a
+    # top-level element has none at all
+    if all(node.__class__ is str for node in top):
+        raise EmptyDocumentError("no recognizable markup")
+    if len(top) == 1:  # the one top-level node, an element
+        root = top[0]
     else:  # several top-level nodes: give the tree a single root
         root = Element("html", (), tuple(top))
-        elements = [root, *builder.elements]
         shape = ("html", *shape, None)
     shape = tuple(shape)
-    return Document(root, elements, builder.strings.setdefault(shape, shape))
+    return Document(root, builder.strings.setdefault(shape, shape), tuple(builder.hrefs))
 
 
 def decode_markup(data: bytes) -> str:

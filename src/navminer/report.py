@@ -242,7 +242,8 @@ def _build_artifacts(cfg: Config, result: PipelineResult) -> dict[str, str]:
         artifacts[_component_file(index)] = _edge_html(index, component)
     if cfg.verbose:
         for page_id in sorted(result.corpus.pages):
-            # an MMS run has the page's schema tokens cached already
+            # cached per shape, and by an MMS run for every page it
+            # clustered with another
             tokens = navmodel.token_seq(result.corpus, page_id, "MMS")
             artifacts[f"schemas/{_dtd_name(page_id)}.dtd"] = dtd_text(tokens)
     return artifacts

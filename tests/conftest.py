@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from navminer.normalize import Document, Element, walk
+from navminer.normalize import _LINK_ATTRS, Document, Element, walk
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEMO_CORPUS = REPO_ROOT / "demo" / "corpus"
@@ -80,22 +80,23 @@ def mirror_pages(directory: Path) -> list[tuple[str, str]]:
 
 
 def assert_packed(document: Document, where) -> None:
-    """Nothing but elements, tuples, strings and flags is reachable from
-    ``document``'s tree (``Document.elements``, its index, is the one
-    list), and no element holds an empty tuple other than ``()``."""
+    """Nothing but elements, tuples, strings, flags and the shape's ``1``
+    and ``None`` events is reachable from ``document``, no list in
+    particular, and no element of its tree holds an empty tuple other
+    than ``()``."""
     empty = ()
-    seen = {id(document.root): document.root}
-    stack = [document.root]
+    seen = {id(document): document}
+    stack = [document]
     while stack:
         for ref in gc.get_referents(stack.pop()):
             if not isinstance(ref, type) and id(ref) not in seen:  # classes not followed
                 seen[id(ref)] = ref
                 stack.append(ref)
-    assert {obj.__class__ for obj in seen.values()} <= {Element, tuple, str, bool}, where
-    assert all(element.attrs or element.attrs is empty for element in document.elements), where
-    assert all(element.children or element.children is empty
-               for element in document.elements), where
-    assert document.elements.__class__ is list
+    classes = {obj.__class__ for obj in seen.values()}
+    assert classes <= {Document, Element, tuple, str, bool, int, type(None)}, where
+    elements = elements_of(document.root)
+    assert all(element.attrs or element.attrs is empty for element in elements), where
+    assert all(element.children or element.children is empty for element in elements), where
 
 
 def partition_is_valid(partition) -> bool:
@@ -139,10 +140,24 @@ def random_element(rng: random.Random, depth: int) -> Element:
 
 
 def elements_of(root: Element) -> list[Element]:
-    """The element list the parser records for a tree built or edited by
-    hand: ``walk``'s opening order."""
+    """The elements of a tree in ``walk``'s opening order, document
+    order."""
     return [node for node, _, closing in walk(root)
             if not closing and node.__class__ is not str]
+
+
+def link_values(elements) -> tuple[str, ...]:
+    """Oracle for ``Document.hrefs``, the parser's record of a page's link
+    values, read off its elements in document order (``elements_of``
+    gives them for a tree): for each link element, the value of its first
+    attribute named in ``_LINK_ATTRS`` for its tag, when it has one."""
+    hrefs = []
+    for element in elements:
+        if element.name in _LINK_ATTRS:
+            values = [value for name, value in element.attrs
+                      if name == _LINK_ATTRS[element.name]]
+            hrefs += values[:1]
+    return tuple(hrefs)
 
 
 def shape_of(root: Element) -> tuple:
@@ -164,9 +179,27 @@ def shape_of(root: Element) -> tuple:
 
 
 def document_of(root: Element) -> Document:
-    """A tree built or edited by hand as a ``Document``, with the element
-    list and shape the parser records."""
-    return Document(root, elements_of(root), shape_of(root))
+    """A tree built or edited by hand as a ``Document``, with the shape
+    and link values the parser records."""
+    return Document(root, shape_of(root), link_values(elements_of(root)))
+
+
+_LINK_TAGS = ("a", "area", "form", "frame", "iframe", "img", "link", "div")
+_LINK_VALUES = ("a.html", "b.html#part", "#top", " ", "", "mailto:x@y.example",
+                "../outside.html", "c.html?q=1", "sub/d.html", "http://elsewhere.example/")
+
+
+def random_link_markup(rng: random.Random) -> str:
+    """Link tags and others, each with up to two of the link attributes
+    and ``name`` (a duplicate now and then), closed, left open or
+    followed by text or a paragraph."""
+    parts = []
+    for _ in range(rng.randint(1, 30)):
+        tag = rng.choice(_LINK_TAGS)
+        attrs = "".join(f' {rng.choice(("href", "action", "src", "name"))}='
+                        f'"{rng.choice(_LINK_VALUES)}"' for _ in range(rng.randint(0, 2)))
+        parts.append(f"<{tag}{attrs}>" + rng.choice(("", "text", f"</{tag}>", "<p>")))
+    return "".join(parts)
 
 
 def random_document(rng: random.Random, depth: int = 3) -> Document:
@@ -279,8 +312,18 @@ _EXTRA_BLOCKS = ('<form action="search.html"><input name="q"><button>go</button>
 # so that about two pages in five live there) and three below it
 _MIRROR_DIRECTORIES = ("", "", "d0/", "d1/", "d1/e/")
 
-# a linked file that is not markup: a load excludes it
+# linked files that are not markup: a load excludes them
 _BINARY_FILE = ("files/manual.pdf", "%PDF-1.4\n\x00\x01\x02 binary")
+_EMPTY_FILE = "files/empty.html"
+
+
+def _deep_page(rng: random.Random, depth: int) -> str:
+    return "<div>" * depth + rng.choice(_WORDS) + "</div>" * depth
+
+
+# the pages a random mirror holds now and then beside its template
+# pages: a few hundred divs deep and a few hundred table rows long
+_LARGE_PAGES = {"deep.html": _deep_page, "long.html": _table_page}
 
 
 def _mirror_href(rng: random.Random, page: str, target: str) -> str:
@@ -311,12 +354,15 @@ def random_mirror(root: Path, rng: random.Random, pages: int, links: tuple[int, 
     ``p1.html`` to ``p{pages - 1}.html`` live in the root or in
     subdirectories (``d0/``, ``d1/``, ``d1/e/``), some of which have an
     ``index.html`` of their own among the pages, and now and then a
-    binary file sits in ``files/``.  Each page's body comes from one of
-    ``templates`` (functions of the generator and a repeat count, giving
-    markup), with an extra block on about half the pages, and links to
-    between ``links[0]`` and ``links[1]`` random targets: any page, itself
-    included, a directory with or without an index, the binary file, or
-    now and then a page that does not exist.  The links are relative
+    binary file and an empty ``.html`` file sit in ``files/``.  Each
+    page's body comes from one of ``templates`` (functions of the
+    generator and a repeat count, giving markup), with an extra block on
+    about half the pages; now and then a ``deep.html`` a few hundred
+    divs deep and a ``long.html`` of a few hundred table rows join the
+    pages.  Each page links to between ``links[0]`` and ``links[1]``
+    random targets: any page, itself included, a directory with or
+    without an index, the binary or empty file, or now and then a page
+    that does not exist.  The links are relative
     (``../`` included) or root-relative and carry queries and
     percent-escapes now and then (``_mirror_href``); about half the pages
     also link themselves by an href without a path (``?q=1``, ``#top``)."""
@@ -326,11 +372,16 @@ def random_mirror(root: Path, rng: random.Random, pages: int, links: tuple[int, 
         if pages > 1 and rng.random() < 0.5:
             names[rng.randrange(1, pages)] = directory + "index.html"
     names = list(dict.fromkeys(names))  # one index may have replaced two pages
+    large = {name: make for name, make in _LARGE_PAGES.items() if rng.random() < 0.3}
+    names += large
     site = {}
     extra_targets = [*_MIRROR_DIRECTORIES[2:]]
     if rng.random() < 0.5:
         site[_BINARY_FILE[0]] = _BINARY_FILE[1]
         extra_targets.append(_BINARY_FILE[0])
+    if rng.random() < 0.3:
+        site[_EMPTY_FILE] = ""
+        extra_targets.append(_EMPTY_FILE)
     for name in names:
         targets = [rng.choice(names) if rng.random() < 0.8 else
                    rng.choice(extra_targets) if rng.random() < 0.5 else
@@ -340,7 +391,10 @@ def random_mirror(root: Path, rng: random.Random, pages: int, links: tuple[int, 
                           for target in targets)
         if rng.random() < 0.5:  # the page itself, by an href without a path
             anchors += f'<a href="{rng.choice(["?q=1", "?q=2", "?", "#top", ""])}">self</a>'
-        body = rng.choice(templates)(rng, rng.randint(1, 6))
+        if name in large:
+            body = large[name](rng, rng.randint(200, 400))
+        else:
+            body = rng.choice(templates)(rng, rng.randint(1, 6))
         extra = rng.choice(_EXTRA_BLOCKS) if rng.random() < 0.5 else ""
         site[name] = (f"<html><head><title>{name}</title></head><body>"
                       f'<div class="nav">{anchors}</div>{body}{extra}</body></html>')

@@ -18,19 +18,20 @@ import pytest
 
 from navminer import corpus as corpus_module
 from navminer.cli import main
-from navminer.corpus import (_HREF_TRIM, _LINK_ATTRS, DEFAULT_REDIRECT_LIMIT, CorpusError,
-                             FileResolver, HttpResolver, PageId, PageReadError, extract_links,
-                             load_corpus, logger)
+from navminer.corpus import (_HREF_TRIM, DEFAULT_REDIRECT_LIMIT, CorpusError, FileResolver,
+                             HttpResolver, PageId, PageReadError, extract_links, load_corpus,
+                             logger)
 from navminer.navmodel import token_seq
-from navminer.normalize import Document, to_xhtml, walk
+from navminer.normalize import _LINK_ATTRS, Document, EmptyDocumentError, to_xhtml, walk
 
-from conftest import (DEMO_CORPUS, DEMO_PAGE_COUNT, assert_packed, mirror_pages,
-                      random_document, random_mirror, serving, write_mirror)
+from conftest import (DEMO_CORPUS, DEMO_PAGE_COUNT, assert_packed, elements_of, mirror_pages,
+                      random_document, random_link_markup, random_mirror, serving,
+                      write_mirror)
 
 
 def extract_links_walk(doc: Document, base: PageId, resolver) -> list[PageId]:
-    """The tree-walking ``extract_links`` that the element index replaced,
-    kept as its oracle."""
+    """The tree-walking ``extract_links`` that the parser's record of link
+    values replaced, kept as its oracle."""
     links: list[PageId] = []
     seen: set[PageId] = set()
     for element, _, closing in walk(doc.root):
@@ -299,9 +300,11 @@ def test_random_mirrors_load_alike_with_and_without_the_resolution_memo(tmp_path
     """Random mirrors with subdirectories, ``../`` and root-relative links,
     links to directories, queries and escapes load the same pages, links,
     dangling and excluded targets with the resolvers' memos and with every
-    link resolved afresh: from the files, and over HTTP for a few."""
+    link resolved afresh: from the files, and over HTTP for a few.  Deep
+    and long pages are among the loaded ones, and empty files among the
+    excluded."""
     rng = random.Random(2301)
-    loaded = dangling = 0
+    loaded = dangling = large = empty = 0
     for index in range(24):
         root = random_mirror(tmp_path / str(index), rng, rng.randint(4, 30), (1, 6))
         remembered = _loaded(root)
@@ -316,7 +319,9 @@ def test_random_mirrors_load_alike_with_and_without_the_resolution_memo(tmp_path
             assert _loaded(root) == remembered, index
         loaded += len(remembered[0])
         dangling += len(remembered[1])
-    assert loaded > 200 and dangling > 100
+        large += sum(name in remembered[0] for name in ("deep.html", "long.html"))
+        empty += "files/empty.html" in remembered[2]
+    assert loaded > 200 and dangling > 100 and large > 2 and empty > 0
 
 
 def test_an_href_is_trimmed_of_c0_controls_and_whitespace():
@@ -907,7 +912,7 @@ def loads(benchmark_mirrors):
             for directory in (DEMO_CORPUS, benchmark_mirrors[0])]
 
 
-def test_page_trees_hold_tuples_and_no_list_but_their_element_index(loads):
+def test_page_documents_hold_tuples_and_no_list(loads):
     for corpus in loads:
         for page_id, page in corpus.pages.items():
             assert_packed(page.document, page_id)
@@ -924,7 +929,8 @@ def _shared_parts(element):
 
 
 def _text_runs(corpus):
-    return {child: child for page in corpus.pages.values() for element in page.document.elements
+    return {child: child for page in corpus.pages.values()
+            for element in elements_of(page.document.root)
             for child in element.children if child.__class__ is str and len(child) > 1}
 
 
@@ -933,7 +939,7 @@ def test_equal_values_and_text_runs_of_one_load_are_one_object(loads):
         shared: dict = {}
         parts = 0
         for page in corpus.pages.values():
-            for element in page.document.elements:
+            for element in elements_of(page.document.root):
                 for part in _shared_parts(element):
                     assert shared.setdefault(part, part) is part
                     parts += 1
@@ -951,7 +957,7 @@ def test_values_and_text_runs_are_not_interned(loads):
     as constants of loaded code, and single characters are cached, so
     the samples are longer and hold other characters."""
     for corpus in loads:
-        elements = [e for page in corpus.pages.values() for e in page.document.elements]
+        elements = [e for page in corpus.pages.values() for e in elements_of(page.document.root)]
         value = next(v for e in elements for _, v in e.attrs
                      if len(v) > 1 and not v.replace("_", "a").isalnum())
         text = next(c for e in elements for c in e.children
@@ -983,34 +989,29 @@ def test_the_loaded_benchmark_catalog_stays_small(benchmark_mirrors):
     assert len(shapes) == len({page.document.shape for page in corpus.pages.values()}) == 28
 
 
-_LINK_TAGS = ("a", "area", "form", "frame", "iframe", "img", "link", "div")
-_LINK_VALUES = ("a.html", "b.html#part", "#top", " ", "", "mailto:x@y.example",
-                "../outside.html", "c.html?q=1", "sub/d.html", "http://elsewhere.example/")
-
-
-def _random_link_markup(rng) -> str:
-    parts = []
-    for _ in range(rng.randint(1, 30)):
-        tag = rng.choice(_LINK_TAGS)
-        attrs = "".join(f' {rng.choice(("href", "action", "src", "name"))}='
-                        f'"{rng.choice(_LINK_VALUES)}"' for _ in range(rng.randint(0, 2)))
-        parts.append(f"<{tag}{attrs}>" + rng.choice(("", "text", f"</{tag}>", "<p>")))
-    return "".join(parts)
-
-
 def test_extract_links_equals_the_tree_walking_oracle(tmp_path, benchmark_mirrors):
-    checked = 0
-    for directory in (DEMO_CORPUS, *benchmark_mirrors):
+    """On the demo, benchmark and random mirrors (empty, deep and long
+    pages among them), on random link markup and on random documents."""
+    rng = random.Random(2401)
+    mirrors = [random_mirror(tmp_path / f"mirror{index}", rng, rng.randint(4, 30), (1, 6)).parent
+               for index in range(12)]
+    checked = empty = large = 0
+    for directory in (DEMO_CORPUS, *benchmark_mirrors, *mirrors):
         resolver = FileResolver(directory)
         for page_id, text in mirror_pages(directory):
-            doc = to_xhtml(text)
+            try:
+                doc = to_xhtml(text)
+            except EmptyDocumentError:
+                empty += 1
+                continue
             assert extract_links(doc, page_id, resolver) == \
                 extract_links_walk(doc, page_id, resolver), page_id
             checked += 1
-    assert checked > 650
+            large += page_id in ("deep.html", "long.html")
+    assert checked > 800 and empty > 0 and large > 2
     rng = random.Random(211)
     resolver = FileResolver(tmp_path)
-    docs = [to_xhtml(_random_link_markup(rng)) for _ in range(300)]
+    docs = [to_xhtml(random_link_markup(rng)) for _ in range(300)]
     docs += [random_document(rng, rng.randint(0, 4)) for _ in range(300)]
     found = 0
     for doc in docs:

@@ -99,8 +99,10 @@ def test_every_loaded_page_is_in_exactly_one_node(tmp_path):
     """The crawl's depth limit is the only one: on random mirrors, loaded at
     depths 0-4 with dense links and at the default depth with sparse ones,
     the nodes of the built and of the refined tree partition exactly the
-    loaded pages, under both methods."""
+    loaded pages, under both methods.  Deep and long pages are among the
+    loaded ones, and empty files among the excluded."""
     rng = random.Random(2206)
+    large = empty = 0
     for index in range(40):
         if index < 20:
             root = random_mirror(tmp_path / str(index), rng, rng.randint(6, 30), (1, 6))
@@ -116,6 +118,9 @@ def test_every_loaded_page_is_in_exactly_one_node(tmp_path):
                                   collect_partition(refine_clusters(tree))):
                     assert partition_is_valid(partition), (index, depth, method)
                     assert partition.universe == frozenset(corpus.pages), (index, depth, method)
+        large += sum(name in corpus.pages for name in ("deep.html", "long.html"))
+        empty += "files/empty.html" in corpus.excluded
+    assert large > 2 and empty > 0
 
 
 def _figure_mirror(tmp_path):
@@ -268,6 +273,17 @@ def test_cluster_ordered_matches_all_pairs_oracle(demo_corpus):
             for threshold in (0.0, 0.5, 0.8, 0.95, 1.0):
                 assert _cluster_ordered(demo_corpus, method, sample, threshold) == \
                     cluster_all_pairs(demo_corpus, method, sample, threshold)
+
+
+def test_a_lone_page_is_its_own_cluster_without_tokens(demo_root):
+    """Fewer than two pages are clustered as the oracle clusters them, and
+    no token sequence is computed for them."""
+    corpus = load_corpus(demo_root, max_depth=10, delay=0.0)
+    for method in METHODS:
+        for pages in ([], ["index.html"], ["items/item-d1.html"]):
+            assert _cluster_ordered(corpus, method, pages, 0.9) == [tuple(pages)] * len(pages)
+            assert corpus.memo == {}
+            assert cluster_all_pairs(corpus, method, pages, 0.9) == [tuple(pages)] * len(pages)
 
 
 def test_memo_grows_with_shapes_not_pairs(tmp_path):

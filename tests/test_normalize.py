@@ -18,7 +18,8 @@ from navminer.normalize import (_BINARY_BYTE, _RAW_TEXT_TAGS, _SNIFF_CHARS, IMPL
                                 walk)
 
 from conftest import (DEMO_CORPUS, REPO_ROOT, all_elements, assert_packed, document_of,
-                      elements_of, mirror_pages, random_document, shape_of, write_mirror)
+                      elements_of, link_values, mirror_pages, random_document,
+                      random_link_markup, shape_of, write_mirror)
 
 
 # oracles: the text form for round trips, and the copying form of stripped_lines
@@ -208,11 +209,10 @@ def _oracle_to_xhtml(text, builder_class):
     if not builder.elements:
         raise EmptyDocumentError("no recognizable markup")
     top = builder.top
-    # the oracles' trees are compared through _canonical, which reads no shape
-    if len(top) == 1:
-        return Document(top[0], builder.elements, None)
-    root = Element("html", [], list(top))
-    return Document(root, [root, *builder.elements], None)
+    # the oracles' trees are compared through _canonical, which reads no
+    # shape; their link values are read off the elements they created
+    root = top[0] if len(top) == 1 else Element("html", [], list(top))
+    return Document(root, None, link_values(builder.elements))
 
 
 def _preorder(nodes):
@@ -240,12 +240,10 @@ def _events(doc):
 
 
 def _canonical(doc):
-    """``_events`` and the place of each ``Document.elements`` entry in
-    that order: equal for two documents exactly when their trees and
-    their element lists are equal, up to representation."""
-    events = _events(doc)
-    place = {id(node): index for index, (node, _) in enumerate(_preorder([doc.root]))}
-    return events, [place.get(id(element)) for element in doc.elements]
+    """``_events`` and the link values: equal for two documents exactly
+    when their trees, up to representation, and their ``hrefs`` are
+    equal."""
+    return _events(doc), tuple(doc.hrefs)
 
 
 def _parse_both(text):
@@ -284,32 +282,90 @@ def _random_malformed_markup(rng: random.Random) -> str:
     return "".join(parts)
 
 
-def test_element_index_is_the_walk_order_random():
+def _assert_hrefs_are_the_walk(doc, where):
+    """``doc.hrefs`` is the oracle's reading of its tree, value object for
+    value object."""
+    expected = link_values(elements_of(doc.root))
+    assert doc.hrefs.__class__ is tuple, where
+    assert doc.hrefs == expected, where
+    assert all(a is b for a, b in zip(doc.hrefs, expected)), where
+
+
+def test_the_recorded_hrefs_are_the_walk_of_the_tree_random():
     """Unclosed tags, stray closes, implied ends, void and self-closing
-    tags, several top-level nodes and adjacent text: the parser's element
-    list is the tree's elements in walk order, object for object."""
+    tags, several top-level nodes and adjacent text, link tags with none,
+    one or two of the link attributes and duplicate and bare ones: the
+    parser's link values are those of the tree's link elements in walk
+    order, object for object."""
     rng = random.Random(208)
-    synthetic_roots = merged_texts = 0
+    synthetic_roots = merged_texts = hrefs = 0
     texts = [_random_malformed_markup(rng) for _ in range(1500)]
+    texts += [random_link_markup(rng) for _ in range(1500)]
+    texts += [_random_shape_markup(rng) for _ in range(1500)]
     texts += ["<p>one</p> two <p>three", "a<b>x</b><!-- c -->b<i/>c", "<br><br/>tail"]
     for text in texts:
         try:
             doc = to_xhtml(text)
         except EmptyDocumentError:
             continue
-        assert [id(e) for e in doc.elements] == [id(e) for e in elements_of(doc.root)], text
-        synthetic_roots += doc.root.name == "html"  # the generator writes no <html>
+        _assert_hrefs_are_the_walk(doc, text)
+        synthetic_roots += doc.root.name == "html"  # the generators write no <html>
         merged_texts += any("word word" in node for node, _, _ in walk(doc.root)
                             if node.__class__ is str)
-    assert synthetic_roots > 100 and merged_texts > 10
+        hrefs += len(doc.hrefs)
+    assert synthetic_roots > 100 and merged_texts > 10 and hrefs > 3000
 
 
-def test_element_index_of_demo_and_benchmark_pages(benchmark_mirrors):
+# link values the parser must record or skip: a duplicate link attribute,
+# a bare href, an href inside a script, image map areas, a form without
+# an action, a form that closes a paragraph implicitly, link tags closed
+# by an ancestor's close and by the end of the page, several top-level
+# nodes and frames; each with the values it records
+_LINK_CASES = {
+    '<a href="x.html" href="y.html">1</a><a name="n" href="z.html">2</a>': ("x.html", "z.html"),
+    "<a href>bare</a><a href=''>empty</a><a>none</a>": ("", ""),
+    "<script>s = '<a href=\"s.html\">';</script><a href=\"t.html\">t</a>": ("t.html",),
+    '<map><area href="m.html"><area nohref><area href="n.html"/></map>': ("m.html", "n.html"),
+    '<form><input name="q"></form><form action="f.html" action="g.html"></form>': ("f.html",),
+    '<p>a<form action="p.html"><p>b<a href="q.html">c<p>d': ("p.html", "q.html"),
+    '<div><a href="u.html">u</div><a href="v.html">v': ("u.html", "v.html"),
+    '<a href="1.html">1</a> text <a href="2.html">2</a><area href="3.html">': (
+        "1.html", "2.html", "3.html"),
+    '<iframe src="i.html"></iframe><frameset><frame src="f.html"></frameset>': (
+        "i.html", "f.html"),
+    '<IFRAME SRC="j.html" src="k.html">x</IFRAME><img src="no.png"><link href="no.css">': (
+        "j.html",),
+}
+
+
+def test_the_recorded_hrefs_of_fixed_cases_and_demo_and_benchmark_pages(benchmark_mirrors):
+    """The parser's link values equal the oracle's walk of the tree: on
+    the link cases above, which record the values beside them, and on the
+    tag memo's cases, both parsed in both orders and each twice with one
+    memo, so that every tag is tokenized once and replayed once; on the
+    demo and benchmark pages, parsed with one memo as a load parses them;
+    and on the pretty-print of random documents."""
+    for cases in (list(_LINK_CASES) + list(_TAG_MEMO_CASES),
+                  list(_TAG_MEMO_CASES)[::-1] + list(_LINK_CASES)[::-1]):
+        strings, tags = {}, _CountingMemo()
+        for text in cases * 2:
+            doc = to_xhtml(text, strings, tags)
+            _assert_hrefs_are_the_walk(doc, text)
+            if text in _LINK_CASES:
+                assert doc.hrefs == _LINK_CASES[text], text
+        assert tags.hits > 100
     for directory in (DEMO_CORPUS, *benchmark_mirrors):
+        strings, tags = {}, {}
+        hrefs = 0
         for page_id, text in mirror_pages(directory):
-            doc = to_xhtml(text)
-            assert [id(e) for e in doc.elements] == \
-                [id(e) for e in elements_of(doc.root)], page_id
+            doc = to_xhtml(text, strings, tags)
+            _assert_hrefs_are_the_walk(doc, page_id)
+            hrefs += len(doc.hrefs)
+        assert hrefs > 20, directory
+    rng = random.Random(224)
+    for _ in range(300):
+        text = serialize(random_document(rng, rng.randint(0, 4)))
+        _assert_hrefs_are_the_walk(to_xhtml(text), text)
 
 
 _SHAPE_TAGS = ("div", "p", "span", "ul", "li", "dl", "dt", "dd", "table", "tbody", "tr",
@@ -373,8 +429,9 @@ def test_the_recorded_shape_is_the_walk_of_the_tree_random():
             _ATTR_NAME.findall(attrs) for attrs in _START_TAG_ATTRS.findall(text)))
         seen["merged"] += "word word" in text.replace("<!-- c -->", " ") and any(
             "word word" in node for node, _, _ in walk(doc.root) if node.__class__ is str)
-        seen["raw"] += any(e.name in _RAW_TEXT_TAGS for e in doc.elements)
-        seen["void"] += any(e.self_closing for e in doc.elements)
+        elements = elements_of(doc.root)
+        seen["raw"] += any(e.name in _RAW_TEXT_TAGS for e in elements)
+        seen["void"] += any(e.self_closing for e in elements)
     assert parsed > 10_000
     assert min(seen.values()) > 1000, seen
 
@@ -415,7 +472,7 @@ _START_TAG_CASES = ["<p>a</p><p>b", "<li>a</li><li>b", "<p><b>x", "<li><p>a<span
 
 def test_packed_trees_equal_the_list_builder_oracle(benchmark_mirrors):
     """Tuples for lists, ``str`` runs for ``Text`` and shared values change
-    no tree and no element list: on random malformed, tokenizer-path and
+    no tree and no link value: on random malformed, tokenizer-path and
     whitespace-run markup, on the fixed start-tag cases, and on the demo
     and benchmark pages, parsed with one shared dict as a load parses its
     pages.  Elements a page leaves open are packed too."""
@@ -468,7 +525,7 @@ def test_self_closing_tags_in_and_around_implied_ends_match_the_list_builder():
 
 def test_documents_compare_by_tree():
     doc = to_xhtml("<div><p>x</p></div>")
-    assert doc == Document(doc.root, [], ())
+    assert doc == Document(doc.root, (), ())
     assert doc != to_xhtml("<div><p>y</p></div>")
 
 
@@ -502,16 +559,16 @@ def _random_tokenizer_markup(rng: random.Random) -> str:
 
 
 def _parsed(text, strings=None, tags=None, builder=normalize._TreeBuilder):
-    """The tree and element list (``_canonical``), the element names and
-    the shape ``to_xhtml`` gives ``text`` with ``builder``, or None when
-    it finds no markup."""
+    """The tree and link values (``_canonical``) and the shape
+    ``to_xhtml`` gives ``text`` with ``builder``, or None when it finds
+    no markup."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(normalize, "_TreeBuilder", builder)
         try:
             doc = to_xhtml(text, strings, tags)
         except EmptyDocumentError:
             return None
-    return _canonical(doc), [element.name for element in doc.elements], doc.shape
+    return _canonical(doc), doc.shape
 
 
 def test_skipping_the_line_count_changes_no_tree_random():
@@ -561,7 +618,7 @@ def _raw_text_openers(tags):
 
 def test_the_tag_memo_equals_the_stdlib_tokenizer_random():
     """Start and end tags replayed from the memo build what the stdlib's
-    tokenizing builds, tree, element order and shape, on 4,000 random
+    tokenizing builds, tree, link values and shape, on 4,000 random
     markups from every generator above.  They are fed in batches of 50
     that share one memo and one strings dict, as a load's pages do, so a
     tag first tokenized in one context is replayed in another: after

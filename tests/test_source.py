@@ -197,3 +197,21 @@ def test_only_the_crawl_reads_the_depth_limit():
             if name == "max_depth":
                 readers.add(path.stem)
     assert readers == {"corpus", "report", "cli"}
+
+
+def test_only_the_parser_reads_link_attributes():
+    """The link-attribute table is ``normalize``'s: no other module names
+    it, and ``corpus`` extracts links from the values the parser recorded
+    without reading an element's attributes."""
+    owners = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = _referenced_names(tree) | {alias.asname or alias.name for node in ast.walk(tree)
+                                           if isinstance(node, ast.ImportFrom)
+                                           for alias in node.names}
+        if "_LINK_ATTRS" in names:
+            owners.add(path.stem)
+        if path.stem == "corpus":
+            assert {"attrs", "elements"} & names == set()
+            assert "hrefs" in names
+    assert owners == {"normalize"}
