@@ -22,7 +22,7 @@ from navminer.evaluate import EvaluationResult
 from navminer.navmodel import NavNode, NavTree, build_nav_tree, reduce_to_snp, refine_clusters
 from navminer.report import Config, ConfigError, emit_dot, emit_xml, run_pipeline
 
-from conftest import DEMO_THRESHOLD, REPO_ROOT, write_mirror
+from conftest import DEMO_THRESHOLD, REPO_ROOT, random_mirror, write_mirror
 
 
 def snp_of(root, threshold=0.9, method="MMS", depth=10):
@@ -593,6 +593,56 @@ def test_demo_artifact_bytes_match_the_golden_digests(demo_root, demo_reference,
     got = _demo_artifact_digests(demo_root, demo_reference, tmp_path)
     expected = GOLDEN_ARTIFACTS.read_text(encoding="utf-8").splitlines()
     assert got == expected, (f"artifacts differ from {GOLDEN_ARTIFACTS.name}; "
+                             "the new digests:\n" + "\n".join(got))
+
+
+GOLDEN_RUNS = Path(__file__).parent / "data" / "run_artifacts.sha256"
+
+
+def _run_digest(cfg: Config) -> str:
+    """One SHA-256 over every file a run writes, in the order of their
+    relative paths, each path and length before its bytes."""
+    run_pipeline(cfg)
+    out = Path(cfg.out_dir)
+    digest = hashlib.sha256()
+    for path in sorted((p for p in out.rglob("*") if p.is_file()),
+                       key=lambda p: p.relative_to(out).as_posix()):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(out).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def test_benchmark_and_random_mirror_artifact_bytes_match_the_golden_digests(
+        benchmark_mirrors, tmp_path):
+    """Verbose runs of the benchmark's catalog (MMS at 0.95, STS at 0.8)
+    and long table pages (MMS at 0.95), each with its reference, and of
+    eight random mirrors (MMS at 0.95, STS at 0.8), deep, long and empty
+    pages among them: one digest per run over all its files.  A change
+    that means to alter the bytes replaces the file's lines with the new
+    ones printed here."""
+    catalog, longpage = benchmark_mirrors
+    runs = [("catalog", catalog, "MMS", 0.95), ("catalog", catalog, "STS", 0.8),
+            ("longpage", longpage, "MMS", 0.95)]
+    rng = random.Random(2502)
+    kinds = set()
+    for index in range(8):
+        directory = random_mirror(tmp_path / f"mirror{index}", rng, rng.randint(6, 30),
+                                  (1, 6)).parent
+        kinds |= {name for name in ("deep.html", "long.html", "files/empty.html")
+                  if (directory / name).is_file()}
+        runs += [(f"random{index}", directory, "MMS", 0.95),
+                 (f"random{index}", directory, "STS", 0.8)]
+    assert kinds == {"deep.html", "long.html", "files/empty.html"}
+    got = []
+    for name, directory, method, threshold in runs:
+        reference = directory.parent / "reference.txt"
+        cfg = Config(root=str(directory / "index.html"), threshold=threshold, method=method,
+                     out_dir=str(tmp_path / "out" / f"{name}-{method}"), verbose=True,
+                     reference=str(reference) if name in ("catalog", "longpage") else None)
+        got.append(f"{_run_digest(cfg)}  {name} {method} {threshold}")
+    expected = GOLDEN_RUNS.read_text(encoding="utf-8").splitlines()
+    assert got == expected, (f"artifacts differ from {GOLDEN_RUNS.name}; "
                              "the new digests:\n" + "\n".join(got))
 
 
