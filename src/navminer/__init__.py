@@ -14,8 +14,7 @@ from .evaluate import (EvaluationResult, ReferenceClassification, evaluate,
                        load_reference, metrics_from_counts)
 from .navmodel import (NavNode, NavTree, build_nav_tree, collect_partition,
                        reduce_to_snp, refine_clusters)
-from .normalize import (Document, Element, EmptyDocumentError, LineText, pretty_print,
-                        to_xhtml)
+from .normalize import Document, EmptyDocumentError, LineText, Tag, pretty_print, to_xhtml
 from .report import Config, ConfigError, PipelineResult, emit_dot, emit_xml, run_pipeline
 from .schema import Schema, extract_schema, serialize_schema, sts_serialize
 from .similarity import Partition, levenshtein, similarity, transclos

@@ -10,15 +10,15 @@ discarded; the question is what *appears*, not what goes away.
 The ``LineText`` lines come without their indentation, so a line that
 only moved to another depth still aligns, and lines are compared
 exactly as given.  A fragment is a slice of the target's ``LineText``:
-its lines, their depths and the elements they open.
+its lines, their depths and the tags they open.
 
 The alignment table is bit-parallel: one int per line of A, one bit per
 line of B, built a machine word at a time instead of cell by cell, and
 read back one bit per step.  The backtrack over it is the canonical one
 of the full table, so the fragments are those of the classic DP.
 
-A component's inventory counts the elements its fragments open, as
-``normalize`` recorded them while printing, by tag name and, for an
+A component's inventory counts the elements its fragments open, from
+the tags ``normalize`` recorded while printing, by tag name and, for an
 ``input``, by its first ``type`` attribute (``text`` when it has none);
 no line is parsed back.
 """
@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .corpus import PageId
-from .navmodel import NavTree
-from .normalize import Element, LineText, stripped_lines, walk
+from .navmodel import NavTree, walk
+from .normalize import LineText, Tag, stripped_lines
 from .similarity import shared_ends
 
 KINDS = ("Button", "Text", "Textarea", "Select", "Link", "Image", "Table", "Form", "Other")
@@ -155,10 +155,11 @@ _KIND_OF_TAG = {
 }
 
 
-def _classify(element: Element) -> str | None:
-    """Map one opened element to its inventory kind; None means not counted."""
-    if element.name == "input":
-        input_type = next((value for name, value in element.attrs if name == "type"),
+def _classify(tag: Tag) -> str | None:
+    """Map one opened element's tag to its inventory kind; None means not
+    counted."""
+    if tag.name == "input":
+        input_type = next((value for name, value in tag.attrs if name == "type"),
                           "text").lower()
         if input_type in ("submit", "button", "reset"):
             return "Button"
@@ -167,16 +168,16 @@ def _classify(element: Element) -> str | None:
         if input_type in ("text", "password"):
             return "Text"
         return "Other"
-    return _KIND_OF_TAG.get(element.name, "Other")
+    return _KIND_OF_TAG.get(tag.name, "Other")
 
 
 def identify_elements(component: CandidateComponent) -> dict[str, int]:
     """Tally the elements the component's fragment lines open."""
     counts = {kind: 0 for kind in KINDS}
     for fragment in component.fragments:
-        for element in fragment.opens:
-            if element is not None:
-                kind = _classify(element)
+        for tag in fragment.opens:
+            if tag is not None:
+                kind = _classify(tag)
                 if kind is not None:
                     counts[kind] += 1
     return counts

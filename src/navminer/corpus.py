@@ -4,7 +4,7 @@ A corpus is either a directory tree of saved pages (filesystem mode) or
 a live site reached over HTTP.  Retrieval is a breadth-first walk of
 the internal links starting at the root page.  Every page is fetched
 exactly once and, as it arrives, parsed and link-scanned once into a
-``Page``: its repaired tree and its internal link targets.  Later
+``Page``: its repaired page and its internal link targets.  Later
 pipeline stages read those records and never touch the source again.
 The pages of a site repeat their templates' attribute values and
 boilerplate text, so the pages of one load share one copy of each

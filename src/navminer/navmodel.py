@@ -29,10 +29,31 @@ from dataclasses import dataclass, field
 
 from . import schema as schema_mod
 from .corpus import Corpus, PageId
-from .normalize import pretty_print, walk
+from .normalize import pretty_print
 from .similarity import Partition, similarity, spanning_clone_pairs, transclos
 
 METHODS = ("MMS", "STS")
+
+
+def walk(root):
+    """Depth-first walk of a node tree on an explicit stack.
+
+    Yields ``(node, depth, closing)``: each node once opening, in
+    pre-order, and again, closing, after its subtree.  A node's children
+    are read only after the caller has seen it open, so the caller may
+    fill them in then.
+    """
+    yield root, 0, False
+    stack = [(root, iter(root.children))]  # the children of stack[-1] are at depth len(stack)
+    while stack:
+        node, children = stack[-1]
+        child = next(children, None)
+        if child is None:
+            stack.pop()
+            yield node, len(stack), True
+        else:
+            yield child, len(stack), False
+            stack.append((child, iter(child.children)))
 
 
 @dataclass

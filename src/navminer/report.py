@@ -40,8 +40,8 @@ from . import navmodel
 from .components import KINDS, CandidateComponent, extract_candidates
 from .corpus import Corpus, CorpusError, load_corpus
 from .evaluate import EvaluationError, EvaluationResult, evaluate, load_reference
-from .navmodel import NavTree, build_nav_tree, collect_partition, reduce_to_snp, refine_clusters
-from .normalize import walk
+from .navmodel import (NavTree, build_nav_tree, collect_partition, reduce_to_snp, refine_clusters,
+                       walk)
 from .schema import dtd_text
 
 logger = logging.getLogger(__name__)

@@ -25,7 +25,7 @@ An attribute is REQUIRED when every instance of the element carries it,
 IMPLIED otherwise.  Attribute *values* never enter the schema.
 
 Both token formats are read from the page's shape
-(``normalize.Document.shape``) alone, never from its tree: one pass over
+(``normalize.Document.shape``) alone, never from its parts: one pass over
 the shape's events with a stack of the open elements gives each
 element instance's child names, text flag and attribute names, or the
 open and close tokens.  The shape is then the whole input of both, and

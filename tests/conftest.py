@@ -10,13 +10,13 @@ import random
 import sys
 import threading
 from contextlib import contextmanager
-from copy import deepcopy
+from dataclasses import dataclass
 from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
-from navminer.normalize import _LINK_ATTRS, Document, Element, walk
+from navminer.normalize import _LINK_ATTRS, Document, Tag, _tag
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEMO_CORPUS = REPO_ROOT / "demo" / "corpus"
@@ -80,10 +80,9 @@ def mirror_pages(directory: Path) -> list[tuple[str, str]]:
 
 
 def assert_packed(document: Document, where) -> None:
-    """Nothing but elements, tuples, strings, flags and the shape's ``1``
-    and ``None`` events is reachable from ``document``, no list in
-    particular, and no element of its tree holds an empty tuple other
-    than ``()``."""
+    """Nothing but tags, tuples, strings, flags and the shape's ``1`` and
+    ``None`` events is reachable from ``document``, no list in particular,
+    and no tag holds an empty attribute tuple other than ``()``."""
     empty = ()
     seen = {id(document): document}
     stack = [document]
@@ -93,10 +92,9 @@ def assert_packed(document: Document, where) -> None:
                 seen[id(ref)] = ref
                 stack.append(ref)
     classes = {obj.__class__ for obj in seen.values()}
-    assert classes <= {Document, Element, tuple, str, bool, int, type(None)}, where
-    elements = elements_of(document.root)
-    assert all(element.attrs or element.attrs is empty for element in elements), where
-    assert all(element.children or element.children is empty for element in elements), where
+    assert classes <= {Document, Tag, tuple, str, bool, int, type(None)}, where
+    tags = tags_of(document)
+    assert all(tag.attrs or tag.attrs is empty for tag in tags), where
 
 
 def partition_is_valid(partition) -> bool:
@@ -116,6 +114,74 @@ def write_mirror(root: Path, pages: dict[str, str]) -> Path:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
     return root / "index.html"
+
+
+# ---------------------------------------------------------------------------
+# the tests' element trees: documents built or edited by hand, and the
+# oracles that read a tree
+
+
+@dataclass(slots=True)
+class Element:
+    """An element of a tree built by hand or by an oracle; a text run is a
+    plain ``str`` child.  ``document_of`` gives a tree's events, and
+    ``tree_of`` the tree of a ``Document``'s events."""
+
+    name: str
+    attrs: tuple[tuple[str, str], ...] = ()
+    children: tuple[Element | str, ...] = ()
+    self_closing: bool = False
+
+
+def walk_tree(root):
+    """Depth-first walk of an element tree on an explicit stack.
+
+    Yields ``(node, depth, closing)``: each node once opening, in
+    document order, and each element again, closing, after its subtree.
+    A node's children are read only after the caller has seen it open,
+    so the caller may fill them in then.
+    """
+    yield root, 0, False
+    stack = [(root, iter(root.children))]
+    depth = 1  # of the children under stack[-1]
+    while depth:
+        node, children = stack[-1]
+        for child in children:
+            yield child, depth, False
+            if child.__class__ is Element:
+                stack.append((child, iter(child.children)))
+                depth += 1
+                break
+        else:
+            stack.pop()
+            depth -= 1
+            yield node, depth, True
+
+
+def tags_of(document: Document) -> list[Tag]:
+    """The tags of a document's open events, in document order."""
+    return [part for part in document.parts if part.__class__ is Tag]
+
+
+def tree_of(document: Document) -> Element:
+    """The element tree of a document's events, each element with its
+    tag's name, attributes and flag, and each text run its ``str``."""
+    parts = iter(document.parts)
+    top: list = []
+    stack: list[Element] = []
+    for event in document.shape:
+        if event is None:
+            element = stack.pop()
+            element.children = tuple(element.children)
+            continue
+        part = next(parts)
+        node = part if part.__class__ is str else \
+            Element(part.name, part.attrs, [], part.self_closing)
+        (stack[-1].children if stack else top).append(node)
+        if node.__class__ is Element:
+            stack.append(node)
+    (root,) = top
+    return root
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +206,9 @@ def random_element(rng: random.Random, depth: int) -> Element:
 
 
 def elements_of(root: Element) -> list[Element]:
-    """The elements of a tree in ``walk``'s opening order, document
+    """The elements of a tree in ``walk_tree``'s opening order, document
     order."""
-    return [node for node, _, closing in walk(root)
+    return [node for node, _, closing in walk_tree(root)
             if not closing and node.__class__ is not str]
 
 
@@ -166,7 +232,7 @@ def shape_of(root: Element) -> tuple:
     name, or its name and attribute names when it has attributes, an
     element closing as ``None`` and a text run as ``1``."""
     events: list = []
-    for node, _, closing in walk(root):
+    for node, _, closing in walk_tree(root):
         if node.__class__ is str:
             events.append(1)
         elif closing:
@@ -179,9 +245,13 @@ def shape_of(root: Element) -> tuple:
 
 
 def document_of(root: Element) -> Document:
-    """A tree built or edited by hand as a ``Document``, with the shape
-    and link values the parser records."""
-    return Document(root, shape_of(root), link_values(elements_of(root)))
+    """A tree built or edited by hand as a ``Document``: the shape, the
+    parts, each element's tag as the parser builds it, and the link
+    values the parser records."""
+    parts = [node if node.__class__ is str else
+             _tag(node.name, tuple(node.attrs), node.self_closing)
+             for node, _, closing in walk_tree(root) if not closing]
+    return Document(shape_of(root), tuple(parts), link_values(elements_of(root)))
 
 
 _LINK_TAGS = ("a", "area", "form", "frame", "iframe", "img", "link", "div")
@@ -219,9 +289,9 @@ def all_elements(root: Element) -> list[Element]:
 
 def mutate_document(rng: random.Random, doc: Document) -> Document:
     """A structurally related copy: a few random inserts/deletes/edits."""
-    copy = deepcopy(doc)
+    root = tree_of(doc)
     for _ in range(rng.randint(1, 4)):
-        parent = rng.choice(all_elements(copy.root))
+        parent = rng.choice(all_elements(root))
         roll = rng.random()
         children = parent.children
         if roll < 0.45:
@@ -234,7 +304,7 @@ def mutate_document(rng: random.Random, doc: Document) -> Document:
             parent.attrs += ((rng.choice(_ATTR_NAMES), rng.choice(_WORDS)),)
         else:
             parent.children += (rng.choice(_WORDS),)
-    return document_of(copy.root)
+    return document_of(root)
 
 
 def _element_paths(root: Element) -> list[list[int]]:
@@ -261,19 +331,19 @@ def twin_docs_with_repeated_block(rng: random.Random) -> tuple[Document, Documen
     """Two documents identical except that a k-repeated identical child
     block occurs k times in the first and k+1 times in the second."""
     base = random_document(rng, 2)
-    path = rng.choice(_element_paths(base.root))
+    path = rng.choice(_element_paths(tree_of(base)))
     block = random_element(rng, 2)
     k = rng.randint(1, 3)
-    position = rng.randint(0, len(_at_path(base.root, path).children))
+    position = rng.randint(0, len(_at_path(tree_of(base), path).children))
 
-    doc_k = deepcopy(base)
-    doc_k1 = deepcopy(base)
-    for copies, doc in ((k, doc_k), (k + 1, doc_k1)):
-        parent = _at_path(doc.root, path)
+    roots = []
+    for copies in (k, k + 1):
+        root = tree_of(base)
+        parent = _at_path(root, path)
         for _ in range(copies):
-            parent.children = (*parent.children[:position], deepcopy(block),
-                               *parent.children[position:])
-    return document_of(doc_k.root), document_of(doc_k1.root)
+            parent.children = (*parent.children[:position], block, *parent.children[position:])
+        roots.append(root)
+    return document_of(roots[0]), document_of(roots[1])
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,11 @@ from navminer.corpus import (_HREF_TRIM, DEFAULT_REDIRECT_LIMIT, CorpusError, Fi
                              HttpResolver, PageId, PageReadError, extract_links, load_corpus,
                              logger)
 from navminer.navmodel import token_seq
-from navminer.normalize import _LINK_ATTRS, Document, EmptyDocumentError, to_xhtml, walk
+from navminer.normalize import _LINK_ATTRS, Document, EmptyDocumentError, Tag, to_xhtml
 
-from conftest import (DEMO_CORPUS, DEMO_PAGE_COUNT, assert_packed, elements_of, mirror_pages,
-                      random_document, random_link_markup, random_mirror, serving,
-                      write_mirror)
+from conftest import (DEMO_CORPUS, DEMO_PAGE_COUNT, assert_packed, mirror_pages,
+                      random_document, random_link_markup, random_mirror, serving, tree_of,
+                      walk_tree, write_mirror)
 
 
 def extract_links_walk(doc: Document, base: PageId, resolver) -> list[PageId]:
@@ -34,7 +34,7 @@ def extract_links_walk(doc: Document, base: PageId, resolver) -> list[PageId]:
     values replaced, kept as its oracle."""
     links: list[PageId] = []
     seen: set[PageId] = set()
-    for element, _, closing in walk(doc.root):
+    for element, _, closing in walk_tree(tree_of(doc)):
         if closing or element.__class__ is str or element.name not in _LINK_ATTRS:
             continue
         attr_name = _LINK_ATTRS[element.name]
@@ -883,9 +883,10 @@ def test_http_transport_failures_are_dangling(tmp_path):
 
 
 def test_loaded_demo_corpus_with_mms_tokens_stays_small(demo_root):
-    """Slotted tree nodes, interned names and interned tokens: the demo
-    mirror's 29 trees and MMS token tuples fit in 350 KB (about 420 KB
-    with a ``__dict__`` per node and a string copy per name and token)."""
+    """Pages kept as their events, with slotted tags, interned names and
+    interned tokens: the demo mirror's 29 pages and MMS token tuples hold
+    about 68 KB, under 80 KB (about 100 KB with an element tree per
+    page)."""
     def load():
         corpus = load_corpus(demo_root, max_depth=10, delay=0.0)
         for page_id in corpus.pages:
@@ -902,7 +903,7 @@ def test_loaded_demo_corpus_with_mms_tokens_stays_small(demo_root):
     finally:
         tracemalloc.stop()
     assert len(corpus.pages) == DEMO_PAGE_COUNT
-    assert held < 350_000
+    assert held < 80_000
 
 
 @pytest.fixture(scope="module")
@@ -918,20 +919,21 @@ def test_page_documents_hold_tuples_and_no_list(loads):
             assert_packed(page.document, page_id)
 
 
-def _shared_parts(element):
-    """What a load shares of one element: its attribute values and text
-    runs, its attributes, and its children when they are one text run."""
-    yield from (value for _, value in element.attrs)
-    yield from (child for child in element.children if child.__class__ is str)
-    yield element.attrs
-    if len(element.children) == 1 and element.children[0].__class__ is str:
-        yield element.children
+def _shared_parts(document):
+    """What a load shares of one page: its tags, their attributes and
+    attribute values, and its text runs."""
+    for part in document.parts:
+        if part.__class__ is Tag:
+            yield part
+            yield part.attrs
+            yield from (value for _, value in part.attrs)
+        else:
+            yield part
 
 
 def _text_runs(corpus):
-    return {child: child for page in corpus.pages.values()
-            for element in elements_of(page.document.root)
-            for child in element.children if child.__class__ is str and len(child) > 1}
+    return {part: part for page in corpus.pages.values() for part in page.document.parts
+            if part.__class__ is str and len(part) > 1}
 
 
 def test_equal_values_and_text_runs_of_one_load_are_one_object(loads):
@@ -939,10 +941,9 @@ def test_equal_values_and_text_runs_of_one_load_are_one_object(loads):
         shared: dict = {}
         parts = 0
         for page in corpus.pages.values():
-            for element in elements_of(page.document.root):
-                for part in _shared_parts(element):
-                    assert shared.setdefault(part, part) is part
-                    parts += 1
+            for part in _shared_parts(page.document):
+                assert shared.setdefault(part, part) is part
+                parts += 1
         assert parts > 2 * len(shared)
     # the sharing lasts as long as the load: another has copies of its own
     before = _text_runs(loads[0])
@@ -957,11 +958,11 @@ def test_values_and_text_runs_are_not_interned(loads):
     as constants of loaded code, and single characters are cached, so
     the samples are longer and hold other characters."""
     for corpus in loads:
-        elements = [e for page in corpus.pages.values() for e in elements_of(page.document.root)]
-        value = next(v for e in elements for _, v in e.attrs
+        parts = [part for page in corpus.pages.values() for part in page.document.parts]
+        value = next(v for part in parts if part.__class__ is Tag for _, v in part.attrs
                      if len(v) > 1 and not v.replace("_", "a").isalnum())
-        text = next(c for e in elements for c in e.children
-                    if c.__class__ is str and len(c) > 1 and not c.replace("_", "a").isalnum())
+        text = next(part for part in parts if part.__class__ is str and len(part) > 1
+                    and not part.replace("_", "a").isalnum())
         for sample in (value, text):
             copy = "".join(list(sample))
             assert copy == sample and copy is not sample
@@ -969,10 +970,10 @@ def test_values_and_text_runs_are_not_interned(loads):
 
 
 def test_the_loaded_benchmark_catalog_stays_small(benchmark_mirrors):
-    """Exact-size tuples, text runs as ``str`` and values and shapes
-    shared per load: the 614 catalog trees and their 28 shapes hold
-    2.4 MB, under 3 MB (5.96 MB with lists, text wrappers and a copy of
-    every value per occurrence; 2.75 MB with a shape tuple per page)."""
+    """Pages kept as their events, with tags, values, text runs and shapes
+    shared per load: the 614 catalog pages and their 28 shapes hold
+    about 1.01 MB, under 1.2 MB (2.17 MB with an element tree per
+    page)."""
     root = benchmark_mirrors[0] / "index.html"
     load_corpus(root, max_depth=10, delay=0.0)  # module-level caches fill first
     gc.collect()
@@ -984,7 +985,7 @@ def test_the_loaded_benchmark_catalog_stays_small(benchmark_mirrors):
     finally:
         tracemalloc.stop()
     assert len(corpus.pages) == 614
-    assert held < 3_000_000
+    assert held < 1_200_000
     shapes = {id(page.document.shape) for page in corpus.pages.values()}
     assert len(shapes) == len({page.document.shape for page in corpus.pages.values()}) == 28
 

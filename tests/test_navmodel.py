@@ -7,9 +7,10 @@ import pytest
 
 from navminer import load_corpus
 from navminer.corpus import Corpus
-from navminer.navmodel import (METHODS, _cluster_ordered, build_nav_tree, collect_partition,
-                               reduce_to_snp, refine_clusters, token_seq)
-from navminer.normalize import pretty_print, to_xhtml, walk
+from navminer.navmodel import (METHODS, NavNode, _cluster_ordered, build_nav_tree,
+                               collect_partition, reduce_to_snp, refine_clusters, token_seq,
+                               walk)
+from navminer.normalize import pretty_print, to_xhtml
 from navminer.report import Config
 from navminer.schema import extract_schema, serialize_schema, sts_serialize
 from navminer.similarity import clone_pair, similarity, transclos
@@ -358,3 +359,44 @@ def test_page_size_is_the_indented_byte_count(demo_corpus, benchmark_mirrors):
     for page_id, page in corpus.pages.items():
         assert page_size(corpus, page_id) == _indented_byte_count(page.document), page_id
     assert page_size(corpus, "0") == len("<table>\n  <tr>\n    <td/>\n  </tr>\n</table>\n")
+
+
+def _walk_reference(node, depth=0):
+    """The recursive definition ``walk`` must agree with."""
+    events = [(node, depth, False)]
+    for child in node.children:
+        events.extend(_walk_reference(child, depth + 1))
+    events.append((node, depth, True))
+    return events
+
+
+def _ids(events):
+    return [(id(node), depth, closing) for node, depth, closing in events]
+
+
+def _random_nodes(rng, depth):
+    """A random node tree, up to ``depth`` levels below its root."""
+    node = NavNode((f"p{rng.randrange(100)}.html",))
+    if depth > 0:
+        node.children = [_random_nodes(rng, depth - 1) for _ in range(rng.randint(0, 3))]
+    return node
+
+
+def test_walk_matches_recursive_reference_random():
+    rng = random.Random(203)
+    for _ in range(40):
+        root = _random_nodes(rng, rng.randint(0, 5))
+        assert _ids(walk(root)) == _ids(_walk_reference(root))
+
+
+def test_walk_reads_children_after_yielding_the_node():
+    root = NavNode(("a",))
+    seen = []
+    for node, depth, closing in walk(root):
+        name = node.members[0]
+        seen.append((name, depth, closing))
+        if not closing and depth < 2:  # grow the tree while walking it
+            node.children = [NavNode((name + "0",)), NavNode((name + "1",))]
+    opening = [name for name, _, closing in seen if not closing]
+    assert opening == ["a", "a0", "a00", "a01", "a1", "a10", "a11"]
+    assert seen[-1] == ("a", 0, True)

@@ -13,13 +13,12 @@ import pytest
 from navminer import normalize
 from navminer.cli import main
 from navminer.normalize import (_BINARY_BYTE, _RAW_TEXT_TAGS, _SNIFF_CHARS, IMPLIED_END,
-                                VOID_ELEMENTS, Document, EmptyDocumentError, Element,
-                                LineText, _open_tag, pretty_print, stripped_lines, to_xhtml,
-                                walk)
+                                VOID_ELEMENTS, Document, EmptyDocumentError, LineText, Tag,
+                                _escape_attr, pretty_print, stripped_lines, to_xhtml)
 
-from conftest import (DEMO_CORPUS, REPO_ROOT, all_elements, assert_packed, document_of,
-                      elements_of, link_values, mirror_pages, random_document,
-                      random_link_markup, shape_of, write_mirror)
+from conftest import (DEMO_CORPUS, REPO_ROOT, Element, all_elements, assert_packed,
+                      document_of, elements_of, link_values, mirror_pages, random_document,
+                      random_link_markup, shape_of, tags_of, tree_of, walk_tree, write_mirror)
 
 
 # oracles: the text form for round trips, and the copying form of stripped_lines
@@ -32,7 +31,7 @@ def serialize(doc: Document) -> str:
 def remove_textual_content(doc: Document) -> Document:
     """Drop every text node; element structure and attributes stay put."""
     open_copies: list[Element] = []
-    for node, _, closing in walk(doc.root):
+    for node, _, closing in walk_tree(tree_of(doc)):
         if closing:
             root = open_copies.pop()
             root.children = tuple(root.children)
@@ -46,16 +45,17 @@ def remove_textual_content(doc: Document) -> Document:
 
 @dataclass(slots=True)
 class Text:
-    """The oracles' text run: the wrapper the program's trees no longer
-    keep (a run is a plain ``str`` there)."""
+    """The oracle builders' text run, a wrapper that merges in place;
+    ``_oracle_tree`` hands the run on as its plain ``str``."""
 
     content: str
 
 
 class _ListTreeBuilder(HTMLParser):
-    """Oracle: the tree builder before trees were packed.  Every element
-    owns a list of attributes and a list of children, a text run is a
-    ``Text`` and values are kept as parsed, one object per occurrence."""
+    """Oracle: the tree builder before pages became their events, and
+    before trees were packed.  Every element owns a list of attributes
+    and a list of children, a text run is a ``Text`` and values are kept
+    as parsed, one object per occurrence."""
 
     def __init__(self):
         super().__init__(convert_charrefs=True)
@@ -143,8 +143,8 @@ class _StackScanBuilder(HTMLParser):
 
     @property
     def elements(self):
-        """The element index ``to_xhtml`` reads, derived from the finished
-        tree rather than recorded while building."""
+        """The elements in document order, derived from the finished tree
+        rather than recorded while building."""
         return [node for node, _ in _preorder(self.top) if node.__class__ is Element]
 
     def _append(self, node):
@@ -198,9 +198,10 @@ class _StackScanBuilder(HTMLParser):
             self._append(Text(collapsed))
 
 
-def _oracle_to_xhtml(text, builder_class):
-    """``to_xhtml`` as it was before trees were packed, with one of the
-    list builders."""
+def _oracle_tree(text, builder_class):
+    """``to_xhtml`` as it was before pages became their events, with one
+    of the list builders: the repaired tree, its text runs as ``str``,
+    and the link values read off the elements the builder created."""
     if _BINARY_BYTE.search(text, 0, _SNIFF_CHARS):
         raise EmptyDocumentError("binary data, not markup")
     builder = builder_class()
@@ -209,10 +210,12 @@ def _oracle_to_xhtml(text, builder_class):
     if not builder.elements:
         raise EmptyDocumentError("no recognizable markup")
     top = builder.top
-    # the oracles' trees are compared through _canonical, which reads no
-    # shape; their link values are read off the elements they created
     root = top[0] if len(top) == 1 else Element("html", [], list(top))
-    return Document(root, None, link_values(builder.elements))
+    for node, _ in _preorder([root]):
+        if node.__class__ is Element:
+            node.children = tuple(child.content if child.__class__ is Text else child
+                                  for child in node.children)
+    return root, link_values(builder.elements)
 
 
 def _preorder(nodes):
@@ -227,32 +230,56 @@ def _preorder(nodes):
             stack.extend((child, depth + 1) for child in reversed(node.children))
 
 
-def _events(doc):
-    """Every node of ``doc`` with its depth, in document order, in the
-    program's terms whichever builder made it: a text run as its ``str``,
-    an element as its name, attributes as a tuple and ``self_closing``.
-    Equal for two trees exactly when they are equal up to ``Text(x)`` for
-    ``x`` and lists for tuples, and without recursion."""
-    return [(depth, node.content) if node.__class__ is Text
-            else (depth, node) if node.__class__ is str
+def _tree_events(root):
+    """Every node of an oracle's tree with its depth, in document order:
+    a text run as its ``str``, an element as its name, attributes as a
+    tuple and ``self_closing``.  Equal for two trees exactly when they
+    are equal up to lists for tuples."""
+    return [(depth, node) if node.__class__ is str
             else (depth, node.name, tuple(node.attrs), node.self_closing)
-            for node, depth in _preorder([doc.root])]
+            for node, depth in _preorder([root])]
+
+
+def _events(doc):
+    """``_tree_events`` of the tree a document's events describe, read
+    off the shape and the parts in one pass."""
+    parts = iter(doc.parts)
+    events = []
+    depth = 0
+    for event in doc.shape:
+        if event is None:
+            depth -= 1
+            continue
+        part = next(parts)
+        if part.__class__ is str:
+            events.append((depth, part))
+        else:
+            events.append((depth, part.name, part.attrs, part.self_closing))
+            depth += 1
+    return events
 
 
 def _canonical(doc):
-    """``_events`` and the link values: equal for two documents exactly
-    when their trees, up to representation, and their ``hrefs`` are
-    equal."""
+    """``_events`` and the link values: equal to an oracle's
+    ``_tree_events`` and link values exactly when the document's events
+    describe the oracle's tree and its ``hrefs`` are the oracle's."""
     return _events(doc), tuple(doc.hrefs)
 
 
+def _oracle_canonical(text, builder_class):
+    """``_canonical`` of an oracle's parse of ``text``."""
+    root, hrefs = _oracle_tree(text, builder_class)
+    return _tree_events(root), hrefs
+
+
 def _parse_both(text):
-    """``to_xhtml`` with the program's builder and with the stack-scan
-    oracle's, as ``_events`` lists, or None when it finds no markup."""
+    """``to_xhtml`` and the stack-scan oracle's parse, as ``_events``
+    lists, or None when it finds no markup."""
     results = []
-    for parse in (to_xhtml, lambda markup: _oracle_to_xhtml(markup, _StackScanBuilder)):
+    for parse in (lambda markup: _events(to_xhtml(markup)),
+                  lambda markup: _oracle_canonical(markup, _StackScanBuilder)[0]):
         try:
-            results.append(_events(parse(text)))
+            results.append(parse(text))
         except EmptyDocumentError:
             results.append(None)
     return results
@@ -285,7 +312,7 @@ def _random_malformed_markup(rng: random.Random) -> str:
 def _assert_hrefs_are_the_walk(doc, where):
     """``doc.hrefs`` is the oracle's reading of its tree, value object for
     value object."""
-    expected = link_values(elements_of(doc.root))
+    expected = link_values(elements_of(tree_of(doc)))
     assert doc.hrefs.__class__ is tuple, where
     assert doc.hrefs == expected, where
     assert all(a is b for a, b in zip(doc.hrefs, expected)), where
@@ -309,9 +336,8 @@ def test_the_recorded_hrefs_are_the_walk_of_the_tree_random():
         except EmptyDocumentError:
             continue
         _assert_hrefs_are_the_walk(doc, text)
-        synthetic_roots += doc.root.name == "html"  # the generators write no <html>
-        merged_texts += any("word word" in node for node, _, _ in walk(doc.root)
-                            if node.__class__ is str)
+        synthetic_roots += doc.shape[0] == "html"  # the generators write no <html>
+        merged_texts += any("word word" in part for part in doc.parts if part.__class__ is str)
         hrefs += len(doc.hrefs)
     assert synthetic_roots > 100 and merged_texts > 10 and hrefs > 3000
 
@@ -405,11 +431,11 @@ def _random_shape_markup(rng: random.Random) -> str:
 
 
 def test_the_recorded_shape_is_the_walk_of_the_tree_random():
-    """``Document.shape`` as the parser records it equals the oracle's
-    walk of the finished tree on 11,500 random malformed markups: implied
-    ends, stray closes, several top-level nodes, void and ``/>`` tags,
-    duplicate and bare attributes, merged text runs and script/style
-    bodies all occur."""
+    """``Document.shape`` as the parser records it equals the walk of the
+    list-builder oracle's tree on 11,500 random malformed markups:
+    implied ends, stray closes, several top-level nodes, void and ``/>``
+    tags, duplicate and bare attributes, merged text runs and
+    script/style bodies all occur."""
     rng = random.Random(216)
     texts = [_random_shape_markup(rng) for _ in range(10_000)]
     texts += [_random_malformed_markup(rng) for _ in range(500)]
@@ -422,26 +448,26 @@ def test_the_recorded_shape_is_the_walk_of_the_tree_random():
             doc = to_xhtml(text)
         except EmptyDocumentError:
             continue
-        assert doc.shape == shape_of(doc.root), text
+        assert doc.shape == shape_of(_oracle_tree(text, _ListTreeBuilder)[0]), text
         parsed += 1
-        seen["root"] += doc.root.name == "html"  # the generators write no <html>
+        seen["root"] += doc.shape[0] == "html"  # the generators write no <html>
         seen["duplicate"] += any(len(set(names)) < len(names) for names in (
             _ATTR_NAME.findall(attrs) for attrs in _START_TAG_ATTRS.findall(text)))
         seen["merged"] += "word word" in text.replace("<!-- c -->", " ") and any(
-            "word word" in node for node, _, _ in walk(doc.root) if node.__class__ is str)
-        elements = elements_of(doc.root)
-        seen["raw"] += any(e.name in _RAW_TEXT_TAGS for e in elements)
-        seen["void"] += any(e.self_closing for e in elements)
+            "word word" in part for part in doc.parts if part.__class__ is str)
+        tags = tags_of(doc)
+        seen["raw"] += any(tag.name in _RAW_TEXT_TAGS for tag in tags)
+        seen["void"] += any(tag.self_closing for tag in tags)
     assert parsed > 10_000
     assert min(seen.values()) > 1000, seen
 
 
 def test_the_recorded_shape_of_demo_and_benchmark_pages(benchmark_mirrors):
-    """The oracle holds on every page of the demo and benchmark mirrors,
-    and the pages parsed with one dict share one shape object per
-    distinct shape: 12 for the 29 demo pages, 28 for the 614 catalog
-    pages, and the 9 long table pages have a shape each.  The open events
-    of elements with attributes are shared too."""
+    """The list-builder oracle holds on every page of the demo and
+    benchmark mirrors, and the pages parsed with one dict share one shape
+    object per distinct shape: 12 for the 29 demo pages, 28 for the 614
+    catalog pages, and the 9 long table pages have a shape each.  The
+    open events of elements with attributes are shared too."""
     distinct = []
     for directory in (DEMO_CORPUS, *benchmark_mirrors):
         strings: dict = {}
@@ -449,7 +475,7 @@ def test_the_recorded_shape_of_demo_and_benchmark_pages(benchmark_mirrors):
         events: dict = {}
         for page_id, text in mirror_pages(directory):
             doc = to_xhtml(text, strings)
-            assert doc.shape == shape_of(doc.root), page_id
+            assert doc.shape == shape_of(_oracle_tree(text, _ListTreeBuilder)[0]), page_id
             assert shapes.setdefault(doc.shape, doc.shape) is doc.shape, page_id
             opened = [event for event in doc.shape if event.__class__ is tuple]
             assert opened, page_id
@@ -471,11 +497,14 @@ _START_TAG_CASES = ["<p>a</p><p>b", "<li>a</li><li>b", "<p><b>x", "<li><p>a<span
 
 
 def test_packed_trees_equal_the_list_builder_oracle(benchmark_mirrors):
-    """Tuples for lists, ``str`` runs for ``Text`` and shared values change
-    no tree and no link value: on random malformed, tokenizer-path and
-    whitespace-run markup, on the fixed start-tag cases, and on the demo
-    and benchmark pages, parsed with one shared dict as a load parses its
-    pages.  Elements a page leaves open are packed too."""
+    """A page's events, shared values and tags describe the tree the list
+    builder builds, and print and link alike: on random malformed,
+    tokenizer-path and whitespace-run markup, on the fixed start-tag
+    cases, and on the demo and benchmark pages, parsed with one shared
+    dict as a load parses its pages, the events, shape and link values
+    equal the oracle's tree's, and both printers print what
+    ``_walk_lines`` prints of it.  Elements a page leaves open are closed
+    too, and no list is left in a document."""
     rng = random.Random(210)
     texts = [_random_malformed_markup(rng) for _ in range(1500)]
     texts += [_random_tokenizer_markup(rng) for _ in range(500)]
@@ -487,17 +516,21 @@ def test_packed_trees_equal_the_list_builder_oracle(benchmark_mirrors):
     parsed = 0
     for text in texts:
         try:
-            expected = _canonical(_oracle_to_xhtml(text, _ListTreeBuilder))
+            root, hrefs = _oracle_tree(text, _ListTreeBuilder)
         except EmptyDocumentError:
-            expected = None
+            root = None
         try:
-            actual = _canonical(to_xhtml(text, strings))
+            doc = to_xhtml(text, strings)
         except EmptyDocumentError:
-            actual = None
-        assert actual == expected, text[:300]
-        if actual is not None:
-            assert_packed(to_xhtml(text), text[:300])
-            parsed += 1
+            doc = None
+        assert (doc is None) == (root is None), text[:300]
+        if doc is None:
+            continue
+        assert _canonical(doc) == (_tree_events(root), hrefs), text[:300]
+        assert doc.shape == shape_of(root), text[:300]
+        _assert_printed_alike(doc, root, text[:300])
+        assert_packed(to_xhtml(text), text[:300])
+        parsed += 1
     assert parsed > 1500
 
 
@@ -518,15 +551,18 @@ def test_self_closing_tags_in_and_around_implied_ends_match_the_list_builder():
              for context in _IMPLIED_END_CONTEXTS for tag in _SELF_CLOSING_TAGS
              for before in ("", tag) for after in ("", tag, "<li>z", "</p>after")]
     for text in texts:
-        expected = _canonical(_oracle_to_xhtml(text, _ListTreeBuilder))
-        assert _canonical(to_xhtml(text)) == expected, text
-    assert to_xhtml("<p>a<div/>b").root.children[1:] == (Element("div", (), (), True), "b")
+        assert _canonical(to_xhtml(text)) == _oracle_canonical(text, _ListTreeBuilder), text
+    assert tree_of(to_xhtml("<p>a<div/>b")).children[1:] == (Element("div", (), (), True), "b")
 
 
 def test_documents_compare_by_tree():
+    """Equal shapes and equal parts, tag by tag and text by text, are an
+    equal tree; the link values are read off the tags and not compared."""
     doc = to_xhtml("<div><p>x</p></div>")
-    assert doc == Document(doc.root, (), ())
+    assert doc == Document(doc.shape, doc.parts, ())
     assert doc != to_xhtml("<div><p>y</p></div>")
+    assert doc != to_xhtml('<div><p class="c">x</p></div>')
+    assert doc != to_xhtml("<div><p>x</p><br></div>")
 
 
 class _LineCountingBuilder(normalize._TreeBuilder):
@@ -612,8 +648,8 @@ class _CountingMemo(dict):
 def _raw_text_openers(tags):
     """The memo's start-tag entries that open a script or style element:
     a replay of one would skip the stdlib's raw-text mode."""
-    return [key for key, value in tags.items()
-            if value.__class__ is tuple and value[0] in _RAW_TEXT_TAGS and not value[3]]
+    return [key for key, value in tags.items() if value.__class__ is tuple
+            and value[0].name in _RAW_TEXT_TAGS and not value[0].self_closing]
 
 
 def test_the_tag_memo_equals_the_stdlib_tokenizer_random():
@@ -767,7 +803,7 @@ _WHITESPACE_CASES = {
 
 def test_whitespace_only_runs_and_stray_void_closes_leave_nothing():
     for markup, children in _WHITESPACE_CASES.items():
-        assert to_xhtml(markup).root.children == children, repr(markup)
+        assert tree_of(to_xhtml(markup)).children == children, repr(markup)
 
 
 def test_an_attribute_value_is_shared_with_every_other_use():
@@ -778,7 +814,7 @@ def test_an_attribute_value_is_shared_with_every_other_use():
                "<p>one value</p>", '<p title="one value"/>', '<p title="one value">y</p>']
     for order in (markups, markups[::-1]):
         strings: dict = {}
-        roots = [to_xhtml(markup, strings).root for markup in order]
+        roots = [tree_of(to_xhtml(markup, strings)) for markup in order]
         values = [root.attrs[-1][1] if root.attrs else root.children[0] for root in roots]
         assert values == ["one value"] * 5
         assert all(value is values[0] for value in values)
@@ -825,7 +861,8 @@ def test_deep_and_stray_closes_match_oracle():
 
 def test_tree_nodes_have_no_instance_dict():
     doc = to_xhtml("<div>text<br></div>")
-    for node in (doc, doc.root, doc.root.children[0], doc.root.children[1]):
+    assert [part.__class__ for part in doc.parts] == [Tag, str, Tag]
+    for node in (doc, *tags_of(doc)):
         assert not hasattr(node, "__dict__"), type(node).__name__
 
 
@@ -834,8 +871,7 @@ def test_pages_share_one_copy_of_each_tag_and_attribute_name():
                      for name in ("items/item-d1.html", "items/item-f5.html"))
 
     def first_named(doc, name):
-        return next(node for node, _, closing in walk(doc.root)
-                    if not closing and node.__class__ is Element and node.name == name)
+        return next(tag for tag in tags_of(doc) if tag.name == name)
 
     # names of more than one character: CPython shares single characters anyway
     for tag, attr in (("body", None), ("form", "action"), ("div", "class")):
@@ -853,9 +889,9 @@ def test_binary_data_in_the_first_kb_is_not_markup():
     with pytest.raises(EmptyDocumentError):
         to_xhtml("\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR<b>x</b>")
     # tab, newline, form feed, carriage return and escape are text
-    assert to_xhtml("<p>a\tb\n\x0c\r\x1b</p>").root.name == "p"
+    assert to_xhtml("<p>a\tb\n\x0c\r\x1b</p>").parts[0].name == "p"
     # only the first 1,024 characters are sniffed
-    assert to_xhtml("<p>" + "x" * 1021 + "\x00</p>").root.name == "p"
+    assert to_xhtml("<p>" + "x" * 1021 + "\x00</p>").parts[0].name == "p"
     with pytest.raises(EmptyDocumentError):
         to_xhtml("<p>" + "x" * 1020 + "\x00</p>")
 
@@ -873,8 +909,9 @@ def test_wellformed_page_is_fixpoint():
 def test_misnested_tags_repair_to_wellformed_fixpoint():
     doc = to_xhtml("<b><i>x</b></i>")
     # single root, properly nested, and repair is idempotent
-    assert doc.root.name == "b"
-    inner = doc.root.children[0]
+    root = tree_of(doc)
+    assert root.name == "b"
+    inner = root.children[0]
     assert isinstance(inner, Element) and inner.name == "i"
     assert to_xhtml(serialize(doc)) == doc
 
@@ -884,42 +921,41 @@ def test_stray_close_tag_dropped():
 
 
 def test_implied_end_keeps_rows_as_siblings():
-    doc = to_xhtml("<table><tr><td>a<td>b<tr><td>c</table>")
-    table = doc.root
+    table = tree_of(to_xhtml("<table><tr><td>a<td>b<tr><td>c</table>"))
     rows = [c for c in table.children if isinstance(c, Element)]
     assert [r.name for r in rows] == ["tr", "tr"]
     assert [c.name for c in rows[0].children] == ["td", "td"]
 
 
 def test_unclosed_paragraph_closed_by_next_paragraph():
-    doc = to_xhtml("<div><p>one<p>two</p></div>")
-    names = [c.name for c in doc.root.children if isinstance(c, Element)]
+    root = tree_of(to_xhtml("<div><p>one<p>two</p></div>"))
+    names = [c.name for c in root.children if isinstance(c, Element)]
     assert names == ["p", "p"]
 
 
 def test_void_elements_do_not_swallow_siblings():
-    doc = to_xhtml('<div><img src="x.gif"><p>text</p></div>')
-    names = [c.name for c in doc.root.children if isinstance(c, Element)]
+    root = tree_of(to_xhtml('<div><img src="x.gif"><p>text</p></div>'))
+    names = [c.name for c in root.children if isinstance(c, Element)]
     assert names == ["img", "p"]
-    img = doc.root.children[0]
+    img = root.children[0]
     assert img.self_closing
 
 
 def test_duplicate_attributes_keep_first():
     doc = to_xhtml('<div class="a" class="b"></div>')
-    assert doc.root.attrs == (("class", "a"),)
+    assert doc.parts[0].attrs == (("class", "a"),)
 
 
 def test_bare_attribute_value_is_empty_string():
     doc = to_xhtml("<input disabled>")
-    assert ("disabled", "") in doc.root.attrs
+    assert ("disabled", "") in doc.parts[0].attrs
 
 
 def test_script_and_comment_bodies_dropped():
-    doc = to_xhtml("<div><script>var x = '<p>';</script><!-- note -->ok</div>")
-    kinds = [type(c).__name__ for c in doc.root.children]
+    root = tree_of(to_xhtml("<div><script>var x = '<p>';</script><!-- note -->ok</div>"))
+    kinds = [type(c).__name__ for c in root.children]
     assert kinds == ["Element", "str"]
-    assert doc.root.children[1] == "ok"
+    assert root.children[1] == "ok"
 
 
 def test_no_markup_raises():
@@ -929,8 +965,9 @@ def test_no_markup_raises():
 
 def test_multiple_top_level_elements_get_single_root():
     doc = to_xhtml("<div>a</div><div>b</div>")
-    assert doc.root.name == "html"
-    assert len([c for c in doc.root.children if isinstance(c, Element)]) == 2
+    root = tree_of(doc)
+    assert root.name == "html"
+    assert len([c for c in root.children if isinstance(c, Element)]) == 2
     assert to_xhtml(serialize(doc)) == doc
 
 
@@ -979,9 +1016,9 @@ def test_strip_preserves_elements_and_attributes_random():
     for _ in range(30):
         doc = random_document(rng)
         stripped = remove_textual_content(doc)
-        assert _count_texts(stripped.root) == 0
-        assert _count_elements(stripped.root) == _count_elements(doc.root)
-        for before, after in zip(all_elements(doc.root), all_elements(stripped.root)):
+        assert _count_texts(tree_of(stripped)) == 0
+        assert _count_elements(tree_of(stripped)) == _count_elements(tree_of(doc))
+        for before, after in zip(all_elements(tree_of(doc)), all_elements(tree_of(stripped))):
             assert before.attrs == after.attrs
 
 
@@ -991,7 +1028,7 @@ def test_line_count_equals_tag_count_after_stripping():
         doc = remove_textual_content(random_document(rng))
         lines = pretty_print(doc).lines
         tags = sum(1 if e.self_closing and not e.children else 2
-                   for e in all_elements(doc.root))
+                   for e in all_elements(tree_of(doc)))
         assert len(lines) == tags
 
 
@@ -1010,55 +1047,24 @@ def test_latin1_fallback():
     assert "caf\xe9" in decode_markup(data)
 
 
-def _walk_reference(node, depth=0):
-    """The recursive definition ``walk`` must agree with."""
-    events = [(node, depth, False)]
-    if not isinstance(node, str):
-        for child in node.children:
-            events.extend(_walk_reference(child, depth + 1))
-        events.append((node, depth, True))
-    return events
-
-
-def _ids(events):
-    return [(id(node), depth, closing) for node, depth, closing in events]
-
-
-def test_walk_matches_recursive_reference_random():
-    rng = random.Random(203)
-    for _ in range(40):
-        doc = random_document(rng, depth=rng.randint(0, 5))
-        assert _ids(walk(doc.root)) == _ids(_walk_reference(doc.root))
-
-
-def test_walk_reads_children_after_yielding_the_node():
-    root = Element("a")
-    seen = []
-    for node, depth, closing in walk(root):
-        seen.append((node.name, depth, closing))
-        if not closing and depth < 2:  # grow the tree while walking it
-            node.children = (Element(node.name + "0"), Element(node.name + "1"))
-    opening = [name for name, _, closing in seen if not closing]
-    assert opening == ["a", "a0", "a00", "a01", "a1", "a10", "a11"]
-    assert seen[-1] == ("a", 0, True)
-
-
 def test_each_element_opens_exactly_one_line_in_document_order():
     rng = random.Random(207)
     for _ in range(60):
-        doc = random_document(rng, depth=4)
-        for element in all_elements(doc.root):
+        root = tree_of(random_document(rng, depth=4))
+        for element in all_elements(root):
             element.self_closing = rng.random() < 0.2
-        elements = [node for node, _, closing in walk(doc.root)
-                    if not closing and isinstance(node, Element)]
+        doc = document_of(root)
+        elements = elements_of(root)
         for printed in (pretty_print(doc), stripped_lines(doc)):
             assert len(printed.opens) == len(printed.lines)
-            opened = [e for e in printed.opens if e is not None]
+            opened = [tag for tag in printed.opens if tag is not None]
             assert len(opened) == len(elements)
-            assert all(a is b for a, b in zip(opened, elements))
-            for line, element in zip(printed.lines, printed.opens):
-                if element is not None:
-                    assert line.lstrip().startswith("<" + element.name)
+            assert all(a is b for a, b in zip(opened, tags_of(doc)))
+            assert [(t.name, t.attrs, t.self_closing) for t in opened] == \
+                [(e.name, e.attrs, e.self_closing) for e in elements]
+            for line, tag in zip(printed.lines, printed.opens):
+                if tag is not None:
+                    assert line.lstrip().startswith("<" + tag.name)
                 else:
                     assert not line.lstrip().startswith("<") or line.lstrip().startswith("</")
 
@@ -1107,7 +1113,7 @@ def test_no_line_starts_with_whitespace_random():
         except EmptyDocumentError:
             continue
         _assert_no_line_is_indented(doc, markup)
-        texts += sum(node.__class__ is str for node, _, _ in walk(doc.root))
+        texts += sum(part.__class__ is str for part in doc.parts)
     assert texts > 1000
 
 
@@ -1124,15 +1130,23 @@ def test_printed_lines_are_indented_two_spaces_a_depth():
     assert text.printed_size() == len("\n".join(text.printed()) + "\n")
 
 
+def _open_line(element: Element) -> str:
+    parts = [element.name]
+    for name, value in element.attrs:
+        parts.append(f'{name}="{_escape_attr(value)}"')
+    return "<" + " ".join(parts) + ("/>" if element.self_closing else ">")
+
+
 def _walk_lines(root: Element, with_text: bool) -> LineText:
-    """Oracle: the printer as a loop over ``walk``'s events."""
+    """Oracle: the printer as a loop over a walk of the tree, recording
+    the elements lines open.  A self-closing element prints one line,
+    whatever the tree puts below it; the parser never puts anything
+    there."""
     lines: list[str] = []
     opens: list[Element | None] = []
     depths: list[int] = []
     append, opened, indent = lines.append, opens.append, depths.append
-    open_tags: dict[str, str] = {}  # tag name -> its attribute-less open line, built once
-    close_tags: dict[str, str] = {}  # tag name -> its close line, built once
-    for node, depth, closing in walk(root):
+    for node, depth, closing in walk_tree(root):
         if node.__class__ is str:
             if with_text:
                 append(escape(node, False) if "&" in node or "<" in node or ">" in node
@@ -1140,75 +1154,75 @@ def _walk_lines(root: Element, with_text: bool) -> LineText:
                 opened(None)
                 indent(depth)
             continue
-        one_line = node.self_closing and not (
-            node.children if with_text
-            else any(c.__class__ is not str for c in node.children))
         if closing:
-            if not one_line:
-                line = close_tags.get(node.name)
-                if line is None:
-                    line = close_tags[node.name] = f"</{node.name}>"
-                append(line)
+            if not node.self_closing:
+                append(f"</{node.name}>")
                 opened(None)
                 indent(depth)
         else:
-            if node.attrs:
-                append(_open_tag(node, self_close=one_line))
-            elif one_line:
-                append("<" + node.name + "/>")
-            else:
-                line = open_tags.get(node.name)
-                if line is None:
-                    line = open_tags[node.name] = f"<{node.name}>"
-                append(line)
+            append(_open_line(node))
             opened(node)
             indent(depth)
     return LineText(lines, opens, depths)
 
 
+def _assert_printed_alike(doc, root, where):
+    """Both printers print ``doc`` as ``_walk_lines`` prints ``root``, line
+    for line and depth for depth, and record ``doc``'s own tags where the
+    oracle records elements of the same name, attributes and flag."""
+    tags = tags_of(doc)
+    for printer, with_text in ((pretty_print, True), (stripped_lines, False)):
+        expected, actual = _walk_lines(root, with_text), printer(doc)
+        assert actual.__class__ is LineText
+        assert actual.lines == expected.lines, where
+        assert actual.depths == expected.depths, where
+        opened = [tag for tag in actual.opens if tag is not None]
+        assert [tag is None for tag in actual.opens] == \
+            [element is None for element in expected.opens], where
+        assert len(opened) == len(tags) and all(a is b for a, b in zip(opened, tags)), where
+        assert [(t.name, t.attrs, t.self_closing) for t in opened] == \
+            [(e.name, tuple(e.attrs), e.self_closing)
+             for e in expected.opens if e is not None], where
+
+
 def test_printers_equal_the_walk_oracle(benchmark_mirrors):
-    """``pretty_print`` and ``stripped_lines`` print what a loop over
-    ``walk`` prints, line for line and depth for depth, and record the
-    same element objects: on random documents whose elements are
-    self-closing at random, with no, text-only, element and mixed
-    children; on parsed random markup, with text to escape; on a
-    10,000-deep chain; on lone roots; and on the demo and benchmark
-    pages."""
+    """``pretty_print`` and ``stripped_lines`` print what a loop over a
+    walk of the tree prints, line for line and depth for depth, and
+    record the tags of the lines that open elements: on random
+    documents whose elements are self-closing at random, with no,
+    text-only, element and mixed children; on parsed random markup, with
+    text to escape, against the list builder's tree; on a 10,000-deep
+    chain; on lone roots; and on the demo and benchmark pages."""
     rng = random.Random(211)
-    docs = []
+    cases = []  # (document, the tree the oracle prints)
     kinds = set()  # the child classes of each self-closing element
     for _ in range(300):
-        doc = random_document(rng, depth=rng.randint(0, 5))
-        for element in all_elements(doc.root):  # the parser never does this
+        root = tree_of(random_document(rng, depth=rng.randint(0, 5)))
+        for element in all_elements(root):  # the parser never does this
             element.self_closing = rng.random() < 0.3
             if element.self_closing:
                 kinds.add(frozenset(child.__class__ for child in element.children))
-        docs.append(doc)
+        cases.append((document_of(root), root))
     assert kinds == {frozenset(), frozenset({str}), frozenset({Element}),
                      frozenset({str, Element})}
-    for _ in range(300):
+    texts = [_random_shape_markup(rng) for _ in range(300)]
+    texts.append("<html><body>" + "<div>x" * 10_000)
+    texts += [text for directory in (DEMO_CORPUS, *benchmark_mirrors)
+              for _, text in mirror_pages(directory)]
+    for text in texts:
         try:
-            docs.append(to_xhtml(_random_shape_markup(rng)))
+            cases.append((to_xhtml(text), _oracle_tree(text, _ListTreeBuilder)[0]))
         except EmptyDocumentError:
             pass
-    docs += [document_of(Element("br", self_closing=True)), document_of(Element("html")),
-             document_of(Element("p", (("class", "a&b"),), ("x < y",), True)),
-             document_of(Element("p", (), ("x", Element("b")), True))]
-    deep = to_xhtml("<html><body>" + "<div>x" * 10_000)
-    docs.append(deep)
-    docs += [to_xhtml(text) for directory in (DEMO_CORPUS, *benchmark_mirrors)
-             for _, text in mirror_pages(directory)]
+    cases += [(document_of(root), root) for root in (
+        Element("br", self_closing=True), Element("html"),
+        Element("p", (("class", "a&b"),), ("x < y",), True),
+        Element("p", (), ("x", Element("b")), True))]
     escaped = 0
-    for doc in docs:
-        for printer, with_text in ((pretty_print, True), (stripped_lines, False)):
-            expected, actual = _walk_lines(doc.root, with_text), printer(doc)
-            assert actual.__class__ is LineText
-            assert actual.lines == expected.lines, expected.lines[:20]
-            assert actual.depths == expected.depths, expected.lines[:20]
-            assert len(actual.opens) == len(expected.opens), expected.lines[:20]
-            assert all(a is b for a, b in zip(actual.opens, expected.opens))
-            escaped += with_text and any("&amp;" in line or "&lt;" in line
-                                         for line in actual.lines)
+    for doc, root in cases:
+        _assert_printed_alike(doc, root, _walk_lines(root, True).lines[:20])
+        escaped += any("&amp;" in line or "&lt;" in line for line in pretty_print(doc).lines)
+    deep = to_xhtml(texts[300])
     assert max(pretty_print(deep).depths) == 10_002
     assert escaped > 50
 
@@ -1216,9 +1230,10 @@ def test_printers_equal_the_walk_oracle(benchmark_mirrors):
 def test_stripped_lines_equals_pretty_print_of_stripped_copy():
     rng = random.Random(204)
     for _ in range(60):
-        doc = random_document(rng, depth=4)
-        for element in all_elements(doc.root):  # the parser never does this
+        root = tree_of(random_document(rng, depth=4))
+        for element in all_elements(root):  # the parser never does this
             element.self_closing = rng.random() < 0.2
+        doc = document_of(root)
         assert stripped_lines(doc).lines == pretty_print(remove_textual_content(doc)).lines
     pages = sorted(DEMO_CORPUS.rglob("*.html"))
     assert pages
@@ -1249,9 +1264,9 @@ def _callee(call):
 
 
 def test_package_has_no_recursive_function_and_no_elementtree():
-    """Deep input must not meet Python's recursion limit: every tree is
-    walked on an explicit stack (``walk``'s, or the printer's own), so no
-    function calls itself by name."""
+    """Deep input must not meet Python's recursion limit: a page is one
+    pass over its events, and every tree is walked on an explicit stack
+    (``navmodel.walk``'s), so no function calls itself by name."""
     package = REPO_ROOT / "src" / "navminer"
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))

@@ -5,15 +5,15 @@ from collections import Counter
 
 import pytest
 
-from navminer.normalize import Document, Element, to_xhtml, walk
+from navminer.normalize import Document, to_xhtml
 from navminer.schema import (CHOICE_STAR, EMPTY, IMPLIED, MIXED, PCDATA, PLUS,
                              REQUIRED, SEQUENCE, STAR, ContentModel, Schema,
                              _infer_model, dtd_text, extract_schema,
                              serialize_schema, sts_serialize)
 from navminer.similarity import levenshtein, similarity
 
-from conftest import (DEMO_CORPUS, document_of, mirror_pages, mutate_document,
-                      random_document, twin_docs_with_repeated_block)
+from conftest import (DEMO_CORPUS, Element, document_of, mirror_pages, mutate_document,
+                      random_document, tree_of, twin_docs_with_repeated_block, walk_tree)
 
 
 def extract_schema_walk(doc: Document) -> Schema:
@@ -24,7 +24,7 @@ def extract_schema_walk(doc: Document) -> Schema:
     attr_counts: dict[str, Counter] = {}
     instances: Counter = Counter()
 
-    for element, _, closing in walk(doc.root):
+    for element, _, closing in walk_tree(tree_of(doc)):
         if closing or element.__class__ is str:
             continue
         name = element.name
@@ -53,7 +53,7 @@ def sts_serialize_walk(doc: Document) -> tuple:
     """The tree-walking ``sts_serialize`` that the shape pass replaced,
     kept as its oracle."""
     return tuple(("close:" if closing else "open:") + node.name
-                 for node, _, closing in walk(doc.root) if node.__class__ is not str)
+                 for node, _, closing in walk_tree(tree_of(doc)) if node.__class__ is not str)
 
 
 def is_closed(schema: Schema) -> bool:
@@ -255,7 +255,7 @@ def test_documents_of_one_shape_have_equal_tokens(benchmark_mirrors):
     every attribute value and text run."""
     rng = random.Random(216)
     docs = [random_document(rng, rng.randint(0, 5)) for _ in range(400)]
-    docs += [document_of(_revalued(doc.root)) for doc in docs]
+    docs += [document_of(_revalued(tree_of(doc))) for doc in docs]
     docs += [mutate_document(rng, doc) for doc in docs[:400]]
     for directory in (DEMO_CORPUS, *benchmark_mirrors):
         docs += [to_xhtml(text) for _, text in mirror_pages(directory)]
@@ -287,7 +287,7 @@ def _odd_documents() -> list[Document]:
         "text before<div>a<!-- c -->b</div>text after<div/>",
         "<b>one</b><i>two</i>", "x<br>y<br/>z",
         "<div><img src=a>t</img><br>u</br></div>")]
-    assert any(len(doc.root.children) > 1 and doc.root.name == "html" for doc in docs[-4:])
+    assert any(len(tree_of(doc).children) > 1 and doc.shape[0] == "html" for doc in docs[-4:])
     return docs
 
 

@@ -179,7 +179,7 @@ def test_the_tokens_read_the_page_shape_alone():
                 for alias in node.names}
     assert imported == {("normalize", "Document")}
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert read & {"root", "elements", "children", "attrs"} == set()
+    assert read & {"root", "elements", "children", "attrs", "parts"} == set()
     assert "shape" in read
 
 
@@ -215,3 +215,25 @@ def test_only_the_parser_reads_link_attributes():
             assert {"attrs", "elements"} & names == set()
             assert "hrefs" in names
     assert owners == {"normalize"}
+
+
+def test_only_the_parser_reads_the_parts_and_builds_tags():
+    """A page is its parse events, in ``normalize``'s format: no other
+    module reads ``Document.parts`` or builds a ``Tag``, and no module
+    defines or imports an ``Element``, so the program keeps no element
+    tree."""
+    readers, builders, elements = set(), set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "parts":
+                readers.add(path.stem)
+            elif isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in (
+                    "Tag", "_tag"):
+                builders.add(path.stem)
+            elif isinstance(node, ast.ClassDef) and node.name == "Element" or \
+                    isinstance(node, ast.Name) and node.id == "Element" or \
+                    isinstance(node, ast.alias) and "Element" in (node.name, node.asname):
+                elements.add(path.stem)
+    assert readers == builders == {"normalize"}
+    assert elements == set()
