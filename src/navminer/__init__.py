@@ -1,10 +1,10 @@
 """navminer: recover a multi-page web application's navigational model.
 
 Pages reachable from a root are clustered level by level along the link
-graph using an edit distance over inferred page schemas, the cluster
-tree is refined and reduced to one representative page per node, and
-one-sided diffs between adjacent representatives yield candidate
-single-page UI components.
+graph, each under the page the crawl found it on, using an edit distance
+over inferred page schemas; the cluster tree is reduced to one
+representative page per node, and one-sided diffs between adjacent
+representatives yield candidate single-page UI components.
 """
 
 from .components import (CandidateComponent, Fragment, diff_oneway,

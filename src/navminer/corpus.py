@@ -4,8 +4,12 @@ A corpus is either a directory tree of saved pages (filesystem mode) or
 a live site reached over HTTP.  Retrieval is a breadth-first walk of
 the internal links starting at the root page.  Every page is fetched
 exactly once and, as it arrives, parsed and link-scanned once into a
-``Page``: its repaired page and its internal link targets.  Later
-pipeline stages read those records and never touch the source again.
+``Page``: its repaired page, its internal link targets and its referrer,
+the page whose link made the crawl fetch it (the first page, in load
+order, that links to it; None for the root).  The referrer is the one
+record of which page owns which: ``navmodel`` grows the navigational
+tree from it.  Later pipeline stages read those records and never touch
+the source again.
 The pages of a site repeat their templates' attribute values and
 boilerplate text, so the pages of one load share one copy of each
 (``normalize.to_xhtml``'s ``strings``), and each distinct tag text is
@@ -87,6 +91,7 @@ class Page:
     depth: int  # link hops from the root page
     document: Document
     links: tuple[PageId, ...]  # internal link targets, as ``extract_links`` gives them
+    referrer: PageId | None  # the page whose link made the crawl load it; None: the root
 
 
 _SKIP_PREFIXES = ("mailto:", "javascript:", "tel:", "data:")
@@ -361,13 +366,14 @@ def load_corpus(root, max_depth: int, delay: float) -> Corpus:
     tags: dict = {}  # what each distinct tag text parses to
     corpus = Corpus(root=root_id, pages={})
 
-    def load(page_id: PageId, depth: int) -> None:  # raises PageReadError, EmptyDocumentError
+    def load(page_id: PageId, depth: int, referrer: PageId | None) -> None:
+        # raises PageReadError, EmptyDocumentError
         document = to_xhtml(resolver.fetch(page_id), strings, tags)
         links = tuple(extract_links(document, page_id, resolver))
-        corpus.pages[page_id] = Page(depth, document, links)
+        corpus.pages[page_id] = Page(depth, document, links, referrer)
 
     try:
-        load(root_id, 0)
+        load(root_id, 0, None)
     except PageReadError as exc:
         raise CorpusError(f"root page unreadable: {exc}") from exc
     except EmptyDocumentError as exc:
@@ -377,7 +383,8 @@ def load_corpus(root, max_depth: int, delay: float) -> Corpus:
     known = {root_id}  # fetched or tried: loaded, excluded or dangling
     dangling: set[PageId] = set()
     while queue:
-        page = corpus.pages[queue.popleft()]
+        page_id = queue.popleft()
+        page = corpus.pages[page_id]
         if page.depth >= max_depth:
             continue
         for target in page.links:
@@ -385,7 +392,7 @@ def load_corpus(root, max_depth: int, delay: float) -> Corpus:
                 continue
             known.add(target)
             try:
-                load(target, page.depth + 1)
+                load(target, page.depth + 1, page_id)
             except PageReadError as exc:
                 # the message alone: a kept record holding the exception
                 # would keep its traceback, this frame and the whole load

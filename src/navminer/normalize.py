@@ -312,6 +312,15 @@ class _TreeBuilder(HTMLParser):
             self.tags[rawdata[i:end]] = intern(self.closed)
         return k
 
+    def parse_marked_section(self, i, report=1):
+        # "<![ x" or "<![ if IE ]>": a section _markupbase cannot scan
+        # raises AssertionError on CPython before its 2025 parser fixes;
+        # read it as a bogus comment up to the next ">", as they do
+        try:
+            return HTMLParser.parse_marked_section(self, i, report)
+        except AssertionError:
+            return self.parse_bogus_comment(i, report)
+
     def updatepos(self, i, j):
         # the base class counts lines here only for getpos(), which
         # nothing reads; skipping the count saves about 3.5% of the parse

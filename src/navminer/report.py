@@ -1,8 +1,8 @@
 """Pipeline orchestration and artifact emission.
 
 One run goes mirror -> normalized pages -> per-page schemas -> clustered
-navigational tree -> refined + reduced tree -> per-edge candidate
-components -> (optional) evaluation against a reference classification.
+navigational tree -> reduced tree -> per-edge candidate components ->
+(optional) evaluation against a reference classification.
 Artifacts land in the output directory:
 
     navmodel.dot              cluster tree for Graphviz

@@ -107,6 +107,12 @@ def partition_is_valid(partition) -> bool:
     return seen == set(partition.universe)
 
 
+def refines(fine, coarse) -> bool:
+    """Every cluster of partition ``fine`` lies inside one of ``coarse``."""
+    return all(any(cluster <= other for other in coarse.clusters)
+               for cluster in fine.clusters)
+
+
 def write_mirror(root: Path, pages: dict[str, str]) -> Path:
     """Write a throwaway mirror; returns the root page path."""
     for name, text in pages.items():

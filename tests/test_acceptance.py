@@ -20,7 +20,7 @@ from navminer.schema import extract_schema, serialize_schema, sts_serialize
 from navminer.similarity import clone_pair, levenshtein, similarity, transclos
 
 from conftest import (DEMO_CORPUS, DEMO_REFERENCE, DEMO_THRESHOLD,
-                      mutate_document, partition_is_valid, random_document,
+                      mutate_document, partition_is_valid, random_document, refines,
                       twin_docs_with_repeated_block)
 
 
@@ -158,11 +158,6 @@ def test_criterion_5_schema_invariance():
             assert similarity(sts_serialize(doc_k), sts_serialize(doc_k1)) < 1.0
 
 
-def _refines(fine, coarse) -> bool:
-    return all(any(cluster <= other for other in coarse.clusters)
-               for cluster in fine.clusters)
-
-
 def test_criterion_6_threshold_monotonicity():
     with criterion(6, "higher threshold refines lower on bundled corpus", 30.0):
         corpus = load_corpus(DEMO_CORPUS / "index.html", max_depth=10, delay=0.0)
@@ -171,7 +166,7 @@ def test_criterion_6_threshold_monotonicity():
         for partition in partitions:
             assert partition_is_valid(partition)
         for low, high in zip(partitions, partitions[1:]):
-            assert _refines(high, low)
+            assert refines(high, low)
 
 
 def test_criterion_7_diff_contract():

@@ -1,22 +1,23 @@
 """Tree construction, refinement and reduction."""
 
 import random
+from collections import deque
 from pathlib import Path
 
 import pytest
 
-from navminer import load_corpus
+from navminer import load_corpus, navmodel
 from navminer.corpus import Corpus
 from navminer.navmodel import (METHODS, NavNode, _cluster_ordered, build_nav_tree,
-                               collect_partition, reduce_to_snp, refine_clusters, token_seq,
-                               walk)
+                               collect_partition, pair_similarity, reduce_to_snp,
+                               refine_clusters, token_seq, walk)
 from navminer.normalize import pretty_print, to_xhtml
-from navminer.report import Config
+from navminer.report import Config, run_pipeline
 from navminer.schema import extract_schema, serialize_schema, sts_serialize
 from navminer.similarity import clone_pair, similarity, transclos
 
-from conftest import (DEMO_THRESHOLD, mirror_pages, partition_is_valid, random_document,
-                      random_mirror, write_mirror)
+from conftest import (DEMO_THRESHOLD, mirror_pages, partition_is_valid, perfbench_mirrors,
+                      random_document, random_mirror, refines, write_mirror)
 
 GOLDEN_TREE = Path(__file__).parent / "data" / "demo_tree.txt"
 
@@ -124,6 +125,82 @@ def test_every_loaded_page_is_in_exactly_one_node(tmp_path):
     assert large > 2 and empty > 0
 
 
+def _crawl_referrers(corpus) -> dict:
+    """The page whose link first reaches each loaded page in a
+    breadth-first walk of ``Page.links`` from the root, None for the
+    root: the crawl's referrer, recounted from the links alone."""
+    referrers = {corpus.root: None}
+    queue = deque([corpus.root])
+    while queue:
+        page_id = queue.popleft()
+        for target in corpus.pages[page_id].links:
+            if target in corpus.pages and target not in referrers:
+                referrers[target] = page_id
+                queue.append(target)
+    return referrers
+
+
+def test_each_page_is_owned_by_its_crawl_referrers_node(tmp_path):
+    """On random mirrors loaded at crawl depths 0-4, every page but the
+    root is a member of a child of the node its crawl referrer is in,
+    under both methods."""
+    rng = random.Random(2601)
+    links = 0
+    for index in range(20):
+        root = random_mirror(tmp_path / str(index), rng, rng.randint(6, 30), (1, 6))
+        for depth in range(5):
+            corpus = load_corpus(root, max_depth=depth, delay=0.0)
+            referrers = _crawl_referrers(corpus)
+            assert referrers == {p: page.referrer for p, page in corpus.pages.items()}
+            links += sum(len(page.links) for page in corpus.pages.values())
+            for method in METHODS:
+                tree = refine_clusters(build_nav_tree(corpus, 0.8, method))
+                parents = {p: node.members for node in tree.nodes()
+                           for child in node.children for p in child.members}
+                assert tree.root.members == (corpus.root,)
+                assert set(parents) == set(corpus.pages) - {corpus.root}
+                for page_id, parent in parents.items():
+                    assert referrers[page_id] in parent, (index, depth, method, page_id)
+    assert links > 2500
+
+
+def test_a_higher_threshold_refines_a_lower_one_on_random_mirrors(tmp_path):
+    """Criterion 6 over the whole tree: on random mirrors, under both
+    methods, each step up the threshold grid 0.05-1.0 gives a partition
+    of the pages that refines the one below it."""
+    rng = random.Random(2602)
+    grid = [step / 20 for step in range(1, 21)]
+    split = 0
+    for index in range(40):
+        root = random_mirror(tmp_path / str(index), rng, rng.randint(6, 30), (1, 6))
+        corpus = load_corpus(root, max_depth=Config.max_depth, delay=0.0)
+        for method in METHODS:
+            partitions = [collect_partition(refine_clusters(build_nav_tree(corpus, t, method)))
+                          for t in grid]
+            for t, low, high in zip(grid[1:], partitions, partitions[1:]):
+                assert refines(high, low), (index, method, t)
+            split += len(partitions[-1].clusters) > len(partitions[0].clusters)
+    assert split > 60
+
+
+def test_no_pair_of_pages_is_compared_twice_in_a_run(tmp_path, monkeypatch):
+    """A run of the benchmark's seed-101 catalog compares each pair of
+    pages at most once, under both methods."""
+    root = perfbench_mirrors().catalog(tmp_path, 101, 12, 25).root
+    compared = []
+
+    def recording(corpus, method, a, b):
+        compared.append(frozenset((a, b)))
+        return pair_similarity(corpus, method, a, b)
+
+    monkeypatch.setattr(navmodel, "pair_similarity", recording)
+    for method, threshold in (("MMS", 0.95), ("STS", 0.8)):
+        compared.clear()
+        run_pipeline(Config(root=str(root), threshold=threshold, method=method,
+                            out_dir=str(tmp_path / method)))
+        assert compared and len(set(compared)) == len(compared), method
+
+
 def _figure_mirror(tmp_path):
     return write_mirror(tmp_path, {
         "index.html": linking("home", ["b.html", "c.html"]),
@@ -135,11 +212,13 @@ def _figure_mirror(tmp_path):
     })
 
 
-def test_build_keeps_per_page_child_sets(tmp_path):
+def test_build_joins_the_pages_a_cluster_owns(tmp_path):
+    """f and g, owned by b, and h, owned by c, are clustered together
+    under the node {b, c}, in crawl order."""
     _, tree = build(_figure_mirror(tmp_path))
     cluster = tree.root.children[0]
-    assert set(cluster.members) == {"b.html", "c.html"}
-    assert [set(c.members) for c in cluster.children] == [{"f.html", "g.html"}, {"h.html"}]
+    assert cluster.members == ("b.html", "c.html")
+    assert [c.members for c in cluster.children] == [("f.html", "g.html", "h.html")]
 
 
 def test_refine_joins_next_level_across_cluster_members(tmp_path):
@@ -355,7 +434,7 @@ def test_page_size_is_the_indented_byte_count(demo_corpus, benchmark_mirrors):
     docs += [page.document for page in demo_corpus.pages.values()]
     for directory in benchmark_mirrors:
         docs += [to_xhtml(text) for _, text in mirror_pages(directory)]
-    corpus = Corpus("0", {str(index): Page(0, doc, ()) for index, doc in enumerate(docs)})
+    corpus = Corpus("0", {str(index): Page(0, doc, (), None) for index, doc in enumerate(docs)})
     for page_id, page in corpus.pages.items():
         assert page_size(corpus, page_id) == _indented_byte_count(page.document), page_id
     assert page_size(corpus, "0") == len("<table>\n  <tr>\n    <td/>\n  </tr>\n</table>\n")

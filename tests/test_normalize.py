@@ -958,6 +958,34 @@ def test_script_and_comment_bodies_dropped():
     assert root.children[1] == "ok"
 
 
+def test_a_marked_section_the_stdlib_cannot_scan_is_a_bogus_comment():
+    """``<![`` without a keyword, or with an unknown one, reads as a
+    comment up to the next ``>``, where older stdlib tokenizers raise
+    AssertionError; the sections they scan keep their events."""
+    cases = {
+        '<p>a<![ x <a href="b.html">b</a></p>': "<p>a b</p>",
+        '<div><![ if IE ]><a href="c.html">c</a><![ endif ]></div>':
+            '<div><a href="c.html">c</a></div>',
+        '<div><![foo[ z ]]><a href="e.html">e</a></div>': '<div><a href="e.html">e</a></div>',
+        "<p>a<![CDATA[x < y]]>b</p>": "<p>a b</p>",
+        '<div><![if !IE]><a href="d.html">d</a><![endif]></div>':
+            '<div><a href="d.html">d</a></div>',
+    }
+    for markup, plain in cases.items():
+        assert to_xhtml(markup) == to_xhtml(plain), markup
+    assert to_xhtml(next(iter(cases))).hrefs == ()
+
+
+def test_a_linked_page_with_an_unscannable_marked_section_runs(tmp_path, capsys):
+    root = write_mirror(tmp_path / "mirror", {
+        "index.html": '<html><body><a href="b.html">b</a></body></html>',
+        "b.html": '<html><body><![ if IE ]><a href="index.html">home</a><![ endif ]>'
+                  "<p>x<![ x</p></body></html>",
+    })
+    assert main(["--root", str(root), "--out", str(tmp_path / "out")]) == 0
+    assert "pages: 2  nodes: 2  components: 1" in capsys.readouterr().out
+
+
 def test_no_markup_raises():
     with pytest.raises(EmptyDocumentError):
         to_xhtml("just plain words, no tags at all")

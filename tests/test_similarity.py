@@ -8,11 +8,11 @@ from functools import lru_cache
 import pytest
 
 from navminer import load_corpus
-from navminer.navmodel import build_nav_tree, refine_clusters
-from navminer.similarity import (PageId, Partition, clone_pair, levenshtein, shared_ends,
-                                 similarity, spanning_clone_pairs, transclos)
+from navminer.navmodel import build_nav_tree, refine_clusters, token_seq
+from navminer.similarity import (PageId, clone_pair, levenshtein, shared_ends, similarity,
+                                 spanning_clone_pairs, transclos)
 
-from conftest import partition_is_valid, perfbench_mirrors
+from conftest import partition_is_valid, perfbench_mirrors, refines
 
 
 def levenshtein_dp(a, b) -> int:
@@ -169,7 +169,9 @@ def test_levenshtein_equals_dp_oracle_random():
 
 
 def test_levenshtein_equals_dp_oracle_on_every_catalog_sts_comparison(tmp_path, monkeypatch):
-    """The comparisons the benchmark's ``catalog-sts`` run makes at seed 101."""
+    """The comparisons the benchmark's ``catalog-sts`` run makes at seed
+    101, and beyond them every pair of the distinct STS sequences of the
+    catalog pages a build clusters (all but the root)."""
     root = perfbench_mirrors().catalog(tmp_path, 101, 12, 25).root
     corpus = load_corpus(root, max_depth=10, delay=0.0)
     module = sys.modules[levenshtein.__module__]
@@ -181,8 +183,13 @@ def test_levenshtein_equals_dp_oracle_on_every_catalog_sts_comparison(tmp_path, 
 
     monkeypatch.setattr(module, "levenshtein", recording)
     refine_clusters(build_nav_tree(corpus, 0.8, "STS"))
-    assert len(compared) == 497
-    for a, b in compared:
+    assert len(compared) == 49
+    seqs = sorted({token_seq(corpus, page_id, "STS") for page_id in corpus.pages
+                   if page_id != corpus.root})
+    pairs = list(itertools.combinations(seqs, 2))
+    assert len(pairs) == 351
+    assert {frozenset(pair) for pair in compared} <= {frozenset(pair) for pair in pairs}
+    for a, b in pairs:
         assert levenshtein(a, b) == levenshtein_dp(a, b)
 
 
@@ -290,11 +297,6 @@ def test_transclos_matches_bfs_oracle_random():
         assert partition.universe == universe
 
 
-def _refines(fine: Partition, coarse: Partition) -> bool:
-    return all(any(cluster <= other for other in coarse.clusters)
-               for cluster in fine.clusters)
-
-
 def test_threshold_monotonicity_on_random_token_sets():
     rng = random.Random(403)
     for _ in range(20):
@@ -303,7 +305,7 @@ def test_threshold_monotonicity_on_random_token_sets():
         partitions = [transclos(find_clone_pairs(pages, seqs, t / 10), set(pages))
                       for t in range(11)]
         for low, high in zip(partitions, partitions[1:]):
-            assert _refines(high, low)
+            assert refines(high, low)
 
 
 def test_spanning_clone_pairs_matches_all_pairs_oracle():
