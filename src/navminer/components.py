@@ -10,7 +10,9 @@ discarded; the question is what *appears*, not what goes away.
 The ``LineText`` lines come without their indentation, so a line that
 only moved to another depth still aligns, and lines are compared
 exactly as given.  A fragment is a slice of the target's ``LineText``:
-its lines, their depths and the tags they open.
+its lines, their depths and the tags they open.  The alignment comes
+in ascending order, so the fragments are cut at its gaps, and no
+target line is tested on its own.
 
 The alignment table is bit-parallel: one int per line of A, one bit per
 line of B, built a machine word at a time instead of cell by cell, and
@@ -95,7 +97,7 @@ def lcs_pairs(a: list[str], b: list[str]) -> list[tuple[int, int]]:
     up_row = up = 0  # up is dp[i - 1][j] while stepping left along row up_row
     while i > 0 and j > 0:
         if ma[i - 1] == mb[j - 1]:
-            middle.append((i - 1, j - 1))
+            middle.append((start + i - 1, start + j - 1))  # indices in a and b
             i -= 1
             j -= 1
         elif not rows[i] >> (j - 1) & 1:  # dp[i][j - 1] < dp[i][j] == dp[i - 1][j]
@@ -123,24 +125,28 @@ def lcs_pairs(a: list[str], b: list[str]) -> list[tuple[int, int]]:
     middle.reverse()
 
     pairs = [(k, k) for k in range(start)]
-    pairs.extend((start + pi, start + pj) for pi, pj in middle)
+    pairs += middle
     pairs.extend((la - end + k, lb - end + k) for k in range(end))
     return pairs
 
 
 def diff_oneway(a: LineText, b: LineText) -> list[Fragment]:
-    """Maximal runs of b-lines that are not part of the alignment with a."""
-    aligned_b = {j for _, j in lcs_pairs(a.lines, b.lines)}
+    """Maximal runs of b-lines that are not part of the alignment with a.
+
+    The alignment's b indices ascend, so the runs are its gaps: one
+    wherever the next aligned index skips lines, and one after the last
+    aligned line when b goes on."""
+    lines, opens, depths = b.lines, b.opens, b.depths
     fragments: list[Fragment] = []
-    run_start = None
-    for j in range(len(b.lines) + 1):
-        inserted = j < len(b.lines) and j not in aligned_b
-        if inserted and run_start is None:
-            run_start = j
-        elif not inserted and run_start is not None:
-            fragments.append(Fragment(b.lines[run_start:j], b.opens[run_start:j],
-                                      b.depths[run_start:j], run_start))
-            run_start = None
+    run_start = 0  # the first b line after the last aligned one
+    for _, j in lcs_pairs(a.lines, lines):
+        if j > run_start:
+            fragments.append(Fragment(lines[run_start:j], opens[run_start:j],
+                                      depths[run_start:j], run_start))
+        run_start = j + 1
+    if run_start < len(lines):
+        fragments.append(Fragment(lines[run_start:], opens[run_start:], depths[run_start:],
+                                  run_start))
     return fragments
 
 
@@ -175,11 +181,10 @@ def identify_elements(component: CandidateComponent) -> dict[str, int]:
     """Tally the elements the component's fragment lines open."""
     counts = {kind: 0 for kind in KINDS}
     for fragment in component.fragments:
-        for tag in fragment.opens:
-            if tag is not None:
-                kind = _classify(tag)
-                if kind is not None:
-                    counts[kind] += 1
+        for tag in filter(None, fragment.opens):  # close lines open nothing
+            kind = _classify(tag)
+            if kind is not None:
+                counts[kind] += 1
     return counts
 
 

@@ -56,29 +56,41 @@ distinct texts and 16,196 end tags with 18.  The builder therefore
 tokenizes each distinct tag text once per ``tags`` dict ``to_xhtml`` is
 handed (``corpus.load_corpus`` keeps one per load, beside ``strings``).
 The dict is keyed by a tag's exact source text: a start tag's up to the
-end ``check_for_whole_start_tag`` finds, an end tag's up to its first
-``>``.  A start key begins with ``<`` and a letter, an end key with
-``</``, so the two never collide.  A miss goes to the stdlib's own
-``parse_starttag`` or ``parse_endtag``, and what the stdlib dispatched is
-stored when it was one tag: for a start tag its ``Tag``, built on the
-miss, the open event, the names of the open elements it closes
-implicitly (its entry in ``_IMPLIED_BY``, the inverse of
-``IMPLIED_END``) and its link value, for an end tag its interned name.
-A hit replays that in ``parse_starttag`` or ``parse_endtag`` itself,
-without a ``handle_*`` call: a start tag runs the implied-end loop only
-when the innermost open element is one it closes, then records its
-events and link value; an end tag that names the innermost open element
-closes it in place, and one that closes several elements, or is stray,
-goes through ``handle_endtag``.  A miss scans its start tag for the end
-once: ``check_for_whole_start_tag`` hands the stdlib's
-``parse_starttag`` the end the memo lookup found.  This is no second
-tokenizer: a stored entry is what the stdlib made of the identical text,
-and when the stdlib dispatches a tag it reads nothing past the tag's
-closing ``>``.  Raw text stays the stdlib's: a start tag that enters
-raw-text mode (``script``, ``style``) is never stored, and end tags are
-looked up only outside that mode, so ``</div>`` in a script stays text.
-A tag that is not replayed records its link value in
-``handle_starttag``, so one entering raw-text mode records it too.
+end the stdlib's scan (``check_for_whole_start_tag``) finds, an end
+tag's up to its first ``>``.  A start key begins with ``<`` and a
+letter, an end key with ``</``, so the two never collide.  A start tag
+whose text up to its first ``>`` holds no quote is looked up by that
+text without the scan: the stdlib's scan (``locatestarttagend_tolerant``
+before CPython's 2025 parser fixes, ``locatetagend`` since) and its
+attribute parse consume a ``>`` only inside a quoted value, so on such
+text they read nothing past that ``>``, and a stored entry is what the
+stdlib made of exactly that text.  About 70% of start tags are
+quote-free (11,650 of the catalog's 16,796).  A quoted one is scanned
+and then looked up by the text up to the end the scan found.  A miss
+goes to the stdlib's own ``parse_starttag`` or ``parse_endtag``, and
+what the stdlib dispatched is stored when it was one tag: for a start
+tag its ``Tag``, built on the miss, the open event, the names of the
+open elements it closes implicitly (its entry in ``_IMPLIED_BY``, the
+inverse of ``IMPLIED_END``) and its link value, for an end tag its
+interned name.  A hit replays that in ``parse_starttag`` or
+``parse_endtag`` itself, without a ``handle_*`` call: a start tag runs
+the implied-end loop only when the innermost open element is one it
+closes, then records its events and link value; an end tag that names
+the innermost open element closes it in place, and one that closes
+several elements, or is stray, goes through ``handle_endtag``.  A miss
+scans its start tag for the end once: ``check_for_whole_start_tag``
+hands the stdlib's ``parse_starttag`` the end the scan before the lookup
+found.  This is no second tokenizer: a stored entry is what the stdlib
+made of the identical text, and when the stdlib dispatches a tag it
+reads nothing past the tag's closing ``>``.  Raw text stays the
+stdlib's: a start tag that enters raw-text mode (``script``, ``style``)
+is never stored, and end tags are looked up only outside that mode, so
+``</div>`` in a script stays text.  The builder pins the raw-text
+elements to those two on every CPython; the 2025 fixes made ``iframe``,
+``xmp``, ``noembed``, ``noframes``, ``textarea`` and ``title`` raw text
+too, which hid their links.  A tag that is not replayed records its link
+value in ``handle_starttag``, so one entering raw-text mode records it
+too.
 
 A UTF-8 byte order mark is dropped when the bytes are decoded, so a
 page saved with one parses like the same page without.
@@ -227,6 +239,12 @@ class _TreeBuilder(HTMLParser):
     """Tolerant tree repair on top of the stdlib tokenizer, recording the
     repaired tree's events."""
 
+    # the raw-text elements of the stdlib tokenizer before its 2025
+    # fixes, which took iframe, xmp, noembed, noframes, textarea and
+    # title for raw text too: their bodies, links included, stay markup
+    CDATA_CONTENT_ELEMENTS = ("script", "style")
+    RCDATA_CONTENT_ELEMENTS = ()
+
     def __init__(self, strings: dict | None = None, tags: dict | None = None):
         super().__init__(convert_charrefs=True)
         # values, text runs, tags and tuples of them: one copy of each
@@ -250,30 +268,37 @@ class _TreeBuilder(HTMLParser):
         self.part = self.parts.append
 
     def parse_starttag(self, i):
-        # the stdlib's scan; the override below only answers its repeat
-        end = HTMLParser.check_for_whole_start_tag(self, i)
-        if end >= 0:
-            opened = self.tags.get(self.rawdata[i:end])
-            if opened is not None:  # the text was tokenized before: replay it
-                tag, event, implies, href = opened
-                stack = self.stack
-                if stack and stack[-1] in implies:
-                    self._close_implied(tag.name)
-                # what handle_starttag records, inline
-                if not stack:
-                    self.tops += 1
-                self.event(event)
-                self.part(tag)
-                if tag.self_closing:
-                    self.event(None)
-                else:
-                    name = tag.name
-                    stack.append(name)
-                    open_count = self.open_count
-                    open_count[name] = open_count.get(name, 0) + 1
-                if href is not None:
-                    self.hrefs.append(href)
-                return end
+        rawdata = self.rawdata
+        end = rawdata.find(">", i + 1) + 1
+        text = rawdata[i:end]  # "" when no ">" follows
+        # only a quoted value can hold a ">" that does not end the tag
+        quoted = '"' in text or "'" in text
+        opened = None if quoted else self.tags.get(text)
+        if opened is None:
+            # the stdlib's scan; the override below only answers its repeat
+            end = HTMLParser.check_for_whole_start_tag(self, i)
+            if quoted and end >= 0:
+                opened = self.tags.get(rawdata[i:end])
+        if opened is not None:  # the text was tokenized before: replay it
+            tag, event, implies, href = opened
+            stack = self.stack
+            if stack and stack[-1] in implies:
+                self._close_implied(tag.name)
+            # what handle_starttag records, inline
+            if not stack:
+                self.tops += 1
+            self.event(event)
+            self.part(tag)
+            if tag.self_closing:
+                self.event(None)
+            else:
+                name = tag.name
+                stack.append(name)
+                open_count = self.open_count
+                open_count[name] = open_count.get(name, 0) + 1
+            if href is not None:
+                self.hrefs.append(href)
+            return end
         self.opened = None
         self.scanned = i, end  # the stdlib's parse_starttag scans the tag again
         end = HTMLParser.parse_starttag(self, i)
@@ -281,7 +306,7 @@ class _TreeBuilder(HTMLParser):
         # one start tag dispatched, and no raw-text mode (script, style)
         # to enter, which a replay would skip
         if self.opened is not None and self.cdata_elem is None:
-            self.tags[self.rawdata[i:end]] = self.opened
+            self.tags[rawdata[i:end]] = self.opened
         return end
 
     def check_for_whole_start_tag(self, i):

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from navminer import load_corpus
-from navminer.components import (CandidateComponent, diff_oneway,
+from navminer.components import (CandidateComponent, Fragment, diff_oneway,
                                  extract_candidates, identify_elements,
                                  lcs_pairs)
 from navminer.navmodel import build_nav_tree, reduce_to_snp, refine_clusters
@@ -89,6 +89,29 @@ def table_lines(rng: random.Random, rows: int, editable: bool) -> list[str]:
     else:
         page = f'<div class="view"><a class="edit" href="e.html">Edit</a>{table}</div>'
     return lines_of(f"<html><head><title>t</title></head><body>{page}</body></html>").lines
+
+
+def diff_oneway_scan(a: LineText, b: LineText) -> list[Fragment]:
+    """The set-and-scan ``diff_oneway`` that cutting at the alignment's
+    gaps replaced, kept as its oracle: every target line is tested
+    against the set of aligned target indices."""
+    aligned_b = {j for _, j in lcs_pairs(a.lines, b.lines)}
+    fragments: list[Fragment] = []
+    run_start = None
+    for j in range(len(b.lines) + 1):
+        inserted = j < len(b.lines) and j not in aligned_b
+        if inserted and run_start is None:
+            run_start = j
+        elif not inserted and run_start is not None:
+            fragments.append(Fragment(b.lines[run_start:j], b.opens[run_start:j],
+                                      b.depths[run_start:j], run_start))
+            run_start = None
+    return fragments
+
+
+def assert_diff_same_as_scan(a: LineText, b: LineText):
+    assert diff_oneway(a, b) == diff_oneway_scan(a, b)
+    assert diff_oneway(b, a) == diff_oneway_scan(b, a)
 
 
 def lcs_length_recursive(a, b) -> int:
@@ -416,3 +439,43 @@ def test_diff_of_two_long_pages_stays_small_in_memory():
     assert peak < 6 * 2 ** 20
     inputs = [l.strip() for f in fragments for l in f.lines]
     assert inputs.count('<input name="v" type="text"/>') >= 540 // 7
+
+
+def _edges(corpus, methods, threshold) -> list[tuple[str, str]]:
+    """The (source, target) representatives of every edge of the reduced
+    trees of ``corpus``, one per method."""
+    edges = set()
+    for method in methods:
+        snp = reduce_to_snp(refine_clusters(build_nav_tree(corpus, threshold, method)))
+        edges.update((c.source, c.target) for c in extract_candidates(snp))
+    return sorted(edges)
+
+
+def test_diff_oneway_equals_the_scan_oracle_on_random_pairs():
+    """Random documents against their edits and against each other, and
+    random line lists: empty sides, no shared line, and equal heads and
+    tails around edits, so runs start at line 0 and end at the last."""
+    rng = random.Random(508)
+    for _ in range(300):
+        doc = random_document(rng, 2)
+        other = mutate_document(rng, doc) if rng.random() < 0.7 else random_document(rng, 2)
+        assert_diff_same_as_scan(stripped_lines(doc), stripped_lines(other))
+    for _ in range(3000):
+        a, b = _random_line_lists(rng)
+        assert_diff_same_as_scan(LineText(a, [None] * len(a), list(range(len(a)))),
+                                 LineText(b, [None] * len(b), list(range(len(b)))))
+
+
+def test_diff_oneway_equals_the_scan_oracle_on_demo_and_longpage_edges(
+        demo_corpus, benchmark_mirrors):
+    """Every edge of the demo's reduced trees, MMS and STS, and the eight
+    edges of the benchmark's long-page mirror: index to section and
+    section to edit page, where the alignment pairs hundreds of lines."""
+    longpage = load_corpus(benchmark_mirrors[1] / "index.html", max_depth=10, delay=0.0)
+    cases = [(demo_corpus, _edges(demo_corpus, ("MMS", "STS"), DEMO_THRESHOLD)),
+             (longpage, _edges(longpage, ("MMS",), 0.95))]
+    assert len(cases[0][1]) >= 10 and len(cases[1][1]) == 8
+    for corpus, edges in cases:
+        for source, target in edges:
+            assert_diff_same_as_scan(stripped_lines(corpus.pages[source].document),
+                                     stripped_lines(corpus.pages[target].document))

@@ -57,6 +57,10 @@ class _ListTreeBuilder(HTMLParser):
     and a list of children, a text run is a ``Text`` and values are kept
     as parsed, one object per occurrence."""
 
+    # the raw-text elements the builder pins on every CPython
+    CDATA_CONTENT_ELEMENTS = ("script", "style")
+    RCDATA_CONTENT_ELEMENTS = ()
+
     def __init__(self):
         super().__init__(convert_charrefs=True)
         self.top: list[Element | Text] = []
@@ -135,6 +139,10 @@ class _ListTreeBuilder(HTMLParser):
 class _StackScanBuilder(HTMLParser):
     """Oracle: the tree builder that finds a close tag's element by
     scanning the whole open stack (O(depth) per close tag)."""
+
+    # the raw-text elements the builder pins on every CPython
+    CDATA_CONTENT_ELEMENTS = ("script", "style")
+    RCDATA_CONTENT_ELEMENTS = ()
 
     def __init__(self):
         super().__init__(convert_charrefs=True)
@@ -707,6 +715,10 @@ _TAG_MEMO_CASES = (
     "<div><b><i>x</div><div><b><i>y</div><div><span><b>z</div>",
     "<b>a</b></b></i><b>b</b></b></li><p>c</p></p></div>",
     "<ul><li><p>d</ul><ul><li><p>e</ul></ul>",
+    # a quote left open before the first ">": the tag ends there only
+    # when no later quote closes it, so that text is no key to look up
+    "<p>q<a d = 'x>y</a>", "<p>q<a d = 'x>y</a> z'<b>",
+    '<p>a<b c="d>e</b></p>', '<p>a<b c="d>e</b>"</p>',
 )
 
 
@@ -743,6 +755,76 @@ def test_a_tag_memo_miss_scans_its_start_tag_once(monkeypatch):
         scans.clear()
         assert _parsed(text, {}, tags) == expected
         assert len(scans) == len(set(scans)) == 40, pass_
+
+
+# start tags without a quote: their memo key is the text up to the
+# first ">", looked up without the stdlib's scan for the end.  Odd
+# spacing, bare and empty values, "/" in and before the end, upper case,
+# a "<" inside the tag and a tag cut off at the end of the input
+_QUOTE_FREE_ODD_TAGS = (
+    "<a / b>", "<a =b>", "<a b=>", "<br/>", "<p/ >", "<a\tb\nc>", "<a b=c/>", "<A B=C>",
+    "<a <b>", "<a b=c d>", "<img src=x/>", "<a/b>", "<div class=x>", "<a b=c",
+)
+
+
+def _quote_free_odd_markups():
+    """Each odd tag alone, twice in a row, between text runs, where it
+    may imply the end of a paragraph or list item, and at the end."""
+    for tag in _QUOTE_FREE_ODD_TAGS:
+        yield tag
+        yield f"{tag}{tag}x"
+        yield f"<div>x{tag}y</div>{tag}z"
+        yield f"<p>{tag}a</a></p><ul><li>{tag}<li>b</ul>"
+        yield f"<div><a href=h.html>x</a>{tag}"
+
+
+def test_a_memo_filled_by_one_pass_replays_the_stdlib_on_a_second():
+    """A markup parsed twice with one memo: the first pass tokenizes its
+    tags and the second replays every one it stored, quote-free start
+    tags looked up by their text up to the first ">".  Both build what
+    the stdlib's tokenizing builds, on 4,000 random markups and on the odd
+    quote-free tags above."""
+    rng = random.Random(227)
+    generators = (_random_shape_markup, _random_malformed_markup,
+                  _random_tokenizer_markup, _random_whitespace_markup)
+    texts = [rng.choice(generators)(rng) for _ in range(4000)]
+    hits = 0
+    for text in [*texts, *_quote_free_odd_markups()]:
+        tags = _CountingMemo()
+        expected = _parsed(text, builder=_StdlibTags)
+        assert _parsed(text, {}, tags) == expected, text
+        tags.hits = 0
+        assert _parsed(text, {}, tags) == expected, text
+        hits += tags.hits
+    assert hits > 40_000
+
+
+def test_a_replayed_start_tag_is_scanned_only_when_quoted(monkeypatch):
+    """The stdlib's scan for the end of a start tag runs once per tag the
+    memo has not seen.  A replay of a tag with a quote scans it once more,
+    since a quoted ">" does not end the tag; a replay of a quote-free tag
+    scans nothing."""
+    scans = []
+    scan = HTMLParser.check_for_whole_start_tag
+
+    def counting(parser, i):
+        scans.append(i)
+        return scan(parser, i)
+
+    monkeypatch.setattr(HTMLParser, "check_for_whole_start_tag", counting)
+    text = "".join(f'<div class=d{n}><a href="{n}.html" class=c>{n}</a><br/><p>x</p></div>'
+                   for n in range(20))
+    expected = _parsed(text, builder=_StdlibTags)
+    tags: dict = {}
+    scans.clear()
+    assert _parsed(text, {}, tags) == expected
+    # each distinct text scanned once, as a miss: 20 divs, 20 anchors,
+    # one br and one p; the br and p replays scan nothing
+    assert len(scans) == len(set(scans)) == 42
+    scans.clear()
+    assert _parsed(text, {}, tags) == expected
+    assert len(scans) == 20  # the quoted anchors alone
+    assert all(text.startswith("<a", i) for i in scans)
 
 
 def test_the_tag_memo_equals_the_stdlib_tokenizer_on_demo_and_benchmark_pages(
@@ -956,6 +1038,35 @@ def test_script_and_comment_bodies_dropped():
     kinds = [type(c).__name__ for c in root.children]
     assert kinds == ["Element", "str"]
     assert root.children[1] == "ok"
+
+
+# elements the stdlib tokenizer reads as raw text since its 2025 fixes,
+# and as markup before them; each holds a link to g.html
+_PINNED_RAW_TEXT_CASES = (
+    '<iframe src="f.html">fb <a href="g.html">g</a></iframe>',
+    '<div><iframe src="f.html">fb <a href="g.html">g</a></div>',
+    '<xmp><a href="g.html">g</a></xmp>',
+    '<noembed><a href="g.html">g</a></noembed>',
+    '<noframes><a href="g.html">g</a></noframes>',
+    '<title>t &amp; <a href="g.html">g</a></title>',
+    '<textarea>t <a href="g.html">g</a></textarea>',
+)
+_HTML5_RAW_TEXT_OPENS = ("<iframe", "<xmp", "<noembed", "<noframes", "<title", "<textarea")
+
+
+def test_only_script_and_style_bodies_are_raw_text():
+    """Every supported CPython reads these bodies as markup, as the
+    tokenizer did before its 2025 fixes, so the link inside is recorded
+    and an unclosed iframe leaves the rest of the page markup.  The start
+    tags are stored in the tag memo: no raw-text mode is entered."""
+    for markup in _PINNED_RAW_TEXT_CASES:
+        tags: dict = {}
+        doc = to_xhtml(markup, {}, tags)
+        assert doc.hrefs[-1] == "g.html", markup
+        assert '<a href="g.html">' in pretty_print(doc).lines, markup
+        assert any(key.startswith(_HTML5_RAW_TEXT_OPENS) for key in tags), markup
+    assert to_xhtml(_PINNED_RAW_TEXT_CASES[0]).hrefs == ("f.html", "g.html")
+    assert normalize._TreeBuilder.CDATA_CONTENT_ELEMENTS == tuple(sorted(_RAW_TEXT_TAGS))
 
 
 def test_a_marked_section_the_stdlib_cannot_scan_is_a_bogus_comment():
