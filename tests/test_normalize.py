@@ -12,7 +12,7 @@ import pytest
 
 from navminer import normalize
 from navminer.cli import main
-from navminer.normalize import (_BINARY_BYTE, _RAW_TEXT_TAGS, _SNIFF_CHARS, IMPLIED_END,
+from navminer.normalize import (_BINARY_BYTE, _RAW_TEXT_TAGS, _RUN, _SNIFF_CHARS, IMPLIED_END,
                                 VOID_ELEMENTS, Document, EmptyDocumentError, LineText, Tag,
                                 _escape_attr, pretty_print, stripped_lines, to_xhtml)
 
@@ -642,22 +642,40 @@ class _StdlibTags(normalize._TreeBuilder):
     parse_endtag = HTMLParser.parse_endtag
 
 
-class _CountingMemo(dict):
-    """A tag memo that counts the lookups it answers."""
+def _entries(value):
+    """A memo value as the entries of its tags: a run's tuple of them, or
+    one tag's entry, a start tag's tuple that begins with its ``Tag`` or
+    an end tag's name."""
+    return value if value.__class__ is tuple and value[0].__class__ is not Tag else (value,)
 
-    hits = 0
+
+class _CountingMemo(dict):
+    """A tag memo that counts the tags replayed from the lookups it
+    answers (``hits``), a run's tags each, and the runs among them."""
+
+    hits = runs = 0
 
     def get(self, key, default=None):
         value = dict.get(self, key, default)
-        self.hits += value is not None
+        if value is not None:
+            tags = len(_entries(value))
+            self.hits += tags
+            self.runs += tags > 1
         return value
 
 
+def _single_tags(tags):
+    """The memo's keys of one tag each, not of a run."""
+    return [key for key, value in tags.items() if len(_entries(value)) == 1]
+
+
 def _raw_text_openers(tags):
-    """The memo's start-tag entries that open a script or style element:
-    a replay of one would skip the stdlib's raw-text mode."""
-    return [key for key, value in tags.items() if value.__class__ is tuple
-            and value[0].name in _RAW_TEXT_TAGS and not value[0].self_closing]
+    """The memo's keys, of one tag or of a run, that replay a start tag
+    opening a script or style element: a replay would skip the stdlib's
+    raw-text mode."""
+    return [key for key, value in tags.items() if any(
+        entry.__class__ is tuple and entry[0].name in _RAW_TEXT_TAGS
+        and not entry[0].self_closing for entry in _entries(value))]
 
 
 def test_the_tag_memo_equals_the_stdlib_tokenizer_random():
@@ -667,7 +685,9 @@ def test_the_tag_memo_equals_the_stdlib_tokenizer_random():
     that share one memo and one strings dict, as a load's pages do, so a
     tag first tokenized in one context is replayed in another: after
     implied ends, beside raw-text bodies that hold the same text, near a
-    tag cut off at the end.  No stored entry opens a raw-text element."""
+    tag cut off at the end.  No stored entry, of one tag or of a run,
+    opens a raw-text element.  ``hits`` counts the tags replayed from
+    either, ``stored`` the entries of one tag."""
     rng = random.Random(219)
     generators = (_random_shape_markup, _random_malformed_markup,
                   _random_tokenizer_markup, _random_whitespace_markup)
@@ -679,7 +699,7 @@ def test_the_tag_memo_equals_the_stdlib_tokenizer_random():
             assert _parsed(text, strings, tags) == _parsed(text, builder=_StdlibTags), text
         assert _raw_text_openers(tags) == []
         hits += tags.hits
-        stored += len(tags)
+        stored += len(_single_tags(tags))
     assert hits > 2 * stored > 10_000
 
 
@@ -830,14 +850,194 @@ def test_a_replayed_start_tag_is_scanned_only_when_quoted(monkeypatch):
 def test_the_tag_memo_equals_the_stdlib_tokenizer_on_demo_and_benchmark_pages(
         benchmark_mirrors):
     """Each mirror's pages parsed with one memo, as a load parses them,
-    build what the stdlib's tokenizing builds; most of their tags are
-    replays."""
+    build what the stdlib's tokenizing builds.  Most of their tags are
+    replays, and most of their runs: more than ten tags replayed per
+    single-tag entry, more than ten run replays per run entry."""
     for directory in (DEMO_CORPUS, *benchmark_mirrors):
         strings, tags = {}, _CountingMemo()
         for page_id, text in mirror_pages(directory):
             assert _parsed(text, strings, tags) == _parsed(text, builder=_StdlibTags), page_id
         assert _raw_text_openers(tags) == []
-        assert tags.hits > 10 * len(tags), directory
+        singles = len(_single_tags(tags))
+        assert tags.hits > 10 * singles, directory
+        assert tags.runs > 10 * (len(tags) - singles), directory
+
+
+# quote-free tags for runs: implied ends, stray and multi-level closes,
+# void, "/>" and odd tags, links, and the raw-text openers and closers
+_RUN_TAGS = (
+    "<div>", "</div>", "<p>", "</p>", "<ul>", "</ul>", "<li>", "</li>", "<table>",
+    "</table>", "<tr>", "</tr>", "<td>", "</td>", "<th>", "<dl>", "<dt>", "<dd>", "<h1>",
+    "<select>", "<option>", "<b>", "</b>", "<i>", "</i>", "<span>", "</span>", "<P CLASS=x>",
+    "<a href=x.html>", "</a>", "</a b>", "<area href=y.html>", "<form action=f.html>",
+    "<iframe src=g.html>", "<br>", "<br/>", "</br>", "<img>", "<img src=i.png>", "</img>",
+    "<div/>", "<a/b>", "<a =b>", "<p/ >", "<script>", "</script>", "<SCRIPT>",
+    "<script/>", "<style>", "</style>", "<Style media=x>",
+)
+# ASCII whitespace keeps a run going; the rest ends it
+_RUN_SPACES = ("", "", "", " ", "\n  ", "\t", "\r\n", "\x0c")
+_RUN_BREAKS = ("\xa0", "\u3000", "x", " text ", "<!-- c -->", '<a href="q.html">', "&amp;")
+# binary-data bytes, and so only past the first KB of a page: "\v" ends
+# a run, and "<b\x00>" is a tag in one that CPython before 3.13.13 reads
+# as text
+_LATE_RUN_BREAKS = ("\x0b", "\x1c", "<b\x00>")
+
+
+def _random_runs(rng: random.Random) -> list[str]:
+    """A dozen runs of one to ten of the tags above, apart by ASCII
+    whitespace: the templates of a batch of markups."""
+    return ["".join(rng.choice(_RUN_TAGS) + rng.choice(_RUN_SPACES)
+                    for _ in range(rng.randint(1, 10))).rstrip() for _ in range(12)]
+
+
+def _random_run_markup(rng: random.Random, runs: list[str]) -> str:
+    """The runs of a batch in random order, mostly apart by other
+    whitespace, text, comments and quoted tags, else by ASCII whitespace,
+    which joins two into one; the last run often ends the input, and half
+    the time the markup starts past a first KB that holds nothing, so a
+    binary-data byte can end a run."""
+    breaks = _RUN_BREAKS
+    late = rng.random() < 0.5
+    if late:
+        breaks += _LATE_RUN_BREAKS
+    parts = []
+    for _ in range(rng.randint(0, 20)):
+        parts.append(rng.choice(runs))
+        parts.append(rng.choice(_RUN_SPACES) if rng.random() < 0.3 else rng.choice(breaks))
+    markup = "".join(parts[:-1] if rng.random() < 0.5 else parts)
+    return "<!--" + " " * _SNIFF_CHARS + "-->" + markup if late else markup
+
+
+def test_a_run_of_tags_equals_the_stdlib_tokenizer_random():
+    """Runs of quote-free tags replayed from the memo build what the
+    stdlib's tokenizing builds, tree, link values and shape, on 3,000
+    random markups in batches of 50 that share one memo and one set of
+    runs, as a load's pages share their templates: a run first seen in
+    one stack context is replayed in another.  No stored run opens a
+    raw-text element."""
+    rng = random.Random(231)
+    runs = 0
+    for _ in range(60):
+        strings, tags, batch = {}, _CountingMemo(), _random_runs(rng)
+        for _ in range(50):
+            text = _random_run_markup(rng, batch)
+            assert _parsed(text, strings, tags) == _parsed(text, builder=_StdlibTags), text
+        assert _raw_text_openers(tags) == []
+        runs += tags.runs
+    assert runs > 3_000
+
+
+def _run_of(count):
+    """A run of ``count`` tags apart by newlines: start tags, then half
+    as many ``</i>``."""
+    opens = ["<div>", "<p>", "<b>", "<i>"] * count
+    return "\n".join(opens[:count - count // 2] + ["</i>"] * (count // 2))
+
+
+# runs across implied ends, met again in another context; stray and
+# multi-level closes; void, "/>" and odd tags; runs that start or end
+# with a raw-text element; runs of 7, 8 and 9 tags, and runs that end
+# the input
+_RUN_CASES = (
+    "<ul><li>a</li>\n<li>b<li>\n<li>c</ul>", "<ol></li>\n<li>d</ol>",
+    "<table><tr><td>e</td> <td><td>f</td></tr>\n<tr><th><td>g</table>",
+    "<div></td> <td>h</div>", "<p>i<p>\n<div></div><p>\n<ul><li>j</ul>",
+    "<dl><dt><dd>\n<dt>k</dl>", "<select><option><option>\n<option>l</select>",
+    "<div><b><i>m</div></div></b>\n</i><span>n</span></span>",
+    "</a b></a b><a>o</a b>\n</a b>", "<br/><br/>\n<img><img src=i.png></img></br><br>",
+    "<p>p<div/><a/b><p/ >q</p>", "<script></div><p></script><p>r", "<SCRIPT><p></SCRIPT>\n<p>s",
+    "<div>\n<p><script>a<b></script></p></div>", "<ul><li><style>li > a {}</style></ul>",
+    "<div><script/>\n<b>t</b></div>", "<div><style></style></div><p><style>",
+    _run_of(7), _run_of(8), _run_of(9), _run_of(9) + "u", _run_of(16),
+    "<div><p>v</p></div>\n</body></html>", "<p>w</p><div><b",
+    # other whitespace between tags ends a run and changes nothing
+    "<ul>\xa0<li>x</li>\u3000<li>y</ul>", "<ul> <li>x</li> <li>y</ul>",
+    "<!--" + " " * _SNIFF_CHARS + "--><ul>\x0b<li>z</li>\x0b<li>z</ul>",
+    "<!--" + " " * _SNIFF_CHARS + "--><ul> <li>z</li> <li>z</ul>",
+)
+
+
+def test_a_run_of_tags_equals_the_stdlib_tokenizer_on_fixed_cases():
+    """The cases above, in both orders and each twice, with one memo:
+    the second time every run has been seen.  Runs are replayed, and none
+    holds a script or style opener."""
+    for cases in (_RUN_CASES, _RUN_CASES[::-1]):
+        strings, tags = {}, _CountingMemo()
+        for text in cases * 2:
+            assert _parsed(text, strings, tags) == _parsed(text, builder=_StdlibTags), text
+        assert tags.runs > 30
+        assert _raw_text_openers(tags) == []
+        assert {"<li>\n<li>", "</td> <td><td>", "<br/><br/>\n<img><img src=i.png></img></br><br>",
+                "<div><script/>\n<b>", "</p></div>\n</body></html>"} <= tags.keys()
+        assert max(len(_entries(value)) for value in tags.values()) == 8
+
+
+def test_whitespace_other_than_ascii_ends_a_run_and_changes_nothing():
+    """No-break space, ideographic space and vertical tab between tags
+    end a run, and the page parses as with a space there."""
+    for space in ("\xa0", "\u3000", "\x0b"):
+        assert _RUN.match(f"</li>{space}<li>") is None
+        late = "<!--" + " " * _SNIFF_CHARS + "-->"
+        assert _parsed(f"{late}<ul>{space}<li>a</li>{space}<li>b</ul>", {}, {}) == \
+            _parsed(f"{late}<ul> <li>a</li> <li>b</ul>")
+    assert _RUN.match("</li> \t\n\r\x0c<li>").group() == "</li> \t\n\r\x0c<li>"
+
+
+def test_a_run_is_stored_only_when_each_tag_ended_at_its_first_gt(monkeypatch):
+    """A tokenizer that ends a quote-free tag past its first ">" is not
+    trusted: here a stdlib whose ``parse_starttag`` reads a ``wide`` tag
+    and the tag after it as one.  Such a tag is stored neither alone,
+    under a text a run could share, nor in a run, and the builder with
+    its memo builds what that stdlib's tokenizing builds, also where a
+    run starts at the ``wide`` tag."""
+    stdlib = HTMLParser.parse_starttag
+
+    def wide(parser, i):
+        end = stdlib(parser, i)
+        if end > 0 and parser.rawdata.startswith("<wide", i):
+            return parser.rawdata.find(">", end) + 1
+        return end
+
+    monkeypatch.setattr(HTMLParser, "parse_starttag", wide)
+    monkeypatch.setattr(_StdlibTags, "parse_starttag", wide)
+    strings, tags = {}, {}
+    for text in ("<div><wide><b>x</b></div>\n" * 3, "y<wide><b>z", "<div><wide>\n<b>y"):
+        for _ in range(2):
+            assert _parsed(text, strings, tags) == _parsed(text, builder=_StdlibTags), text
+
+
+class _CountingRuns:
+    """The run pattern, counting the tags of the runs it matches."""
+
+    def __init__(self):
+        self.tags = 0
+
+    def match(self, text, pos):
+        run = _RUN.match(text, pos)
+        if run is not None:
+            self.tags += run.group().count(">")
+        return run
+
+
+def test_the_run_pattern_reads_each_tag_at_most_eight_times(monkeypatch):
+    """Each parse reads at most eight tags through the run pattern per
+    tag of its page: the cap of eight tags a run keeps it linear, also
+    where every run stops at a raw-text opener and the next parse starts
+    one tag on.  Once with a fresh memo and once with one that has seen
+    the page."""
+    counting = _CountingRuns()
+    monkeypatch.setattr(normalize, "_RUN", counting)
+    rng = random.Random(233)
+    pages = ["<script></script>" * 2000, "<p><b>" * 2000, "<div>" * 10_000 + "</div>" * 10_000,
+             "<style></style>\n<p>" * 1000, "<b><script></script></b>" * 1000,
+             *(_random_run_markup(rng, _random_runs(rng)) * 20 for _ in range(20))]
+    for page in pages:
+        tags: dict = {}
+        for _ in range(2):
+            counting.tags = 0
+            _parsed(page, {}, tags)
+            assert counting.tags <= 8 * page.count("<"), page[:80]
+    assert counting.tags > 0
 
 
 def test_isspace_and_split_agree_on_every_code_point():
