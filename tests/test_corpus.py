@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 import types
 import urllib.request
+from collections import deque
 from functools import partial
 from http.server import BaseHTTPRequestHandler, SimpleHTTPRequestHandler
 from urllib.parse import quote, urljoin
@@ -18,9 +19,9 @@ import pytest
 
 from navminer import corpus as corpus_module
 from navminer.cli import main
-from navminer.corpus import (_HREF_TRIM, DEFAULT_REDIRECT_LIMIT, CorpusError, FileResolver,
-                             HttpResolver, PageId, PageReadError, extract_links, load_corpus,
-                             logger)
+from navminer.corpus import (_HREF_TRIM, DEFAULT_REDIRECT_LIMIT, Corpus, CorpusError,
+                             FileResolver, HttpResolver, Page, PageId, PageReadError,
+                             extract_links, load_corpus, logger)
 from navminer.navmodel import token_seq
 from navminer.normalize import _LINK_ATTRS, Document, EmptyDocumentError, Tag, to_xhtml
 
@@ -322,6 +323,158 @@ def test_random_mirrors_load_alike_with_and_without_the_resolution_memo(tmp_path
         large += sum(name in remembered[0] for name in ("deep.html", "long.html"))
         empty += "files/empty.html" in remembered[2]
     assert loaded > 200 and dangling > 100 and large > 2 and empty > 0
+
+
+def load_page_at_a_time(root, max_depth: int) -> Corpus:
+    """The loader that fetched, parsed and link-scanned each page before
+    it fetched the next, kept as the oracle of the batched
+    ``load_corpus``."""
+    resolver, root_id = corpus_module._open_root(root, 0.0)
+    strings: dict = {}
+    tags: dict = {}
+    corpus = Corpus(root=root_id, pages={})
+
+    def load(page_id, depth, referrer):
+        document = to_xhtml(resolver.fetch(page_id), strings, tags)
+        links = tuple(extract_links(document, page_id, resolver))
+        corpus.pages[page_id] = Page(depth, document, links, referrer)
+
+    load(root_id, 0, None)
+    queue = deque([root_id])
+    known = {root_id}
+    dangling = set()
+    while queue:
+        page_id = queue.popleft()
+        page = corpus.pages[page_id]
+        if page.depth >= max_depth:
+            continue
+        for target in page.links:
+            if target in known:
+                continue
+            known.add(target)
+            try:
+                load(target, page.depth + 1, page_id)
+            except PageReadError as exc:
+                logger.warning("dangling link: %s", str(exc))
+                dangling.add(target)
+            except EmptyDocumentError:
+                logger.warning("excluded (no markup): %s", target)
+                corpus.excluded.append(target)
+            else:
+                queue.append(target)
+    corpus.dangling = sorted(dangling)
+    return corpus
+
+
+def _recorded_load(load, root, max_depth, monkeypatch, caplog) -> tuple:
+    """What ``load`` of ``root`` gives: each page's id, depth, referrer,
+    links and document in load order, the dangling and excluded targets,
+    every page fetched, in order, and every record logged."""
+    fetched = []
+
+    def recording(fetch):
+        def recorded(self, page_id):
+            fetched.append(page_id)
+            return fetch(self, page_id)
+        return recorded
+
+    caplog.clear()
+    with monkeypatch.context() as patch, caplog.at_level(logging.DEBUG, logger=logger.name):
+        for resolver in (FileResolver, HttpResolver):
+            patch.setattr(resolver, "fetch", recording(resolver.fetch))
+        corpus = load(root, max_depth)
+    return ([(page_id, page.depth, page.referrer, page.links, page.document)
+             for page_id, page in corpus.pages.items()],
+            corpus.dangling, corpus.excluded, fetched,
+            [(record.levelname, record.getMessage()) for record in caplog.records])
+
+
+@pytest.mark.parametrize("batch", [1, 2, 5, corpus_module.FETCH_BATCH])
+def test_a_batched_load_equals_the_page_at_a_time_oracle(tmp_path, monkeypatch, caplog, batch):
+    """Random mirrors at crawl depths 0-3, from the files and over HTTP
+    for a few, load the same pages in the same order (depth, referrer,
+    links and document each), the same dangling and excluded targets,
+    with the same fetches in the same order and the same log records, in
+    batches of one page, of a few and of ``FETCH_BATCH``."""
+    monkeypatch.setattr(corpus_module, "FETCH_BATCH", batch)
+    rng = random.Random(2900 + batch)
+    load = partial(load_corpus, delay=0.0)
+    loaded = dangling = excluded = warnings = 0
+    for index in range(12):
+        root = random_mirror(tmp_path / str(index), rng, rng.randint(4, 40), (1, 8))
+        for max_depth in range(4):
+            batched = _recorded_load(load, root, max_depth, monkeypatch, caplog)
+            oracle = _recorded_load(load_page_at_a_time, root, max_depth, monkeypatch, caplog)
+            assert batched == oracle, (index, max_depth)
+            loaded += len(batched[0])
+            dangling += len(batched[1])
+            excluded += len(batched[2])
+            warnings += sum(level == "WARNING" for level, _ in batched[4])
+        if index < 2:
+            with serving(partial(SimpleHTTPRequestHandler, directory=str(root.parent))) as url:
+                for max_depth in (1, 3):
+                    batched = _recorded_load(load, f"{url}/index.html", max_depth,
+                                             monkeypatch, caplog)
+                    oracle = _recorded_load(load_page_at_a_time, f"{url}/index.html",
+                                            max_depth, monkeypatch, caplog)
+                    assert batched == oracle, (index, max_depth)
+                    loaded += len(batched[0])
+    assert loaded > 300 and dangling > 150 and excluded > 2 and warnings > 150
+
+
+def test_a_load_holds_at_most_a_batch_of_unparsed_pages(tmp_path, monkeypatch):
+    """A root linking three batches' worth of pages, each linking a page
+    of its own: the pages fetched and not yet parsed never outnumber
+    ``FETCH_BATCH``, also while the root's links are only partly
+    followed, and every page loads."""
+    bound = corpus_module.FETCH_BATCH
+    count = 3 * bound
+    site = {"index.html": "<html><body>" + "".join(f'<a href="p{i}.html">{i}</a>'
+                                                   for i in range(count)) + "</body></html>"}
+    for i in range(count):
+        site[f"p{i}.html"] = f'<html><body><a href="q{i}.html">q</a></body></html>'
+        site[f"q{i}.html"] = "<html><body>leaf</body></html>"
+    root = write_mirror(tmp_path, site)
+    unparsed = []
+    most = 0
+
+    def fetching(self, page_id):
+        unparsed.append(page_id)
+        return fetch(self, page_id)
+
+    def parsing(text, strings, tags):
+        nonlocal most
+        most = max(most, len(unparsed))
+        unparsed.pop()
+        return parse(text, strings, tags)
+
+    fetch, parse = FileResolver.fetch, corpus_module.to_xhtml
+    monkeypatch.setattr(FileResolver, "fetch", fetching)
+    monkeypatch.setattr(corpus_module, "to_xhtml", parsing)
+    corpus = load_corpus(root, max_depth=2, delay=0.0)
+    assert len(corpus.pages) == 1 + 2 * count and unparsed == []
+    assert 1 < most <= bound
+
+
+def test_no_read_error_outlives_a_load(tmp_path):
+    """The unreadable pages of a load leave their messages and nothing
+    else: once the load returns, no ``PageReadError`` is left, without a
+    garbage collection, so none sits in a reference cycle either."""
+    root = write_mirror(tmp_path, {
+        "index.html": "<html><body>" + "".join(f'<a href="gone{i}.html">x</a>' for i in range(5))
+                      + '<a href="a.html">a</a></body></html>',
+        "a.html": '<html><body><a href="gone9.html">x</a></body></html>',
+    })
+    gc.collect()
+    gc.disable()
+    try:
+        before = {id(obj) for obj in gc.get_objects() if isinstance(obj, PageReadError)}
+        corpus = load_corpus(root, max_depth=2, delay=0.0)
+        after = [obj for obj in gc.get_objects()
+                 if isinstance(obj, PageReadError) and id(obj) not in before]
+    finally:
+        gc.enable()
+    assert len(corpus.dangling) == 6 and after == []
 
 
 def test_an_href_is_trimmed_of_c0_controls_and_whitespace():
