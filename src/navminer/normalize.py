@@ -55,65 +55,91 @@ their exact text: the 614 page files of the benchmark catalog
 distinct texts and 16,196 end tags with 18.  The builder therefore
 tokenizes each distinct tag text once per ``tags`` dict ``to_xhtml`` is
 handed (``corpus.load_corpus`` keeps one per load, beside ``strings``).
-The dict is keyed by a tag's exact source text: a start tag's up to the
-end the stdlib's scan (``check_for_whole_start_tag``) finds, an end
-tag's up to its first ``>``.  A start key begins with ``<`` and a
-letter, an end key with ``</``, so the two never collide.  A start tag
-whose text up to its first ``>`` holds no quote is looked up by that
-text without the scan: the stdlib's scan (``locatestarttagend_tolerant``
-before CPython's 2025 parser fixes, ``locatetagend`` since) and its
-attribute parse consume a ``>`` only inside a quoted value, so on such
-text they read nothing past that ``>``, and a stored entry is what the
-stdlib made of exactly that text.  About 70% of start tags are
-quote-free (11,650 of the catalog's 16,796).  A quoted one is scanned
-and then looked up by the text up to the end the scan found.  A miss
-goes to the stdlib's own ``parse_starttag`` or ``parse_endtag``, and
-what the stdlib dispatched is stored when it was one tag that ended
-where the lookup reads it (a quote-free one at its first ``>``): for a
-start tag its ``Tag``, built on the miss, the open event, the names of
-the open elements it closes implicitly (its entry in ``_IMPLIED_BY``,
-the inverse of ``IMPLIED_END``) and its link value, for an end tag its
-interned name.  ``_replay`` replays a hit without a ``handle_*`` call:
-a start tag runs the implied-end loop only when the innermost open
-element is one it closes, then records its events and link value; an
-end tag that names
-the innermost open element closes it in place, and one that closes
-several elements, or is stray, goes through ``handle_endtag``.  A miss
-scans its start tag for the end once: ``check_for_whole_start_tag``
-hands the stdlib's ``parse_starttag`` the end the scan before the lookup
-found.  This is no second tokenizer: a stored entry is what the stdlib
-made of the identical text, and when the stdlib dispatches a tag it
-reads nothing past the tag's closing ``>``.  Raw text stays the
-stdlib's: a start tag that enters raw-text mode (``script``, ``style``)
-is never stored, and end tags are looked up only outside that mode, so
-``</div>`` in a script stays text.  The builder pins the raw-text
-elements to those two on every CPython; the 2025 fixes made ``iframe``,
-``xmp``, ``noembed``, ``noframes``, ``textarea`` and ``title`` raw text
-too, which hid their links.  A tag that is not replayed records its link
-value in ``handle_starttag``, so one entering raw-text mode records it
-too.
+The dict is keyed by a tag's exact source text: a start tag's up to its
+first ``>`` when that text holds no quote or has the strict form below,
+else up to the end the stdlib's scan (``check_for_whole_start_tag``)
+finds; an end tag's up to its first ``>``.  A start key begins with
+``<`` and a letter, an end key with ``</``, so the two never collide.
 
-Templates repeat whole stretches of tags too: 24,824 of the catalog's
-32,992 tags arrive in 8,480 runs of two to eight quote-free tags apart
-by ASCII whitespace alone (``_RUN``: ``</td>\n  <td>``,
-``</li></ul></div>``), which have 21 distinct texts.  At a start or end
-tag outside raw-text mode the builder matches ``_RUN`` and looks the
-run's text up in the same dict (it holds two or more ``>`` and no
-quote, so it is no tag's key): a hit replays the entries of all its
-tags in order, one turn of the stdlib's loop for the whole run.  A miss
-parses the run's tags one by one as above and stores a tuple of their
-entries when each tag was stored or replayed, so that each ended at its
-first ``>`` and entered no raw-text mode; otherwise the parse goes on
-where the stdlib stopped.  This is
-exact for the reason a tag's replay is: the stdlib dispatches a
-complete quote-free tag without reading past its first ``>`` or looking
-at the builder's stack, the whitespace-only text between the tags is
-dropped first thing in ``handle_data``, and everything that depends on
-the stack is done again at each replay.  A run stops at eight tags to
-keep the parse linear: a run that stops at a tag it cannot store (a
-``script`` opener, say) is matched again from the next tag on, and an
-uncapped match would read the rest of the run each time, quadratic on
-``<script></script>`` repeated.
+A start tag whose text up to its first ``>`` holds no quote or has the
+strict form (``_STRICT``) is looked up by that text without the scan.
+The strict form has ASCII names, attributes apart by ASCII whitespace,
+each value right after its ``=``, either ``"..."`` or ``'...'`` with no
+``<``, ``>`` or its own quote inside, or bare, without whitespace,
+quotes, ``<``, ``>``, ``=`` or a backtick, and ``>`` or ``/>`` at the
+end.  The stdlib's scan (``locatestarttagend_tolerant`` before CPython's
+2025 parser fixes, ``locatetagend`` since) and its attribute parse
+(``attrfind_tolerant``) consume a ``>`` only inside a quoted value.  On
+quote-free text they enter none.  On the strict form they enter a quoted
+value only at the form's own opening quotes and close it at the matching
+quote, before the ``>``: a name or bare value of the form holds no quote
+at which to open a value and none to take into a name, and no
+whitespace or ``=`` at which to end early.  So on such text both scan
+generations read nothing past that ``>``, and a stored entry is what the
+stdlib made of exactly that text.  All 5,146 quoted start tags of the
+catalog have the strict form.  A form that only asks that every quote
+be closed is not exact: in ``<a b=c="x y ='z">`` the stdlib reads the
+bare value ``c="x``, then opens a value at ``'z`` and, when the page
+holds a ``'`` later on, reads past the ``>`` to it.  Any other quoted
+start tag is scanned and then looked up by the text up to the end the
+scan found.  An end tag with a quote is never stored: the end-tag scan
+of the 2025 fixes reads a quoted value past the first ``>`` too
+(``</b c=  'y>z'>``).
+
+A miss goes to the stdlib's own ``parse_starttag`` or ``parse_endtag``,
+and what the stdlib dispatched is stored when it was one tag that ended
+where the lookup reads it (a tag looked up without the scan at its
+first ``>``): for a start tag its ``Tag``, built on the miss, the open
+event, the names of the open elements it closes implicitly (its entry
+in ``_IMPLIED_BY``, the inverse of ``IMPLIED_END``) and its link value,
+for an end tag its interned name.  ``_replay`` replays a hit without a
+``handle_*`` call: a start tag runs the implied-end loop only when the
+innermost open element is one it closes, then records its events and
+link value; an end tag that names the innermost open element closes it
+in place, and one that closes several elements, or is stray, goes
+through ``handle_endtag``.  A miss scans its start tag for the end once:
+``check_for_whole_start_tag`` hands the stdlib's ``parse_starttag`` the
+end the scan before the lookup found.  This is no second tokenizer: a
+stored entry is what the stdlib made of the identical text, and when the
+stdlib dispatches a tag it reads nothing past the tag's closing ``>``.
+Raw text stays the stdlib's: a start tag that enters raw-text mode
+(``script``, ``style``) is never stored, and end tags are looked up only
+outside that mode, so ``</div>`` in a script stays text.  The builder
+pins the raw-text elements to those two on every CPython; the 2025 fixes
+made ``iframe``, ``xmp``, ``noembed``, ``noframes``, ``textarea`` and
+``title`` raw text too, which hid their links.  A tag that is not
+replayed records its link value in ``handle_starttag``, so one entering
+raw-text mode records it too.
+
+Templates repeat whole stretches of tags too: 27,899 of the catalog's
+32,992 tags are replayed in 9,594 runs of two to eight tags apart by
+ASCII whitespace alone (``_RUN``: ``</td><td>``,
+``</h1>\n<a class="home" href="../index.html">``), which have 48
+distinct texts.  A run's tags are quote-free end tags and start tags
+looked up without the scan.  At a start or end tag outside raw-text mode
+the builder matches ``_RUN`` and looks the run's text up in the same
+dict (its first tag is keyed by the text up to the first ``>``, so no
+tag's key is a run's text): a hit replays
+the entries of all its tags in order, one turn of the stdlib's loop for
+the whole run.  A miss parses the run's tags one by one as above and
+stores a tuple of their entries when each tag was stored or replayed,
+so that each ended at its first ``>`` and entered no raw-text mode;
+otherwise the parse goes on where the stdlib stopped.  A run that holds
+a quoted tag seen for the first time is not stored: such a tag is most
+often one page's own link (``<a href="items/item-03-17.html">``), and
+its run would not come again.  Stored anyway, 917 of the catalog's 963
+run entries are never replayed, and the demo corpus replays 4.0 runs
+per run entry instead of 10.5.  A run of tags that are all known is stored
+when it is next met.  This is exact for the reason a tag's replay is:
+the stdlib dispatches a complete tag of these forms without reading past
+its first ``>`` or looking at the builder's stack, the whitespace-only
+text between the tags is dropped first thing in ``handle_data``, and
+everything that depends on the stack is done again at each replay.  A
+run stops at eight tags to keep the parse linear: a run that stops at a
+tag it cannot store is matched again from the next tag on, and an
+uncapped match would read the rest of the run each time.  No run starts
+at a ``script`` or ``style`` opener, which is never stored, so
+``<script></script>`` repeated matches no run at all.
 
 A UTF-8 byte order mark is dropped when the bytes are decoded, so a
 page saved with one parses like the same page without.
@@ -183,9 +209,19 @@ _IMPLIED_BY = {tag: frozenset(name for name, closers in IMPLIED_END.items() if t
 
 _RAW_TEXT_TAGS = frozenset({"script", "style"})
 
-# a run of 2 to 8 quote-free tags apart by ASCII whitespace alone; the
-# cap keeps the parse linear
-_RUN = re.compile(r"""</?[a-zA-Z][^<>"']*>(?:[ \t\n\r\f]*</?[a-zA-Z][^<>"']*>){1,7}""")
+# the strict start-tag form: ASCII names, attributes apart by ASCII
+# whitespace, each value quoted without "<", ">" or its own quote inside,
+# or bare without whitespace, quotes, "<", ">", "=" or "`"; the stdlib
+# reads nothing past its ">"
+_STRICT = (r"""<[a-zA-Z][-.:a-zA-Z0-9_]*(?:[ \t\n\r\f]+[a-zA-Z_:][-.:a-zA-Z0-9_]*"""
+           r"""(?:=(?:"[^"<>]*"|'[^'<>]*'|[^\s"'<>=`]+))?)*[ \t\n\r\f]*/?>""")
+_STRICT_TAG = re.compile(_STRICT)
+# a run of 2 to 8 tags, each quote-free or a start tag of the strict
+# form, apart by ASCII whitespace alone and not starting at a raw-text
+# opener; the cap keeps the parse linear
+_RUN_TAG = rf"""(?:</?[a-zA-Z][^<>"']*>|{_STRICT})"""
+_RUN = re.compile(rf"""(?!<(?i:script|style)[\t\n\r\f />])"""
+                  rf"""{_RUN_TAG}(?:[ \t\n\r\f]*{_RUN_TAG}){{1,7}}""")
 
 # the attribute that carries a link's target, per tag: what
 # ``Document.hrefs`` records
@@ -285,6 +321,7 @@ class _TreeBuilder(HTMLParser):
         self.opened = None
         self.closed = None  # the name handle_endtag was last called with
         self.scanned = None  # (position, end) of the start tag the stdlib is parsing
+        self.first_seen = False  # a quoted start tag was stored since a run's parse began
         self.stack: list[str] = []  # the names of the open elements, innermost last
         self.tops = 0  # the nodes at the top level: one, an element, is the root
         self.hrefs: list[str] = []  # the values of Document.hrefs, in document order
@@ -314,17 +351,21 @@ class _TreeBuilder(HTMLParser):
             return run.end()
         # its tags one by one, stored together when each was stored or
         # replayed: then it ended at its first ">" and entered no raw-text
-        # mode; else the parse goes on where the stdlib stopped
+        # mode; else the parse goes on where the stdlib stopped.  A run
+        # that holds a quoted tag seen for the first time is not stored:
+        # that tag is most often a page's own link, which comes once
         rawdata = self.rawdata
         i, stop = run.span()
         entries = ()
+        self.first_seen = False
         while True:
             i, entry = self._endtag(i) if rawdata[i + 1] == "/" else self._starttag(i)
             if entry is None:
                 return i
             entries += (entry,)
             if i == stop:
-                self.tags[key] = entries
+                if not self.first_seen:
+                    self.tags[key] = entries
                 return stop
             i = rawdata.find("<", i)
 
@@ -334,13 +375,15 @@ class _TreeBuilder(HTMLParser):
         rawdata = self.rawdata
         end = rawdata.find(">", i + 1) + 1
         text = rawdata[i:end]  # "" when no ">" follows
-        # only a quoted value can hold a ">" that does not end the tag
+        # only a quoted value can hold a ">" that does not end the tag,
+        # and the strict form has none
         quoted = '"' in text or "'" in text
-        opened = None if quoted else self.tags.get(text)
+        direct = not quoted or _STRICT_TAG.fullmatch(text) is not None
+        opened = self.tags.get(text) if direct else None
         if opened is None:
             # the stdlib's scan; the override below only answers its repeat
             end = HTMLParser.check_for_whole_start_tag(self, i)
-            if quoted and end >= 0:
+            if not direct and end >= 0:
                 opened = self.tags.get(rawdata[i:end])
         if opened is not None:  # the text was tokenized before: replay it
             self._replay((opened,))
@@ -350,12 +393,14 @@ class _TreeBuilder(HTMLParser):
         end = HTMLParser.parse_starttag(self, i)
         self.scanned = None
         # one start tag dispatched, no raw-text mode (script, style) to
-        # enter, which a replay would skip, and a quote-free tag ended at
-        # its first ">", where the lookup above reads it
+        # enter, which a replay would skip, and a tag looked up without
+        # the scan ended at its first ">", where the lookup reads it
         if self.opened is None or self.cdata_elem is not None or (
-                not quoted and end != i + len(text)):
+                direct and end != i + len(text)):
             return end, None
         opened = self.tags[rawdata[i:end]] = self.opened
+        if quoted:
+            self.first_seen = True
         return end, opened
 
     def check_for_whole_start_tag(self, i):
@@ -370,15 +415,19 @@ class _TreeBuilder(HTMLParser):
         ``_starttag`` does a start tag."""
         rawdata = self.rawdata
         end = rawdata.find(">", i + 2) + 1
-        name = self.tags.get(rawdata[i:end])
+        text = rawdata[i:end]
+        name = self.tags.get(text)
         if name is not None:
             self._replay((name,))
             return end, name
         self.closed = None
         k = HTMLParser.parse_endtag(self, i)
-        if k != end or self.closed is None:
+        # a quoted one is never stored, so never replayed: the end-tag
+        # scan of CPython's 2025 parser fixes reads a quoted value past
+        # the first ">" ("</b c=  'y>z'>")
+        if k != end or self.closed is None or '"' in text or "'" in text:
             return k, None
-        name = self.tags[rawdata[i:end]] = intern(self.closed)
+        name = self.tags[text] = intern(self.closed)
         return k, name
 
     def _replay(self, entries):

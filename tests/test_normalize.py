@@ -739,6 +739,9 @@ _TAG_MEMO_CASES = (
     # when no later quote closes it, so that text is no key to look up
     "<p>q<a d = 'x>y</a>", "<p>q<a d = 'x>y</a> z'<b>",
     '<p>a<b c="d>e</b></p>', '<p>a<b c="d>e</b>"</p>',
+    # an end tag with a quote: the end-tag scan of CPython's 2025 parser
+    # fixes reads a quoted value past the first ">" when a quote follows
+    "<div><b>x</b c=  'y><i>w</i></div>", "<div><b>x</b c=  'y>z'><i>q</i></div>",
 )
 
 
@@ -757,8 +760,10 @@ def test_the_tag_memo_equals_the_stdlib_tokenizer_on_fixed_cases():
 
 def test_a_tag_memo_miss_scans_its_start_tag_once(monkeypatch):
     """A start tag the memo has not seen is scanned for its end once, not
-    once for the memo key and again by the stdlib's ``parse_starttag``;
-    a replayed one is scanned once too."""
+    once for the memo key and again by the stdlib's ``parse_starttag``,
+    whether it is of the strict form (the divs) or not (the anchors, with
+    spaces around "=").  A replay of the strict form is not scanned; one
+    outside it is scanned once."""
     scans = []
     scan = HTMLParser.check_for_whole_start_tag
 
@@ -767,14 +772,17 @@ def test_a_tag_memo_miss_scans_its_start_tag_once(monkeypatch):
         return scan(parser, i)
 
     monkeypatch.setattr(HTMLParser, "check_for_whole_start_tag", counting)
-    text = "".join(f'<div id="d{n}"><a href="{n}.html" class="c{n}">{n}</a></div>'
+    text = "".join(f'<div id="d{n}"><a href = "{n}.html" class="c{n}">{n}</a></div>'
                    for n in range(20))
     expected = _parsed(text, builder=_StdlibTags)
     tags: dict = {}
-    for pass_ in range(2):  # every tag a miss, then every tag a replay
-        scans.clear()
-        assert _parsed(text, {}, tags) == expected
-        assert len(scans) == len(set(scans)) == 40, pass_
+    scans.clear()
+    assert _parsed(text, {}, tags) == expected  # every tag a miss
+    assert len(scans) == len(set(scans)) == 40
+    scans.clear()
+    assert _parsed(text, {}, tags) == expected  # every tag a replay
+    assert len(scans) == len(set(scans)) == 20
+    assert all(text.startswith("<a", i) for i in scans)
 
 
 # start tags without a quote: their memo key is the text up to the
@@ -819,11 +827,14 @@ def test_a_memo_filled_by_one_pass_replays_the_stdlib_on_a_second():
     assert hits > 40_000
 
 
-def test_a_replayed_start_tag_is_scanned_only_when_quoted(monkeypatch):
+def test_a_replayed_start_tag_is_scanned_only_outside_the_strict_form(monkeypatch):
     """The stdlib's scan for the end of a start tag runs once per tag the
-    memo has not seen.  A replay of a tag with a quote scans it once more,
-    since a quoted ">" does not end the tag; a replay of a quote-free tag
-    scans nothing."""
+    memo has not seen.  A replay of a quote-free tag or of one of the
+    strict form scans nothing, in a run or alone; a replay of a quoted
+    tag outside the strict form (``<p title = "t0">``) scans it once
+    more, since a quoted ">" might not end it.  The anchors, seen once,
+    keep their runs out of the memo on the first pass; the second pass
+    stores those runs and the third replays them."""
     scans = []
     scan = HTMLParser.check_for_whole_start_tag
 
@@ -832,19 +843,22 @@ def test_a_replayed_start_tag_is_scanned_only_when_quoted(monkeypatch):
         return scan(parser, i)
 
     monkeypatch.setattr(HTMLParser, "check_for_whole_start_tag", counting)
-    text = "".join(f'<div class=d{n}><a href="{n}.html" class=c>{n}</a><br/><p>x</p></div>'
-                   for n in range(20))
+    text = "".join(f'<div class=d{n}><a href="{n}.html" class=c>{n}</a><br/>'
+                   f'<p title = "t{n}">x</p></div>' for n in range(20))
     expected = _parsed(text, builder=_StdlibTags)
-    tags: dict = {}
+    tags = _CountingMemo()
     scans.clear()
     assert _parsed(text, {}, tags) == expected
     # each distinct text scanned once, as a miss: 20 divs, 20 anchors,
-    # one br and one p; the br and p replays scan nothing
-    assert len(scans) == len(set(scans)) == 42
-    scans.clear()
-    assert _parsed(text, {}, tags) == expected
-    assert len(scans) == 20  # the quoted anchors alone
-    assert all(text.startswith("<a", i) for i in scans)
+    # one br and 20 paragraphs
+    assert len(scans) == len(set(scans)) == 61
+    for _ in range(2):
+        scans.clear()
+        assert _parsed(text, {}, tags) == expected
+        assert len(scans) == 20  # the paragraphs alone
+        assert all(text.startswith("<p", i) for i in scans)
+    assert '<div class=d0><a href="0.html" class=c>' in tags
+    assert tags.runs >= 20
 
 
 def test_the_tag_memo_equals_the_stdlib_tokenizer_on_demo_and_benchmark_pages(
@@ -1003,6 +1017,104 @@ def test_a_run_is_stored_only_when_each_tag_ended_at_its_first_gt(monkeypatch):
     strings, tags = {}, {}
     for text in ("<div><wide><b>x</b></div>\n" * 3, "y<wide><b>z", "<div><wide>\n<b>y"):
         for _ in range(2):
+            assert _parsed(text, strings, tags) == _parsed(text, builder=_StdlibTags), text
+
+
+# odd tags: half of random pieces (names, spaces, tabs, "=", "==", both
+# quotes, "/", ">" and bare values), half of attributes of the strict
+# form apart by ASCII whitespace, now and then with a piece put in
+_ODD_TAG_OPENERS = ("<a", "<p", "<li", "<a ", "<BR", "</a", "</p")
+_ODD_PIECES = ("b", "c", "x", " ", " ", "\t", "=", "=", "==", "'", "'", '"', '"', "/", ">", "v")
+_ODD_ATTRS = ("b", "c=v", "b='x y'", 'c="x y"', "d='a\"b'", 'd="a\'b"', "e=c/", "f=''", 'g=""',
+              "h=&amp;")
+# what a page goes on with: nothing, a later quote of either kind, with
+# and without a ">" after it
+_ODD_LATER = ("", "x'", 'x"', "x' y>z", 'x" y>z', "<i title='t'>w</i>", '<i title="t">w</i>')
+# the loose form ("every quote is closed") replays these at their first
+# ">", where the stdlib reads on to a later quote
+_LOOSE_COUNTEREXAMPLES = ("<a b=c=\"x y ='z\">", "<a ='c='abx>")
+
+
+def _random_odd_tag(rng: random.Random) -> str:
+    """An odd tag: up to ten random pieces, or up to three attributes of
+    the strict form with, half the time, a piece or two put in."""
+    if rng.random() < 0.5:
+        pieces = [rng.choice(_ODD_PIECES) for _ in range(rng.randint(0, 10))]
+    else:
+        pieces = []
+        for _ in range(rng.randint(0, 3)):
+            pieces += [rng.choice((" ", " ", "\t", "\n")), rng.choice(_ODD_ATTRS)]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            pieces.insert(rng.randint(0, len(pieces)), rng.choice(_ODD_PIECES))
+    return rng.choice(_ODD_TAG_OPENERS) + "".join(pieces) + rng.choice((">", ">", "/>", " />"))
+
+
+def _random_odd_tag_page(rng: random.Random) -> str:
+    """Odd tags, mostly in runs apart by ASCII whitespace, among text and
+    plain tags."""
+    parts = ["<div>"]
+    for _ in range(rng.randint(1, 10)):
+        parts.append(_random_odd_tag(rng))
+        parts.append(rng.choice(("", "", " ", "\n  ", "t", "</a>", "<b>", "</li>")))
+    return "".join(parts)
+
+
+class _QuotedMemo(_CountingMemo):
+    """A tag memo that also counts the tags it replays from keys that hold
+    a quote, alone (``quoted``) and in runs (``quoted_in_runs``)."""
+
+    quoted = quoted_in_runs = 0
+
+    def get(self, key, default=None):
+        value = _CountingMemo.get(self, key, default)
+        if value is not None and ('"' in key or "'" in key):
+            tags = len(_entries(value))
+            if tags > 1:
+                self.quoted_in_runs += tags
+            else:
+                self.quoted += 1
+        return value
+
+
+def test_odd_quoted_tags_equal_the_stdlib_tokenizer_whatever_follows():
+    """Odd start and end tags, in runs, build what the stdlib's
+    tokenizing builds, whatever the page goes on with: 600 random pages
+    of about 5,000 tags, 3,300 of them odd, in batches of 10 that share
+    one memo, each page twice and under every ending above (a later
+    quote, with or without a ">" after it, or none), so that a tag stored
+    under one ending is replayed under another.  Quoted tags are replayed
+    alone and in runs.  With a form that only asks that every quote be
+    closed, the memo replays some of these tags at their first ">" where
+    the stdlib reads on."""
+    rng = random.Random(239)
+    quoted = quoted_in_runs = count = 0
+    for _ in range(60):
+        strings, tags = {}, _QuotedMemo()
+        pages = [_random_odd_tag_page(rng) for _ in range(10)]
+        count += sum(page.count("<") for page in pages)
+        for page in pages * 2:
+            for later in _ODD_LATER:
+                text = page + later + "<b>end</b>"
+                assert _parsed(text, strings, tags) == _parsed(text, builder=_StdlibTags), text
+        quoted += tags.quoted
+        quoted_in_runs += tags.quoted_in_runs
+    assert count > 4_500
+    assert quoted > 10_000 and quoted_in_runs > 10_000, (quoted, quoted_in_runs)
+
+
+def test_the_loose_form_counterexamples_equal_the_stdlib_tokenizer():
+    """``<a b=c="x y ='z">`` and ``<a ='c='abx>`` close every quote they
+    open before their first ">", but the stdlib reads a quoted value past
+    that ">" when a quote comes later on the page.  Each, alone and in a
+    run, with and without a later quote, in both orders, with one memo:
+    built as the stdlib's tokenizing builds them."""
+    pages = []
+    for tag in _LOOSE_COUNTEREXAMPLES:
+        for body in (f"<div>{tag}x</div>", f"<div>\n{tag}\n<b>x</b></div>"):
+            pages += [body + "<p>y</p>", body + "<p title='y'>z</p>", body + "x' >y"]
+    for order in (pages, pages[::-1]):
+        strings, tags = {}, {}
+        for text in order * 2:
             assert _parsed(text, strings, tags) == _parsed(text, builder=_StdlibTags), text
 
 
