@@ -4,161 +4,84 @@ Real-world pages are full of unclosed tags, stray close tags and bare
 attributes.  Everything downstream (schema inference, token distances,
 line diffs) assumes a well-formed page, so all markup enters the
 pipeline through ``to_xhtml``, which parses with error recovery into a
-normalized, deterministic ``Document``.  The only promises the repair
-makes are well-formedness, determinism and idempotence: feeding a
-repaired page's serialization back through the parser reproduces the
-same page.
+normalized, deterministic ``Document``.  The repair promises
+well-formedness, determinism and idempotence: feeding a repaired page's
+serialization back through the parser reproduces the same page.
 
-A page is kept as its parse events in document order; no tree is
-built.  ``Document.shape`` holds one event per open, close and text
-run: an element's name (with its attribute names) where it opens,
-``None`` where it closes and ``1`` for each text run.
-``Document.parts`` holds what the shape leaves out, one entry per open
-and text event: the ``Tag`` the element opens with, and the ``str`` of
-the text run.  Together they are the repaired tree.  Two pages of one
-shape have the same names, nesting, attribute names and text
-positions.  The shape feeds the schema and tag-stream tokens, which
-``schema`` reads from it and from nothing else, so ``navmodel`` caches
-tokens per shape and analyses each shape once.
-
-Every page stays alive for the whole run, and the pages of one site are
-built from a few templates, so a page is kept as small as the
-information in it allows.  A ``Tag`` is slotted and frozen: a name, the
-attributes as a tuple of ``(name, value)`` pairs (the one shared ``()``
-when there are none), whether the element closes at once (a void
-element or ``/>``) and the lines it prints as.  Tag and attribute names
-are interned, so every page shares one copy of each.  Attribute values,
+A page is kept as its parse events in document order, not as a tree:
+``Document.shape`` (names, nesting, attribute names and text positions,
+all that ``schema``'s tokens read) and ``Document.parts`` (each open
+event's ``Tag``, each text run's ``str``).  Every page stays alive for
+the whole run, so tag and attribute names are interned, and values,
 text runs, attribute tuples, tags, open events and shapes are shared
-through the ``strings`` dict ``to_xhtml`` is handed, one copy of each
-for as long as the caller keeps the dict (``corpus.load_corpus`` keeps
-one per load): the 614 pages of the benchmark catalog
-(``perfbench/mirrors.py``, seeds 5, 51 and 101) have 28 shapes.  A page
-then owns little more than its ``parts`` tuple.  Values and text are
-not interned: interned strings can stay resident after the pages
-holding them are released.
-
-The builder keeps a stack of the open elements' names.  It also records
-the value of each link attribute, in document order
-(``Document.hrefs``): ``a`` and ``area`` link by ``href``, ``form`` by
-``action``, ``frame`` and ``iframe`` by ``src`` (``_LINK_ATTRS``), and
-the value is the attribute's cleaned one, the first of duplicates and
-``""`` for a bare attribute.  Link extraction reads these values alone.
-The builder skips the stdlib tokenizer's line counting, which only
-serves ``getpos``, and keeps each tag's own work small: a
-whitespace-only text run (most runs of a template's indentation) is
-dropped before it is collapsed, and a tag without attributes skips
-their cleaning.
+through the ``strings`` dict ``to_xhtml`` is handed (one per load).
+Values and text are not interned: interned strings can stay resident
+after the pages holding them are released.
 
 The pages of a site come from a few templates, so their tags repeat
-their exact text: the 614 page files of the benchmark catalog
-(``perfbench/mirrors.py``, seed 101) hold 16,796 start tags with 963
-distinct texts and 16,196 end tags with 18.  The builder therefore
-tokenizes each distinct tag text once per ``tags`` dict ``to_xhtml`` is
-handed (``corpus.load_corpus`` keeps one per load, beside ``strings``).
-The dict is keyed by a tag's exact source text: a start tag's up to its
-first ``>`` when that text holds no quote or has the strict form below,
-else up to the end the stdlib's scan (``check_for_whole_start_tag``)
-finds; an end tag's up to its first ``>``.  A start key begins with
-``<`` and a letter, an end key with ``</``, so the two never collide.
+their exact text.  The ``tags`` dict ``to_xhtml`` is handed (one per
+load, beside ``strings``) maps a tag's text to its entry, what the
+stdlib dispatched for it: for a start tag its ``Tag``, open event, the
+names of the open elements it closes implicitly (``_IMPLIED_BY``) and
+its link value; for an end tag its interned name.  ``_replay`` replays
+an entry without a ``handle_*`` call and does again at each replay
+everything that depends on the builder's stack, so a stored entry is
+what the stdlib made of its key's text wherever it comes.
 
-A start tag whose text up to its first ``>`` holds no quote or has the
-strict form (``_STRICT``) is looked up by that text without the scan.
+One key rule: a tag is keyed by its text up to its first ``>``, and its
+entry is stored only when the stdlib dispatched one tag that ended
+there and entered no raw-text mode.  A start tag is looked up first.
+On a miss, a quoted text outside the strict form (``_STRICT``) goes to
+the stdlib's ``parse_starttag`` and is never stored, and so is never
+replayed; an end tag with a quote is never stored either.  Looking up
+first is exact because strictness is a property of the text alone:
+every stored key with a quote passed the check.  A start key begins
+with ``<`` and a letter, an end key with ``</``, and a run's key (below)
+holds two ``>`` or more, so no two kinds of key collide.
+
 The strict form has ASCII names, attributes apart by ASCII whitespace,
 each value right after its ``=``, either ``"..."`` or ``'...'`` with no
 ``<``, ``>`` or its own quote inside, or bare, without whitespace,
 quotes, ``<``, ``>``, ``=`` or a backtick, and ``>`` or ``/>`` at the
 end.  The stdlib's scan (``locatestarttagend_tolerant`` before CPython's
 2025 parser fixes, ``locatetagend`` since) and its attribute parse
-(``attrfind_tolerant``) consume a ``>`` only inside a quoted value.  On
-quote-free text they enter none.  On the strict form they enter a quoted
-value only at the form's own opening quotes and close it at the matching
-quote, before the ``>``: a name or bare value of the form holds no quote
-at which to open a value and none to take into a name, and no
-whitespace or ``=`` at which to end early.  So on such text both scan
-generations read nothing past that ``>``, and a stored entry is what the
-stdlib made of exactly that text.  All 5,146 quoted start tags of the
-catalog have the strict form.  A form that only asks that every quote
-be closed is not exact: in ``<a b=c="x y ='z">`` the stdlib reads the
-bare value ``c="x``, then opens a value at ``'z`` and, when the page
-holds a ``'`` later on, reads past the ``>`` to it.  Any other quoted
-start tag is scanned and then looked up by the text up to the end the
-scan found.  An end tag with a quote is never stored: the end-tag scan
-of the 2025 fixes reads a quoted value past the first ``>`` too
-(``</b c=  'y>z'>``).
+(``attrfind_tolerant``) consume a ``>`` only inside a quoted value, and
+on this form they open one only at the form's own opening quotes and
+close it at the matching quote, so they read nothing past its ``>``.  A
+form that only asks that every quote be closed is not exact: in ``<a
+b=c="x y ='z">`` the stdlib reads the bare value ``c="x``, then opens a
+value at ``'z`` and, when the page holds a ``'`` later on, reads past
+the ``>`` to it.  The end-tag scan of the 2025 fixes reads a quoted
+value past the first ``>`` too (``</b c=  'y>z'>``).
 
-A miss goes to the stdlib's own ``parse_starttag`` or ``parse_endtag``,
-and what the stdlib dispatched is stored when it was one tag that ended
-where the lookup reads it (a tag looked up without the scan at its
-first ``>``): for a start tag its ``Tag``, built on the miss, the open
-event, the names of the open elements it closes implicitly (its entry
-in ``_IMPLIED_BY``, the inverse of ``IMPLIED_END``) and its link value,
-for an end tag its interned name.  ``_replay`` replays a hit without a
-``handle_*`` call: a start tag runs the implied-end loop only when the
-innermost open element is one it closes, then records its events and
-link value; an end tag that names the innermost open element closes it
-in place, and one that closes several elements, or is stray, goes
-through ``handle_endtag``.  A miss scans its start tag for the end once:
-``check_for_whole_start_tag`` hands the stdlib's ``parse_starttag`` the
-end the scan before the lookup found.  This is no second tokenizer: a
-stored entry is what the stdlib made of the identical text, and when the
-stdlib dispatches a tag it reads nothing past the tag's closing ``>``.
-Raw text stays the stdlib's: a start tag that enters raw-text mode
-(``script``, ``style``) is never stored, and end tags are looked up only
+Templates repeat whole stretches of tags too.  A run of two to eight
+quote-free or strict tags apart by ASCII whitespace alone (``_RUN``) is
+looked up by its text, and a hit replays the entries of all its tags in
+order.  A miss parses the tags one by one and stores the tuple of their
+entries when each was stored or replayed; the whitespace between them
+is dropped first thing in ``handle_data``.  A run that holds a quoted
+tag seen for the first time is not stored: such a tag is most often one
+page's own link, and its run would not come again.  A run stops at
+eight tags to keep the parse linear: a run that stops at a tag it
+cannot store is matched again from the next tag on, and an uncapped
+match would read the rest of the run each time.
+
+Raw text stays the stdlib's: a start tag that enters raw-text mode is
+never stored, no run starts at one, and end tags are looked up only
 outside that mode, so ``</div>`` in a script stays text.  The builder
-pins the raw-text elements to those two on every CPython; the 2025 fixes
-made ``iframe``, ``xmp``, ``noembed``, ``noframes``, ``textarea`` and
-``title`` raw text too, which hid their links.  A tag that is not
-replayed records its link value in ``handle_starttag``, so one entering
-raw-text mode records it too.
+pins the raw-text elements to ``script`` and ``style`` on every CPython;
+the 2025 fixes made ``iframe``, ``xmp``, ``noembed``, ``noframes``,
+``textarea`` and ``title`` raw text too, which hid their links.
 
-Templates repeat whole stretches of tags too: 27,899 of the catalog's
-32,992 tags are replayed in 9,594 runs of two to eight tags apart by
-ASCII whitespace alone (``_RUN``: ``</td><td>``,
-``</h1>\n<a class="home" href="../index.html">``), which have 48
-distinct texts.  A run's tags are quote-free end tags and start tags
-looked up without the scan.  At a start or end tag outside raw-text mode
-the builder matches ``_RUN`` and looks the run's text up in the same
-dict (its first tag is keyed by the text up to the first ``>``, so no
-tag's key is a run's text): a hit replays
-the entries of all its tags in order, one turn of the stdlib's loop for
-the whole run.  A miss parses the run's tags one by one as above and
-stores a tuple of their entries when each tag was stored or replayed,
-so that each ended at its first ``>`` and entered no raw-text mode;
-otherwise the parse goes on where the stdlib stopped.  A run that holds
-a quoted tag seen for the first time is not stored: such a tag is most
-often one page's own link (``<a href="items/item-03-17.html">``), and
-its run would not come again.  Stored anyway, 917 of the catalog's 963
-run entries are never replayed, and the demo corpus replays 4.0 runs
-per run entry instead of 10.5.  A run of tags that are all known is stored
-when it is next met.  This is exact for the reason a tag's replay is:
-the stdlib dispatches a complete tag of these forms without reading past
-its first ``>`` or looking at the builder's stack, the whitespace-only
-text between the tags is dropped first thing in ``handle_data``, and
-everything that depends on the stack is done again at each replay.  A
-run stops at eight tags to keep the parse linear: a run that stops at a
-tag it cannot store is matched again from the next tag on, and an
-uncapped match would read the rest of the run each time.  No run starts
-at a ``script`` or ``style`` opener, which is never stored, so
-``<script></script>`` repeated matches no run at all.
-
-A UTF-8 byte order mark is dropped when the bytes are decoded, so a
-page saved with one parses like the same page without.
-
-Input whose first KB holds a binary-data control byte (a linked PDF or
-image, say) is not markup and is refused like a page without tags.
+A UTF-8 byte order mark is dropped when the bytes are decoded.  Input
+whose first KB holds a binary-data control byte (a linked PDF or image,
+say) is not markup and is refused like a page without tags.
 
 The one-tag-per-line text of ``pretty_print`` and ``stripped_lines`` is
-this module's format alone: each ``LineText`` also records the ``Tag``
-every line opens, so later stages read tags and never parse the lines
-back.  A line is kept without its indentation and its depth beside it,
-so a deep page's lines stay linear in its size rather than quadratic in
-its depth; ``LineText.printed`` is the one place that indents a line,
-and ``LineText.printed_size`` the one place that counts the printed
-bytes.  The printer is one pass over the shape and the parts with a
-stack of close lines: an open event prints its tag's open line and
-pushes its close line, a close event pops and prints one, and a text
-run prints its escaped text.  A self-closing tag prints as one line and
-has no close line.
+this module's format alone: each ``LineText`` records the ``Tag`` every
+line opens, so later stages never parse the lines back, and keeps each
+line's depth instead of its indentation, so a deep page's lines stay
+linear in its size.
 """
 
 from __future__ import annotations
@@ -209,19 +132,17 @@ _IMPLIED_BY = {tag: frozenset(name for name, closers in IMPLIED_END.items() if t
 
 _RAW_TEXT_TAGS = frozenset({"script", "style"})
 
-# the strict start-tag form: ASCII names, attributes apart by ASCII
-# whitespace, each value quoted without "<", ">" or its own quote inside,
-# or bare without whitespace, quotes, "<", ">", "=" or "`"; the stdlib
-# reads nothing past its ">"
+# the strict start-tag form, on which the stdlib reads nothing past the
+# ">" (the module docstring says why)
 _STRICT = (r"""<[a-zA-Z][-.:a-zA-Z0-9_]*(?:[ \t\n\r\f]+[a-zA-Z_:][-.:a-zA-Z0-9_]*"""
            r"""(?:=(?:"[^"<>]*"|'[^'<>]*'|[^\s"'<>=`]+))?)*[ \t\n\r\f]*/?>""")
 _STRICT_TAG = re.compile(_STRICT)
 # a run of 2 to 8 tags, each quote-free or a start tag of the strict
 # form, apart by ASCII whitespace alone and not starting at a raw-text
-# opener; the cap keeps the parse linear
+# opener; a match starts at a "<", so its first whitespace is empty, and
+# the cap keeps the parse linear
 _RUN_TAG = rf"""(?:</?[a-zA-Z][^<>"']*>|{_STRICT})"""
-_RUN = re.compile(rf"""(?!<(?i:script|style)[\t\n\r\f />])"""
-                  rf"""{_RUN_TAG}(?:[ \t\n\r\f]*{_RUN_TAG}){{1,7}}""")
+_RUN = re.compile(rf"""(?!<(?i:script|style)[\t\n\r\f />])(?:[ \t\n\r\f]*{_RUN_TAG}){{2,8}}""")
 
 # the attribute that carries a link's target, per tag: what
 # ``Document.hrefs`` records
@@ -312,15 +233,15 @@ class _TreeBuilder(HTMLParser):
         super().__init__(convert_charrefs=True)
         # values, text runs, tags and tuples of them: one copy of each
         self.strings = {} if strings is None else strings
-        # a tag's exact source text -> what it does, its entry: a start
-        # tag's ``opened``, an end tag's name; a run's -> its tags' entries
+        # a tag's source text up to its first ">" -> what it does, its
+        # entry: a start tag's ``opened``, an end tag's name; a run's text
+        # -> its tags' entries
         self.tags = {} if tags is None else tags
         # what handle_starttag last recorded: the shared tag, its open
         # event, the open elements it closes implicitly (_IMPLIED_BY) and
         # its link value, None when it has none
         self.opened = None
         self.closed = None  # the name handle_endtag was last called with
-        self.scanned = None  # (position, end) of the start tag the stdlib is parsing
         self.first_seen = False  # a quoted start tag was stored since a run's parse began
         self.stack: list[str] = []  # the names of the open elements, innermost last
         self.tops = 0  # the nodes at the top level: one, an element, is the root
@@ -375,40 +296,27 @@ class _TreeBuilder(HTMLParser):
         rawdata = self.rawdata
         end = rawdata.find(">", i + 1) + 1
         text = rawdata[i:end]  # "" when no ">" follows
-        # only a quoted value can hold a ">" that does not end the tag,
-        # and the strict form has none
-        quoted = '"' in text or "'" in text
-        direct = not quoted or _STRICT_TAG.fullmatch(text) is not None
-        opened = self.tags.get(text) if direct else None
-        if opened is None:
-            # the stdlib's scan; the override below only answers its repeat
-            end = HTMLParser.check_for_whole_start_tag(self, i)
-            if not direct and end >= 0:
-                opened = self.tags.get(rawdata[i:end])
+        opened = self.tags.get(text)
         if opened is not None:  # the text was tokenized before: replay it
             self._replay((opened,))
             return end, opened
+        # only a quoted value can hold a ">" that does not end the tag,
+        # and the strict form has none; any other quoted tag is left to the
+        # stdlib and never stored
+        quoted = '"' in text or "'" in text
+        if quoted and _STRICT_TAG.fullmatch(text) is None:
+            return HTMLParser.parse_starttag(self, i), None
         self.opened = None
-        self.scanned = i, end  # the stdlib's parse_starttag scans the tag again
         end = HTMLParser.parse_starttag(self, i)
-        self.scanned = None
-        # one start tag dispatched, no raw-text mode (script, style) to
-        # enter, which a replay would skip, and a tag looked up without
-        # the scan ended at its first ">", where the lookup reads it
-        if self.opened is None or self.cdata_elem is not None or (
-                direct and end != i + len(text)):
+        # one start tag dispatched, ended at its first ">", where the
+        # lookup reads it, and no raw-text mode (script, style) to enter,
+        # which a replay would skip
+        if self.opened is None or end != i + len(text) or self.cdata_elem is not None:
             return end, None
-        opened = self.tags[rawdata[i:end]] = self.opened
+        opened = self.tags[text] = self.opened
         if quoted:
             self.first_seen = True
         return end, opened
-
-    def check_for_whole_start_tag(self, i):
-        # the end parse_starttag found, when it asks for the same tag
-        scanned = self.scanned
-        if scanned is not None and scanned[0] == i:
-            return scanned[1]
-        return HTMLParser.check_for_whole_start_tag(self, i)
 
     def _endtag(self, i):
         """Parse the end tag at ``i`` outside raw-text mode, as
