@@ -37,11 +37,12 @@ file's real location, symlinks followed, does too (filesystem mode), or
 host and port match the root URL (HTTP mode; http and https on that
 host are both the site, and a default port counts as no port).  An HTTP
 page id is its URL with scheme and host lowercased, a default port
-dropped and an empty path written ``/``.  Over HTTP, urllib follows a
-page's redirects on the site and refuses one to another host before
-requesting it; any final status outside 2xx leaves the page dangling,
-and a redirected page's links are resolved against the URL it was found
-at.
+dropped and an empty path written ``/``.  Over HTTP, each request is
+one plain HTTP/1.0 GET (``httpget``).  A fetch follows a page's
+redirects on the site by the rules of urllib's redirect handler, and
+refuses one to another host before requesting it; any final status
+outside 2xx leaves the page dangling, and a redirected page's links are
+resolved against the URL it was found at.
 Links are the values of ``a/@href``, ``area/@href`` (image maps),
 ``form/@action`` and ``frame|iframe/@src`` that the parser recorded in
 ``Document.hrefs``, in document order; fragments are stripped, query
@@ -195,10 +196,6 @@ class FileResolver:
             raise PageReadError(f"{page_id}: {exc}") from exc
 
 
-# a fetch follows at most this many redirects; a loop ends sooner, at the
-# stdlib handler's ``max_repeats`` visits of one URL
-DEFAULT_REDIRECT_LIMIT = 30
-
 # the port a scheme's URLs name when they name none
 _DEFAULT_PORTS = {"http": ":80", "https": ":443"}
 
@@ -224,37 +221,15 @@ def _request_url(page_id: PageId) -> str:
                        quote(parts.query, _URL_SAFE), ""))
 
 
-def _opener(netloc: str):
-    """A urllib opener that follows redirects on ``netloc`` alone: one
-    leaving it is refused before its target is requested.  Proxies come
-    from the ``*_proxy`` environment variables, certificates are checked
-    against the system store or ``SSL_CERT_FILE``."""
-    import urllib.request  # HTTP mode alone loads the client
-    from urllib.error import HTTPError
-
-    class SameSiteRedirects(urllib.request.HTTPRedirectHandler):
-        max_redirections = DEFAULT_REDIRECT_LIMIT
-
-        def redirect_request(self, req, fp, code, msg, headers, newurl):
-            parts = urlsplit(newurl)
-            if (parts.scheme not in ("http", "https")
-                    or _authority(parts.scheme, parts.netloc) != netloc):
-                raise HTTPError(newurl, code, f"redirected off the site to {newurl}",
-                                headers, fp)
-            return super().redirect_request(req, fp, code, msg, headers, newurl)
-
-    return urllib.request.build_opener(SameSiteRedirects)
-
-
 class HttpResolver:
-    """Locators on one authority, fetched with GET and a polite delay."""
+    """Locators on one authority, fetched with GET and a polite delay by an
+    ``httpget.Client``, which follows a page's redirects on the site."""
 
     def __init__(self, root_url: str, delay: float):
         parts = urlsplit(root_url)
         self.netloc = _authority(parts.scheme.lower(), parts.netloc)
         self.delay = delay
-        self._fetched_once = False
-        self._opener = _opener(self.netloc)
+        self._client = None  # made at the first fetch
         self._final_url: dict[PageId, str] = {}  # page -> where its redirects ended
         # (scheme, host, directory) of a base page's final URL -> href ->
         # target, for hrefs with a path
@@ -295,23 +270,19 @@ class HttpResolver:
         return target
 
     def fetch(self, page_id: PageId) -> str:
-        from http.client import HTTPException  # IncompleteRead, BadStatusLine, ...
-        from urllib.error import HTTPError
+        if self._client is None:
+            from .httpget import Client  # HTTP mode alone compiles the client
 
-        if self._fetched_once and self.delay > 0:
+            self._client = Client(self.netloc)
+        elif self.delay > 0:
             time.sleep(self.delay)
-        self._fetched_once = True
         url = _request_url(page_id)
         try:
-            with self._opener.open(url, timeout=30) as response:
-                body = response.read()
-        except HTTPError as exc:  # any status outside 2xx once redirects are followed
-            exc.close()
+            final, body = self._client.get(url)
+        except (OSError, ValueError, PageReadError) as exc:  # OSError: timeouts, TLS too
             raise PageReadError(f"{page_id}: {exc}") from exc
-        except (OSError, HTTPException, ValueError) as exc:  # OSError: URLError, timeouts
-            raise PageReadError(f"{page_id}: {exc}") from exc
-        if response.url != url:
-            self._final_url[page_id] = response.url
+        if final != url:
+            self._final_url[page_id] = final
         return decode_markup(body)
 
 
@@ -362,8 +333,9 @@ def _open_root(root, delay: float):
 # plus the server's, one pinned core, medians of 30 alternating rounds:
 # the 614-page catalog takes 108.1 ms a page at a time and 98.9-102.4 ms
 # in batches of 16, 32, 64, 256 or the whole frontier, the 126 pages over
-# HTTP 94.2 ms and 84.7-87.1 ms; 64 was fastest on both, and it bounds
-# the raw text a load holds at once.
+# HTTP 67.3 ms and 54.8-61.4 ms (94.2 and 84.7-87.1 ms when urllib's
+# opener fetched them); 64 was fastest on both, and it bounds the raw
+# text a load holds at once.
 FETCH_BATCH = 64
 
 

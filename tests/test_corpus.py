@@ -1,27 +1,32 @@
 """Mirror loading and link extraction."""
 
-import email.message
+import base64
 import gc
-import io
 import logging
+import os
 import random
+import socket
 import sys
 import tracemalloc
 import types
 import urllib.request
 from collections import deque
+from contextlib import ExitStack
 from functools import partial
+from http.client import HTTPException
 from http.server import BaseHTTPRequestHandler, SimpleHTTPRequestHandler
-from urllib.parse import quote, urljoin
-from urllib.response import addinfourl
+from urllib.error import HTTPError
+from urllib.parse import quote, urljoin, urlsplit
 
 import pytest
 
 from navminer import corpus as corpus_module
+from navminer import httpget
 from navminer.cli import main
-from navminer.corpus import (_HREF_TRIM, DEFAULT_REDIRECT_LIMIT, Corpus, CorpusError,
-                             FileResolver, HttpResolver, Page, PageId, PageReadError,
-                             extract_links, load_corpus, logger)
+from navminer.corpus import (_HREF_TRIM, Corpus, CorpusError, FileResolver, HttpResolver,
+                             Page, PageId, PageReadError, _authority, extract_links,
+                             load_corpus, logger)
+from navminer.httpget import DEFAULT_REDIRECT_LIMIT, Client
 from navminer.navmodel import token_seq
 from navminer.normalize import _LINK_ATTRS, Document, EmptyDocumentError, Tag, to_xhtml
 
@@ -254,7 +259,7 @@ def test_a_warm_resolver_equals_a_fresh_resolver_per_link(tmp_path, monkeypatch)
     pairs += [(base, href) for base in _SAME_DIRECTORY_BASES
               for href in _SAME_DIRECTORY_HREFS] * 3
     random.Random(231).shuffle(pairs)
-    monkeypatch.setattr(corpus_module, "_opener", lambda netloc: None)  # no fetch here
+    monkeypatch.setattr(httpget, "connect", None)  # no fetch here
 
     def http_resolver():
         resolver = HttpResolver(SITE, delay=0.0)
@@ -831,44 +836,62 @@ def test_http_redirect_off_the_site_is_dangling(tmp_path):
     assert foreign_requests == []  # the redirect was refused, not followed
 
 
-class FakeSite(urllib.request.BaseHandler):
-    """Answers every http(s) request of an opener it is added to, before
-    urllib's own handlers: a 301 to ``moved[url]`` (without a Location
-    when that is None) or else a page.  Records each URL requested."""
+class FakeSite(BaseHTTPRequestHandler):
+    """Answers every GET that reaches it: a 301 to ``moved[url]`` (without a
+    Location when that is None) or else a page.  Records each URL asked
+    for: the scheme its server stands for, the Host header and the path."""
 
-    handler_order = 100
+    def __init__(self, scheme: str, moved: dict, requested: list, *args, **kwargs):
+        self.scheme, self.moved, self.requested = scheme, moved, requested
+        super().__init__(*args, **kwargs)
 
-    def __init__(self, moved: dict):
-        self.moved = moved
-        self.requested = []
-
-    def http_open(self, request):
-        url = request.full_url
+    def do_GET(self):
+        url = f"{self.scheme}://{self.headers['Host']}{self.path}"
         self.requested.append(url)
-        headers = email.message.Message()
         if url in self.moved:
+            self.send_response(301)
             if self.moved[url] is not None:
-                headers["Location"] = self.moved[url]
-            response = addinfourl(io.BytesIO(b""), headers, url, 301)
+                self.send_header("Location", self.moved[url])
+            self.end_headers()
         else:
-            response = addinfourl(io.BytesIO(b"<html><body>ok</body></html>"), headers, url, 200)
-        response.msg = "fake"
-        return response
+            body = b"<html><body>ok</body></html>"
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
 
-    https_open = http_open
-
-
-def _fake_site(moved: dict) -> tuple[HttpResolver, FakeSite]:
-    resolver = HttpResolver("http://site.test/index.html", delay=0.0)
-    site = FakeSite(moved)
-    resolver._opener.add_handler(site)
-    return resolver, site
+    def log_message(self, format, *args):
+        pass
 
 
-def test_http_scheme_change_on_the_same_host_loads():
+def _without_proxies(monkeypatch) -> None:
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+
+
+@pytest.fixture
+def fake_site(monkeypatch):
+    """``make(moved)``: a resolver of ``http://site.test/`` whose
+    connections, to any host, reach a loopback ``FakeSite`` of their scheme
+    (both plain), and the list of URLs those sites were asked for."""
+    _without_proxies(monkeypatch)
+    with ExitStack() as servers:
+        def make(moved: dict) -> tuple[HttpResolver, list]:
+            requested = []
+            ports = {scheme: urlsplit(servers.enter_context(
+                serving(partial(FakeSite, scheme, moved, requested)))).port
+                for scheme in ("http", "https")}
+            monkeypatch.setattr(httpget, "connect", lambda scheme, host, port:
+                                socket.create_connection(("127.0.0.1", ports[scheme]), 10))
+            return HttpResolver("http://site.test/index.html", delay=0.0), requested
+
+        yield make
+
+
+def test_http_scheme_change_on_the_same_host_loads(fake_site):
     moved = {}  # url -> Location of its 301
-    resolver, site = _fake_site(moved)
-    requested = site.requested
+    resolver, requested = fake_site(moved)
     # a direct https link from an http root stays on the site
     assert resolver.resolve("http://site.test/index.html",
                             "https://site.test/p.html") == "https://site.test/p.html"
@@ -889,49 +912,49 @@ def test_http_scheme_change_on_the_same_host_loads():
     assert requested.count("http://site.test/loop.html") == loop_limit + 1
 
 
-def test_http_redirect_to_an_explicit_default_port_stays_on_the_site():
-    resolver, site = _fake_site({"http://site.test/a.html": "http://site.test:80/b.html",
+def test_http_redirect_to_an_explicit_default_port_stays_on_the_site(fake_site):
+    resolver, requested = fake_site({"http://site.test/a.html": "http://site.test:80/b.html",
                                  "http://site.test/c.html": "https://SITE.test:443/d.html",
                                  "http://site.test/e.html": "http://site.test:8080/f.html"})
     assert "ok" in resolver.fetch("http://site.test/a.html")
     assert "ok" in resolver.fetch("http://site.test/c.html")
     with pytest.raises(PageReadError, match="off the site to http://site.test:8080/f.html"):
         resolver.fetch("http://site.test/e.html")
-    assert site.requested == ["http://site.test/a.html", "http://site.test:80/b.html",
+    assert requested == ["http://site.test/a.html", "http://site.test:80/b.html",
                               "http://site.test/c.html", "https://SITE.test:443/d.html",
                               "http://site.test/e.html"]
 
 
-def test_http_redirect_chain_loads_up_to_the_limit():
+def test_http_redirect_chain_loads_up_to_the_limit(fake_site):
     def chain(hops):
         return {f"http://site.test/{hop}.html": f"/{hop + 1}.html" for hop in range(hops)}
 
-    resolver, site = _fake_site(chain(DEFAULT_REDIRECT_LIMIT))
+    resolver, requested = fake_site(chain(DEFAULT_REDIRECT_LIMIT))
     assert "ok" in resolver.fetch("http://site.test/0.html")
-    assert len(site.requested) == DEFAULT_REDIRECT_LIMIT + 1
-    resolver, site = _fake_site(chain(DEFAULT_REDIRECT_LIMIT + 1))
+    assert len(requested) == DEFAULT_REDIRECT_LIMIT + 1
+    resolver, requested = fake_site(chain(DEFAULT_REDIRECT_LIMIT + 1))
     with pytest.raises(PageReadError, match="infinite loop"):
         resolver.fetch("http://site.test/0.html")
-    assert len(site.requested) == DEFAULT_REDIRECT_LIMIT + 1
+    assert len(requested) == DEFAULT_REDIRECT_LIMIT + 1
 
 
-def test_http_off_site_hop_after_a_same_site_hop_is_never_requested():
-    resolver, site = _fake_site({"http://site.test/a.html": "/b.html",
+def test_http_off_site_hop_after_a_same_site_hop_is_never_requested(fake_site):
+    resolver, requested = fake_site({"http://site.test/a.html": "/b.html",
                                  "http://site.test/b.html": "https://elsewhere.test/x.html",
                                  "http://site.test/c.html": "ftp://site.test/x.html"})
     with pytest.raises(PageReadError, match="off the site to https://elsewhere.test/x.html"):
         resolver.fetch("http://site.test/a.html")
     with pytest.raises(PageReadError, match="off the site to ftp://site.test/x.html"):
         resolver.fetch("http://site.test/c.html")
-    assert site.requested == ["http://site.test/a.html", "http://site.test/b.html",
+    assert requested == ["http://site.test/a.html", "http://site.test/b.html",
                               "http://site.test/c.html"]
 
 
-def test_http_redirect_without_location_dangles():
-    resolver, site = _fake_site({"http://site.test/a.html": None})
+def test_http_redirect_without_location_dangles(fake_site):
+    resolver, requested = fake_site({"http://site.test/a.html": None})
     with pytest.raises(PageReadError, match="301"):
         resolver.fetch("http://site.test/a.html")
-    assert site.requested == ["http://site.test/a.html"]
+    assert requested == ["http://site.test/a.html"]
 
 
 def test_http_links_on_a_redirected_page_resolve_against_its_final_url(tmp_path):
@@ -967,11 +990,11 @@ def test_http_percent_escaped_names_load(tmp_path):
         assert corpus.dangling == []
 
 
-def test_http_redirect_location_keeps_its_escapes():
+def test_http_redirect_location_keeps_its_escapes(fake_site):
     # a header arrives latin-1 decoded: these are the bytes of "dé"
-    resolver, site = _fake_site({"http://site.test/old.html": "/a%41 d\xc3\xa9.html"})
+    resolver, requested = fake_site({"http://site.test/old.html": "/a%41 d\xc3\xa9.html"})
     assert "ok" in resolver.fetch("http://site.test/old.html")
-    assert site.requested == ["http://site.test/old.html", "http://site.test/a%41%20d%C3%A9.html"]
+    assert requested == ["http://site.test/old.html", "http://site.test/a%41%20d%C3%A9.html"]
 
 
 def test_http_fetch_goes_through_the_environment_proxy(monkeypatch):
@@ -1033,6 +1056,252 @@ def test_http_transport_failures_are_dangling(tmp_path):
                                    ("garbage.html", "silent.html", "truncated.html")]
         assert main(["--root", f"{base}/index.html", "--delay", "0",
                      "--out", str(tmp_path / "out")]) == 0
+
+
+def _opener(netloc: str):
+    """A urllib opener that follows redirects on ``netloc`` alone: one
+    leaving it is refused before its target is requested.  Proxies come
+    from the ``*_proxy`` environment variables."""
+
+    class SameSiteRedirects(urllib.request.HTTPRedirectHandler):
+        max_redirections = DEFAULT_REDIRECT_LIMIT
+
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            parts = urlsplit(newurl)
+            if (parts.scheme not in ("http", "https")
+                    or _authority(parts.scheme, parts.netloc) != netloc):
+                raise HTTPError(newurl, code, f"redirected off the site to {newurl}",
+                                headers, fp)
+            return super().redirect_request(req, fp, code, msg, headers, newurl)
+
+    return urllib.request.build_opener(SameSiteRedirects)
+
+
+class UrllibClient:
+    """Oracle: the client that fetched through urllib's opener, the slow
+    path that ``httpget.Client`` replaced."""
+
+    def __init__(self, netloc: str):
+        self._opener = _opener(netloc)
+
+    def get(self, url: str) -> tuple[str, bytes]:
+        try:
+            with self._opener.open(url, timeout=30) as response:
+                return response.url, response.read()
+        except HTTPError as exc:  # any status outside 2xx once redirects are followed
+            exc.close()
+            raise PageReadError(str(exc)) from exc
+        except HTTPException as exc:  # IncompleteRead, BadStatusLine, ...
+            raise PageReadError(str(exc)) from exc
+
+
+def _outcome(client, url: str):
+    """The final URL and the body bytes of a GET of ``url``, or "failed"."""
+    try:
+        return client.get(url)
+    except (OSError, ValueError, PageReadError):  # what a fetch reports as dangling
+        return "failed"
+
+
+_PAGE = b"<html><body>page</body></html>"
+
+
+def _chunked(*chunks: bytes) -> bytes:
+    return b"".join(b"%x;ext=1\r\n%s\r\n" % (len(chunk), chunk) for chunk in chunks) \
+        + b"0\r\nX-Trailer: t\r\n\r\n"
+
+
+# path -> the raw bytes of the answer, "{host}" standing for the Host
+# header; any other path is a page that echoes it
+_ANSWERS = {
+    "/page.html": b"HTTP/1.0 200 OK\r\nContent-Length: 30\r\n\r\n" + _PAGE,
+    "/missing.html": b"HTTP/1.0 404 Not Found\r\nContent-Length: 9\r\n\r\nnot found",
+    "/gone.html": b"HTTP/1.0 410 Gone\r\n\r\n",
+    "/found.html": b"HTTP/1.0 302 Found\r\nLocation: /page.html\r\n\r\n",
+    "/other.html": b"HTTP/1.0 303 See Other\r\nLocation: page.html?x=1#part\r\n\r\n",
+    "/temporary.html": b"HTTP/1.0 307 Temporary\r\nLocation: sub/../q.html?\r\n\r\n",
+    "/uri.html": b"HTTP/1.0 301 Moved\r\nURI: /page.html\r\n\r\n",
+    "/first.html": b"HTTP/1.0 301 Moved\r\nLOCATION: /a.html\r\nLocation: /b.html\r\n\r\n",
+    "/absolute.html": b"HTTP/1.0 301 Moved\r\nLocation: http://{host}/abs.html\r\n\r\n",
+    "/bare-host.html": b"HTTP/1.0 301 Moved\r\nLocation: http://{host}\r\n\r\n",
+    "/query-only.html": b"HTTP/1.0 301 Moved\r\nLocation: ?q=a b\r\n\r\n",
+    "/escaped.html": b"HTTP/1.0 301 Moved\r\nLocation: /a%41 d\xe9.html\r\n\r\n",
+    "/utf8.html": b"HTTP/1.0 301 Moved\r\nLocation: /d\xc3\xa9 [x].html\r\n\r\n",
+    "/folded.html": b"HTTP/1.0 301 Moved\r\nLocation: /fold\r\n .html\r\n\r\n",
+    "/with-body.html":
+        b"HTTP/1.0 302 Found\r\nLocation: /page.html\r\nContent-Length: 4\r\n\r\nmove",
+    "/off.html": b"HTTP/1.0 301 Moved\r\nLocation: http://elsewhere.invalid/x.html\r\n\r\n",
+    "/other-port.html": b"HTTP/1.0 301 Moved\r\nLocation: http://127.0.0.1:9/x.html\r\n\r\n",
+    "/ftp.html": b"HTTP/1.0 301 Moved\r\nLocation: ftp://{host}/x.html\r\n\r\n",
+    "/file.html": b"HTTP/1.0 301 Moved\r\nLocation: file:///etc/passwd\r\n\r\n",
+    "/loop.html": b"HTTP/1.0 301 Moved\r\nLocation: /loop.html\r\n\r\n",
+    "/ping.html": b"HTTP/1.0 302 Found\r\nLocation: /pong.html\r\n\r\n",
+    "/pong.html": b"HTTP/1.0 302 Found\r\nLocation: /ping.html\r\n\r\n",
+    "/self.html": b"HTTP/1.0 301 Moved\r\nLocation:\r\n\r\n",
+    "/nowhere.html": b"HTTP/1.0 302 Found\r\n\r\n",
+    "/after-a-bad-line.html": b"HTTP/1.0 302 Found\r\nBad Line\r\nLocation: /page.html\r\n\r\n",
+    "/choices.html": b"HTTP/1.0 300 Multiple Choices\r\nLocation: /page.html\r\n\r\n",
+    "/truncated.html": b"HTTP/1.0 200 OK\r\nContent-Length: 1000\r\n\r\n<html><body>",
+    "/truncated-redirect.html":
+        b"HTTP/1.0 302 Found\r\nLocation: /page.html\r\nContent-Length: 100\r\n\r\nmove",
+    "/silent.html": b"",
+    "/garbage.html": b"this is not HTTP\r\n\r\n",
+    "/version.html": b"HTTP/2 200 OK\r\n\r\n" + _PAGE,
+    "/status.html": b"HTTP/1.0 20x OK\r\n\r\n" + _PAGE,
+    "/no-reason.html": b"HTTP/1.0 200\r\n\r\n" + _PAGE,
+    "/continue.html": b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 30\r\n\r\n"
+                      + _PAGE,
+    "/chunked.html": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: 3\r\n\r\n"
+                     + _chunked(_PAGE[:7], _PAGE[7:]),
+    "/bad-chunk.html": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\nx\r\n",
+    "/short-chunk.html": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n40\r\nx",
+    "/to-the-end.html": b"HTTP/1.0 200 OK\r\n\r\n" + _PAGE,
+    "/bad-length.html": b"HTTP/1.0 200 OK\r\nContent-Length: many\r\n\r\n" + _PAGE,
+    "/no-content.html": b"HTTP/1.0 204 No Content\r\n\r\n",
+    "/headers-99.html": b"HTTP/1.0 200 OK\r\n" + b"X-N: n\r\n" * 99 + b"\r\n" + _PAGE,
+    "/headers-100.html": b"HTTP/1.0 200 OK\r\n" + b"X-N: n\r\n" * 100 + b"\r\n" + _PAGE,
+}
+_FAILING = {"/missing.html", "/gone.html", "/off.html", "/other-port.html", "/ftp.html",
+            "/file.html", "/loop.html", "/ping.html", "/pong.html", "/self.html",
+            "/nowhere.html", "/after-a-bad-line.html", "/choices.html", "/truncated.html",
+            "/truncated-redirect.html", "/silent.html", "/garbage.html", "/version.html",
+            "/status.html", "/bad-chunk.html", "/short-chunk.html", "/headers-100.html"}
+if hasattr(urllib.request.HTTPRedirectHandler, "http_error_308"):  # CPython 3.11 on
+    _ANSWERS["/permanent.html"] = b"HTTP/1.0 308 Permanent\r\nLocation: /page.html\r\n\r\n"
+
+
+class Answers(BaseHTTPRequestHandler):
+    """Answers each path of ``_ANSWERS`` with its raw bytes, and any other
+    path with a page that echoes it."""
+
+    def do_GET(self):
+        answer = _ANSWERS.get(self.path)
+        if answer is None:
+            body = b"<html><body>%s</body></html>" % self.path.encode("latin-1")
+            answer = b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+        self.wfile.write(answer.replace(b"{host}", self.headers["Host"].encode()))
+        self.close_connection = True
+
+    def log_message(self, format, *args):
+        pass
+
+
+def test_the_socket_get_equals_urllib_on_every_answer(monkeypatch):
+    """Every answer of ``_ANSWERS`` gives the socket GET and urllib's
+    opener the same final URL and body bytes, or makes both fail."""
+    _without_proxies(monkeypatch)
+    with serving(Answers) as base:
+        netloc = urlsplit(base).netloc
+        fetched, oracle = Client(netloc), UrllibClient(netloc)
+        outcomes = {}
+        for path in [*_ANSWERS, "/echo.html?a=1"]:
+            outcomes[path] = _outcome(fetched, base + path)
+            assert outcomes[path] == _outcome(oracle, base + path), path
+    assert {path for path, got in outcomes.items() if got == "failed"} == _FAILING
+    assert outcomes["/other.html"] == (f"{base}/page.html?x=1#part",
+                                       b"<html><body>/page.html?x=1</body></html>")
+    assert outcomes["/escaped.html"][1] == b"<html><body>/a%41%20d%E9.html</body></html>"
+    assert outcomes["/chunked.html"] == (f"{base}/chunked.html", _PAGE)
+    assert outcomes["/continue.html"] == (f"{base}/continue.html", _PAGE)
+
+
+class Endless(BaseHTTPRequestHandler):
+    """Answers whose status line or header never ends, whose headers never
+    end, or that have 101 headers; each sends at most 4 MiB."""
+
+    STARTS = {"/status.html": b"HTTP/1.0 200 ", "/header.html": b"HTTP/1.0 200 OK\r\nX-Long: ",
+              "/headers.html": b"HTTP/1.0 200 OK\r\n"}
+    LINE = b"x" * 65536
+    HEADERS = b"X-Many: y\r\n" * 6000
+
+    def do_GET(self):
+        try:
+            if self.path == "/headers-101.html":
+                self.wfile.write(b"HTTP/1.0 200 OK\r\n" + b"X-N: n\r\n" * 101 + b"\r\n" + _PAGE)
+            else:
+                self.wfile.write(self.STARTS[self.path])
+                block = self.HEADERS if self.path == "/headers.html" else self.LINE
+                for _ in range(4 * 1024 * 1024 // len(block)):
+                    self.wfile.write(block)
+        except OSError:  # the client hung up
+            pass
+        self.close_connection = True
+
+    def log_message(self, format, *args):
+        pass
+
+
+def test_endless_lines_and_too_many_headers_are_dangling(monkeypatch):
+    """None of these answers hangs a fetch or makes it hold more than the
+    ``http.client`` limit of one 64 KiB line at once."""
+    _without_proxies(monkeypatch)
+    with serving(Endless) as base:
+        resolver = HttpResolver(f"{base}/", 0.0)
+        for path in ("/status.html", "/header.html", "/headers.html", "/headers-101.html"):
+            tracemalloc.start()
+            try:
+                with pytest.raises(PageReadError, match="more than"):
+                    resolver.fetch(base + path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 512 * 1024, path
+
+
+class RecordingProxy(BaseHTTPRequestHandler):
+    """A proxy that records each request line it gets with its
+    ``Proxy-Authorization``, answers a GET with a page and a CONNECT with a
+    200 and nothing behind it, so a TLS handshake through it fails."""
+
+    asked: list = []
+
+    def do_GET(self):
+        self.asked.append((self.requestline, self.headers["Proxy-Authorization"]))
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(_PAGE)))
+        self.end_headers()
+        self.wfile.write(_PAGE)
+
+    def do_CONNECT(self):
+        self.asked.append((self.requestline.rpartition(" ")[0],
+                           self.headers["Proxy-Authorization"]))
+        self.send_response(200)
+        self.end_headers()
+
+    def log_message(self, format, *args):
+        pass
+
+
+def test_both_clients_ask_the_environment_proxy_alike(monkeypatch):
+    """An http page is asked of the ``http_proxy`` by its whole URL, an
+    https page through a ``CONNECT host:443`` tunnel of the ``https_proxy``,
+    each with the proxy's credentials; a ``no_proxy`` naming the site
+    bypasses the proxy."""
+    _without_proxies(monkeypatch)
+    monkeypatch.setattr(RecordingProxy, "asked", [])
+    with serving(RecordingProxy) as proxy, serving(Answers) as base:
+        authority = urlsplit(proxy).netloc
+        monkeypatch.setenv("http_proxy", f"http://us%65r:p%40ss@{authority}")
+        monkeypatch.setenv("https_proxy", proxy)
+        asked = []
+        for kind in (Client, UrllibClient):
+            RecordingProxy.asked.clear()
+            client = kind("site.test")
+            for url in ("http://site.test/a%20b.html", "http://site.test/"):
+                assert _outcome(client, url) == (url, _PAGE)
+            assert _outcome(client, "https://site.test/x.html") == "failed"
+            asked.append(list(RecordingProxy.asked))
+            monkeypatch.setenv("no_proxy", "127.0.0.1")
+            direct = f"{base}/page.html"
+            assert _outcome(kind(urlsplit(base).netloc), direct) == (direct, _PAGE)
+            assert RecordingProxy.asked == asked[-1]  # not asked again
+            monkeypatch.delenv("no_proxy")
+    credentials = "Basic " + base64.b64encode(b"user:p@ss").decode()
+    assert asked[0] == [("GET http://site.test/a%20b.html HTTP/1.0", credentials),
+                        ("GET http://site.test/ HTTP/1.0", credentials),
+                        ("CONNECT site.test:443", None)]
+    assert [(line.rpartition(" ")[0], auth) for line, auth in asked[1]] == \
+        [(line.rpartition(" ")[0], auth) for line, auth in asked[0]]
 
 
 def test_loaded_demo_corpus_with_mms_tokens_stays_small(demo_root):

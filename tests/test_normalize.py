@@ -840,7 +840,7 @@ def test_a_memo_filled_by_one_pass_replays_the_stdlib_on_a_second():
     assert hits > 40_000
 
 
-def test_a_replayed_start_tag_is_scanned_only_outside_the_strict_form(monkeypatch):
+def test_a_start_tag_outside_the_strict_form_is_scanned_on_every_pass(monkeypatch):
     """The stdlib's own scan for the end of a start tag, in its
     ``parse_starttag``, is the only one, and runs once per tag the memo
     has not seen.  A replay of a quote-free tag or of one of the strict

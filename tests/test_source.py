@@ -159,10 +159,11 @@ def test_the_program_keeps_no_cache_between_runs():
 
 
 def test_importing_the_program_loads_no_http_client():
-    """The HTTP client is imported when an HTTP crawl starts, so neither a
-    filesystem run nor the start-up of any run pays for its import."""
-    code = ("import sys, navminer, navminer.cli; "
-            "print(sorted({'http.client', 'urllib.request'} & set(sys.modules)))")
+    """The HTTP client (``httpget``), sockets and TLS are imported when an
+    HTTP crawl fetches its first page, so neither a filesystem run nor the
+    start-up of any run pays for their import."""
+    code = ("import sys, navminer, navminer.cli; print(sorted({'http.client', "
+            "'urllib.request', 'socket', 'ssl', 'navminer.httpget'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                             capture_output=True, text=True).stdout
