@@ -15,7 +15,7 @@ from .evaluate import (EvaluationResult, ReferenceClassification, evaluate,
 from .navmodel import (NavNode, NavTree, build_nav_tree, collect_partition,
                        reduce_to_snp, refine_clusters)
 from .normalize import Document, EmptyDocumentError, LineText, Tag, pretty_print, to_xhtml
-from .report import Config, ConfigError, PipelineResult, emit_dot, emit_xml, run_pipeline
+from .report import Config, ConfigError, PipelineResult, analyse, emit_dot, emit_xml, run_pipeline
 from .schema import Schema, extract_schema, serialize_schema, sts_serialize
 from .similarity import Partition, levenshtein, similarity, transclos
 

@@ -66,7 +66,6 @@ dangling.  An href that cannot be parsed as a URL is unresolvable.
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 import os
 import posixpath
@@ -355,12 +354,20 @@ def load_corpus(root, max_depth: int, delay: float) -> Corpus:
     strings: dict = {}  # the pages' attribute values and text runs, shared
     tags: dict = {}  # what each distinct tag text parses to
     corpus = Corpus(root=root_id, pages={})
+    known = {root_id}  # found: to be fetched, loaded, excluded or dangling
+    found: deque = deque()  # (target, depth, referrer) of each page to fetch, in crawl order
+    dangling: set[PageId] = set()
 
     def add(page_id: PageId, text: str, depth: int, referrer: PageId | None) -> None:
         # raises EmptyDocumentError
         document = to_xhtml(text, strings, tags)
         links = tuple(extract_links(document, page_id, resolver))
         corpus.pages[page_id] = Page(depth, document, links, referrer)
+        if depth < max_depth:
+            for target in links:
+                if target not in known:
+                    known.add(target)
+                    found.append((target, depth + 1, page_id))
 
     try:
         add(root_id, resolver.fetch(root_id), 0, None)
@@ -368,22 +375,6 @@ def load_corpus(root, max_depth: int, delay: float) -> Corpus:
         raise CorpusError(f"root page unreadable: {exc}") from exc
     except EmptyDocumentError as exc:
         raise CorpusError(f"root page has no markup: {exc}") from exc
-
-    queue = deque([root_id])  # loaded pages whose links are not yet followed
-    known = {root_id}  # found: to be fetched, loaded, excluded or dangling
-    dangling: set[PageId] = set()
-
-    def discover():
-        """(target, depth, referrer) of each link of the queued pages to
-        a page not yet known, in load order; ends when the queue does."""
-        while queue:
-            page_id = queue.popleft()
-            page = corpus.pages[page_id]
-            if page.depth < max_depth:
-                for target in page.links:
-                    if target not in known:
-                        known.add(target)
-                        yield target, page.depth + 1, page_id
 
     def fetch(target: PageId) -> tuple[str | None, str | None]:
         """The target's text and None, or None and why it is unreadable."""
@@ -394,10 +385,8 @@ def load_corpus(root, max_depth: int, delay: float) -> Corpus:
             # would keep its traceback, this frame and the whole load
             return None, str(exc)
 
-    targets = discover()
-    while batch := list(itertools.islice(targets, FETCH_BATCH)):
-        if len(batch) < FETCH_BATCH:  # the queue ran dry: what this batch loads comes next
-            targets = discover()
+    while found:
+        batch = [found.popleft() for _ in range(min(FETCH_BATCH, len(found)))]
         fetched = deque(fetch(target) for target, _, _ in batch)  # popped as parsed
         for target, depth, referrer in batch:
             text, error = fetched.popleft()
@@ -410,8 +399,6 @@ def load_corpus(root, max_depth: int, delay: float) -> Corpus:
             except EmptyDocumentError:
                 logger.warning("excluded (no markup): %s", target)
                 corpus.excluded.append(target)
-            else:
-                queue.append(target)
 
     corpus.dangling = sorted(dangling)
     return corpus

@@ -27,7 +27,7 @@ induction runs from the root, which is one node at every threshold.
 
 The build clusters each node's owned pages jointly, so there is nothing
 left for a separate refinement pass to re-cluster: ``refine_clusters``
-returns the tree it is given.  It stays, called by ``run_pipeline``,
+returns the tree it is given.  It stays, called by ``report.analyse``,
 because the benchmark's tracer (``perfbench/tracer.py``) fails a run in
 which one of the functions it wraps sees no call.  Reduction finally
 picks one representative per node (the largest member page), which
@@ -167,7 +167,7 @@ def build_nav_tree(corpus: Corpus, threshold: float, method: str) -> NavTree:
 def refine_clusters(tree: NavTree) -> NavTree:
     """The tree as built: ``build_nav_tree`` already clusters the pages
     a multi-page node's members own jointly, so there is nothing to
-    refine.  The name and its call in ``run_pipeline`` stay while the
+    refine.  The name and its call in ``report.analyse`` stay while the
     benchmark's tracer (``perfbench/tracer.py``) fails a run in which a
     function it wraps sees no call."""
     return tree

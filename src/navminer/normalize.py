@@ -340,7 +340,8 @@ class _TreeBuilder(HTMLParser):
 
     def _replay(self, entries):
         """Record what the tags of the memo entries ``entries``
-        dispatched, without a ``handle_*`` call."""
+        dispatched; ``handle_starttag`` records a start tag's entry here
+        too, so a tokenized and a replayed start tag take one path."""
         stack, open_count, event = self.stack, self.open_count, self.event
         for entry in entries:
             if entry.__class__ is str:  # an end tag
@@ -354,7 +355,6 @@ class _TreeBuilder(HTMLParser):
             tag, opens, implies, href = entry
             if stack and stack[-1] in implies:
                 self._close_implied(tag.name)
-            # what handle_starttag records, inline
             if not stack:
                 self.tops += 1
             event(opens)
@@ -412,7 +412,6 @@ class _TreeBuilder(HTMLParser):
         return share(cleaned, cleaned), share(names, names)
 
     def handle_starttag(self, tag, attrs, self_closing=False):
-        self._close_implied(tag)
         name = intern(tag)
         attrs, event = self._clean_attrs(name, attrs) if attrs else ((), name)
         closed = self_closing or name in VOID_ELEMENTS  # the element opens nothing
@@ -420,18 +419,8 @@ class _TreeBuilder(HTMLParser):
         tag = self.strings.setdefault(tag, tag)
         link = _LINK_ATTRS.get(name)  # None for a tag that links nothing
         href = next((v for k, v in attrs if k == link), None)
-        if href is not None:
-            self.hrefs.append(href)
         self.opened = (tag, event, _IMPLIED_BY.get(name, ()), href)
-        if not self.stack:
-            self.tops += 1
-        self.event(event)
-        self.part(tag)
-        if closed:
-            self.event(None)
-        else:
-            self.stack.append(name)
-            self.open_count[name] = self.open_count.get(name, 0) + 1
+        self._replay((self.opened,))
 
     def handle_startendtag(self, tag, attrs):
         self.handle_starttag(tag, attrs, self_closing=True)

@@ -285,6 +285,29 @@ def _write_artifacts(out_dir: Path, artifacts: dict[str, str]) -> list[Path]:
     return [out_dir / rel_path for rel_path in sorted(artifacts)]
 
 
+def analyse(corpus: Corpus, threshold: float,
+            method: str) -> tuple[NavTree, list[CandidateComponent]]:
+    """The paper's two steps on one load: the navigational model (the
+    clustered tree, reduced to one page per node), then the candidate
+    components along its edges.  A load may be analysed any number of
+    times: an analysis adds to ``corpus.memo`` only the token sequences
+    every analysis with its method reads alike."""
+    tree = build_nav_tree(corpus, threshold, method)
+    tree = reduce_to_snp(refine_clusters(tree))
+    return tree, extract_candidates(tree)
+
+
+def emit(cfg: Config, result: PipelineResult) -> None:
+    """Write the artifacts of ``result`` into ``result.out_dir`` and list
+    them in ``result.files``; an output directory that cannot be written
+    raises ConfigError, with an earlier run's output left as it was."""
+    artifacts = _build_artifacts(cfg, result)
+    try:
+        result.files = _write_artifacts(result.out_dir, artifacts)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output directory {result.out_dir}: {exc}") from exc
+
+
 def run_pipeline(cfg: Config) -> PipelineResult:
     """Execute the whole pipeline and write all artifacts.
 
@@ -305,11 +328,7 @@ def run_pipeline(cfg: Config) -> PipelineResult:
     logger.info("loaded %d page(s), %d dangling link(s)",
                 len(corpus.pages), len(corpus.dangling))
 
-    tree = build_nav_tree(corpus, cfg.threshold, cfg.method)
-    tree = refine_clusters(tree)
-    tree = reduce_to_snp(tree)
-    components = extract_candidates(tree)
-
+    tree, components = analyse(corpus, cfg.threshold, cfg.method)
     evaluation = None
     if reference is not None:
         evaluation = evaluate(collect_partition(tree), reference)
@@ -317,15 +336,11 @@ def run_pipeline(cfg: Config) -> PipelineResult:
                     evaluation.rcr, evaluation.icr, evaluation.precision, evaluation.recall)
 
     result = PipelineResult(corpus, tree, components, evaluation, Path(cfg.out_dir))
-    artifacts = _build_artifacts(cfg, result)
-    try:
-        result.files = _write_artifacts(result.out_dir, artifacts)
-    except OSError as exc:
-        raise ConfigError(f"cannot write output directory {result.out_dir}: {exc}") from exc
+    emit(cfg, result)
     return result
 
 
 __all__ = [
     "Config", "ConfigError", "CorpusError", "PipelineResult",
-    "emit_dot", "emit_xml", "run_pipeline",
+    "analyse", "emit", "emit_dot", "emit_xml", "run_pipeline",
 ]

@@ -12,10 +12,9 @@ from functools import lru_cache
 from navminer import load_corpus
 from navminer.components import diff_oneway, lcs_pairs
 from navminer.evaluate import evaluate, load_reference, metrics_from_counts
-from navminer.navmodel import (build_nav_tree, collect_partition,
-                               reduce_to_snp, refine_clusters)
+from navminer.navmodel import collect_partition
 from navminer.normalize import stripped_lines
-from navminer.report import Config, run_pipeline
+from navminer.report import Config, analyse, run_pipeline
 from navminer.schema import extract_schema, serialize_schema, sts_serialize
 from navminer.similarity import clone_pair, levenshtein, similarity, transclos
 
@@ -39,11 +38,6 @@ def criterion(number, description, budget_seconds):
     print(f"ACCEPTANCE {number} ({description}): PASS [{elapsed:.1f}s]")
 
 
-def _snp(corpus, threshold, method):
-    tree = build_nav_tree(corpus, threshold, method)
-    return reduce_to_snp(refine_clusters(tree))
-
-
 def test_criterion_1_metric_arithmetic():
     reported = [
         ((6, 3), (66, 54)),
@@ -65,12 +59,12 @@ def test_criterion_2_bundled_corpus_end_to_end():
         corpus = load_corpus(DEMO_CORPUS / "index.html", max_depth=10, delay=0.0)
         reference = load_reference(DEMO_REFERENCE)
 
-        mms = evaluate(collect_partition(_snp(corpus, DEMO_THRESHOLD, "MMS")), reference)
+        mms = evaluate(collect_partition(analyse(corpus, DEMO_THRESHOLD, "MMS")[0]), reference)
         assert (mms.precision, mms.recall) == (100, 100), mms
 
         best = (0, 0)
         for step in range(0, 101):
-            sts = evaluate(collect_partition(_snp(corpus, step / 100, "STS")), reference)
+            sts = evaluate(collect_partition(analyse(corpus, step / 100, "STS")[0]), reference)
             assert not (sts.precision == 100 and sts.recall == 100), \
                 f"STS perfect at threshold {step / 100}"
             best = max(best, (sts.precision, sts.recall),
@@ -162,7 +156,7 @@ def test_criterion_6_threshold_monotonicity():
     with criterion(6, "higher threshold refines lower on bundled corpus", 30.0):
         corpus = load_corpus(DEMO_CORPUS / "index.html", max_depth=10, delay=0.0)
         grid = [step / 10 for step in range(1, 11)]
-        partitions = [collect_partition(_snp(corpus, t, "MMS")) for t in grid]
+        partitions = [collect_partition(analyse(corpus, t, "MMS")[0]) for t in grid]
         for partition in partitions:
             assert partition_is_valid(partition)
         for low, high in zip(partitions, partitions[1:]):

@@ -9,8 +9,9 @@ from navminer import load_corpus
 from navminer.components import (CandidateComponent, Fragment, diff_oneway,
                                  extract_candidates, identify_elements,
                                  lcs_pairs)
-from navminer.navmodel import build_nav_tree, reduce_to_snp, refine_clusters
+from navminer.navmodel import build_nav_tree
 from navminer.normalize import LineText, stripped_lines, to_xhtml
+from navminer.report import analyse
 
 from conftest import DEMO_THRESHOLD, mutate_document, random_document, write_mirror
 
@@ -278,9 +279,7 @@ def _chain_mirror(tmp_path):
 
 def test_chain_of_three_yields_two_components(tmp_path):
     corpus = load_corpus(_chain_mirror(tmp_path), max_depth=5, delay=0.0)
-    tree = build_nav_tree(corpus, 1.0, "MMS")
-    snp = reduce_to_snp(refine_clusters(tree))
-    components = extract_candidates(snp)
+    _, components = analyse(corpus, 1.0, "MMS")
     assert [(c.source, c.target) for c in components] == \
         [("index.html", "b.html"), ("b.html", "c.html")]
 
@@ -288,8 +287,7 @@ def test_chain_of_three_yields_two_components(tmp_path):
 def test_single_node_tree_yields_no_components(tmp_path):
     root = write_mirror(tmp_path, {"index.html": "<html><body>x</body></html>"})
     corpus = load_corpus(root, max_depth=5, delay=0.0)
-    snp = reduce_to_snp(build_nav_tree(corpus, 0.9, "MMS"))
-    assert extract_candidates(snp) == []
+    assert analyse(corpus, 0.9, "MMS")[1] == []
 
 
 def test_unreduced_tree_is_rejected(tmp_path):
@@ -306,9 +304,7 @@ def test_identical_representatives_yield_empty_edge(tmp_path):
         "twin.html": '<html><body><span>other</span><a href="twin.html">t</a></body></html>',
     })
     corpus = load_corpus(root, max_depth=5, delay=0.0)
-    snp = reduce_to_snp(refine_clusters(
-        build_nav_tree(corpus, 0.9, "MMS")))
-    components = extract_candidates(snp)
+    _, components = analyse(corpus, 0.9, "MMS")
     assert len(components) == 1
     assert components[0].fragments == []  # stripped forms are line-identical
 
@@ -317,9 +313,7 @@ def test_demo_index_to_category_component(demo_corpus):
     """The index -> category edge carries exactly the category-specific
     markup: the home anchor and the items table, minus the five anchor
     close lines the alignment shares with the index page's own links."""
-    tree = build_nav_tree(demo_corpus, DEMO_THRESHOLD, "MMS")
-    snp = reduce_to_snp(refine_clusters(tree))
-    component = extract_candidates(snp)[0]
+    component = analyse(demo_corpus, DEMO_THRESHOLD, "MMS")[1][0]
     assert (component.source, component.target) == ("index.html", "cat-fish.html")
 
     target_lines = [l.strip() for l in stripped_lines(
@@ -376,9 +370,8 @@ def test_lcs_pairs_equals_dp_oracle_on_random_line_lists():
 def test_lcs_pairs_equals_dp_oracle_on_demo_edges(demo_corpus):
     edges = set()
     for method in ("MMS", "STS"):
-        tree = build_nav_tree(demo_corpus, DEMO_THRESHOLD, method)
-        snp = reduce_to_snp(refine_clusters(tree))
-        edges.update((c.source, c.target) for c in extract_candidates(snp))
+        _, components = analyse(demo_corpus, DEMO_THRESHOLD, method)
+        edges.update((c.source, c.target) for c in components)
     assert len(edges) >= 10
     for source, target in sorted(edges):
         assert_same_as_dp(stripped_lines(demo_corpus.pages[source].document).lines,
@@ -446,8 +439,8 @@ def _edges(corpus, methods, threshold) -> list[tuple[str, str]]:
     trees of ``corpus``, one per method."""
     edges = set()
     for method in methods:
-        snp = reduce_to_snp(refine_clusters(build_nav_tree(corpus, threshold, method)))
-        edges.update((c.source, c.target) for c in extract_candidates(snp))
+        _, components = analyse(corpus, threshold, method)
+        edges.update((c.source, c.target) for c in components)
     return sorted(edges)
 
 

@@ -259,7 +259,7 @@ def test_a_warm_resolver_equals_a_fresh_resolver_per_link(tmp_path, monkeypatch)
     pairs += [(base, href) for base in _SAME_DIRECTORY_BASES
               for href in _SAME_DIRECTORY_HREFS] * 3
     random.Random(231).shuffle(pairs)
-    monkeypatch.setattr(httpget, "connect", None)  # no fetch here
+    monkeypatch.setattr(httpget.Client, "connect", None)  # no fetch here
 
     def http_resolver():
         resolver = HttpResolver(SITE, delay=0.0)
@@ -882,7 +882,7 @@ def fake_site(monkeypatch):
             ports = {scheme: urlsplit(servers.enter_context(
                 serving(partial(FakeSite, scheme, moved, requested)))).port
                 for scheme in ("http", "https")}
-            monkeypatch.setattr(httpget, "connect", lambda scheme, host, port:
+            monkeypatch.setattr(httpget.Client, "connect", lambda self, scheme, host, port:
                                 socket.create_connection(("127.0.0.1", ports[scheme]), 10))
             return HttpResolver("http://site.test/index.html", delay=0.0), requested
 
@@ -1302,6 +1302,41 @@ def test_both_clients_ask_the_environment_proxy_alike(monkeypatch):
                         ("CONNECT site.test:443", None)]
     assert [(line.rpartition(" ")[0], auth) for line, auth in asked[1]] == \
         [(line.rpartition(" ")[0], auth) for line, auth in asked[0]]
+
+
+def test_a_client_makes_one_tls_context_for_all_its_https_connections(monkeypatch):
+    """Each TLS context loads the CA store anew, so a client makes one at
+    its first https connection and wraps every later one in it, a
+    redirect's included; a plain connection makes none, and a new client
+    (one per load) makes its own.  The counting fake wraps nothing, so
+    the https URLs reach a plain loopback server."""
+    import ssl
+
+    made = []
+
+    class Context:
+        def wrap_socket(self, sock, server_hostname):
+            assert server_hostname == "127.0.0.1"
+            return sock
+
+    def create_default_context():
+        made.append(Context())
+        return made[-1]
+
+    _without_proxies(monkeypatch)
+    monkeypatch.setattr(ssl, "create_default_context", create_default_context)
+    with serving(Answers) as base:
+        netloc = urlsplit(base).netloc
+        client = Client(_authority("https", netloc))
+        assert _outcome(client, base + "/page.html") == (base + "/page.html", _PAGE)
+        assert made == []
+        site = f"https://{netloc}"
+        assert _outcome(client, site + "/page.html") == (site + "/page.html", _PAGE)
+        assert _outcome(client, site + "/found.html") == (site + "/page.html", _PAGE)
+        assert len(made) == 1
+        assert _outcome(Client(_authority("https", netloc)), site + "/page.html") == \
+            (site + "/page.html", _PAGE)
+        assert len(made) == 2
 
 
 def test_loaded_demo_corpus_with_mms_tokens_stays_small(demo_root):

@@ -12,7 +12,7 @@ from navminer.navmodel import (METHODS, NavNode, _cluster_ordered, build_nav_tre
                                collect_partition, pair_similarity, reduce_to_snp,
                                refine_clusters, token_seq, walk)
 from navminer.normalize import pretty_print, to_xhtml
-from navminer.report import Config, run_pipeline
+from navminer.report import Config, analyse, run_pipeline
 from navminer.schema import extract_schema, serialize_schema, sts_serialize
 from navminer.similarity import clone_pair, similarity, transclos
 
@@ -36,6 +36,12 @@ def linking(title, targets):
 def build(root, threshold=0.9, method="MMS", max_depth=10):
     corpus = load_corpus(root, max_depth=max_depth, delay=0.0)
     return corpus, build_nav_tree(corpus, threshold, method)
+
+
+def analysed(root, threshold=0.9, method="MMS"):
+    """The load of the mirror at ``root`` and its reduced tree."""
+    corpus = load_corpus(root, max_depth=10, delay=0.0)
+    return corpus, analyse(corpus, threshold, method)[0]
 
 
 def test_root_without_links_is_single_node(tmp_path):
@@ -154,7 +160,7 @@ def test_each_page_is_owned_by_its_crawl_referrers_node(tmp_path):
             assert referrers == {p: page.referrer for p, page in corpus.pages.items()}
             links += sum(len(page.links) for page in corpus.pages.values())
             for method in METHODS:
-                tree = refine_clusters(build_nav_tree(corpus, 0.8, method))
+                tree, _ = analyse(corpus, 0.8, method)
                 parents = {p: node.members for node in tree.nodes()
                            for child in node.children for p in child.members}
                 assert tree.root.members == (corpus.root,)
@@ -175,8 +181,7 @@ def test_a_higher_threshold_refines_a_lower_one_on_random_mirrors(tmp_path):
         root = random_mirror(tmp_path / str(index), rng, rng.randint(6, 30), (1, 6))
         corpus = load_corpus(root, max_depth=Config.max_depth, delay=0.0)
         for method in METHODS:
-            partitions = [collect_partition(refine_clusters(build_nav_tree(corpus, t, method)))
-                          for t in grid]
+            partitions = [collect_partition(analyse(corpus, t, method)[0]) for t in grid]
             for t, low, high in zip(grid[1:], partitions, partitions[1:]):
                 assert refines(high, low), (index, method, t)
             split += len(partitions[-1].clusters) > len(partitions[0].clusters)
@@ -266,8 +271,7 @@ def test_reduce_picks_largest_member(tmp_path):
                        "<span>tail</span><span>more</span><span>even more</span>"
                        "</body></html>"),
     })
-    _, tree = build(root, threshold=0.5)
-    snp = reduce_to_snp(refine_clusters(tree))
+    _, snp = analysed(root, threshold=0.5)
     cluster = snp.root.children[0]
     assert set(cluster.members) == {"large.html", "small.html"}
     assert cluster.representative == "large.html"
@@ -279,8 +283,7 @@ def test_reduce_tie_breaks_to_smaller_page_id(tmp_path):
         "bb.html": leaf("x"),
         "aa.html": leaf("y"),  # byte-identical size to bb.html
     })
-    corpus, tree = build(root)
-    snp = reduce_to_snp(refine_clusters(tree))
+    corpus, snp = analysed(root)
     cluster = snp.root.children[0]
     from navminer.navmodel import page_size
 
@@ -311,16 +314,13 @@ def _layout(node, indent=0):
 
 
 def test_demo_corpus_matches_golden_tree(demo_corpus):
-    tree = build_nav_tree(demo_corpus, DEMO_THRESHOLD, "MMS")
-    tree = refine_clusters(tree)
+    tree, _ = analyse(demo_corpus, DEMO_THRESHOLD, "MMS")
     assert _layout(tree.root) + "\n" == GOLDEN_TREE.read_text(encoding="utf-8")
 
 
 def test_demo_partition_is_valid_for_both_methods(demo_corpus):
     for method in ("MMS", "STS"):
-        tree = build_nav_tree(demo_corpus, 0.8, method)
-        tree = refine_clusters(tree)
-        partition = collect_partition(tree)
+        partition = collect_partition(analyse(demo_corpus, 0.8, method)[0])
         assert partition_is_valid(partition)
         assert partition.universe == frozenset(demo_corpus.pages)
 
@@ -372,8 +372,7 @@ def test_memo_grows_with_shapes_not_pairs(tmp_path):
     items = [f"item-{i:02d}.html" for i in range(50)]
     pages = {"index.html": linking("home", items)}
     pages.update({name: leaf(name) for name in items})
-    corpus, tree = build(write_mirror(tmp_path, pages))
-    refine_clusters(tree)
+    corpus, tree = analysed(write_mirror(tmp_path, pages))
     assert [set(c.members) for c in tree.root.children] == [set(items)]
     shape = corpus.pages[items[0]].document.shape
     assert all(corpus.pages[name].document.shape is shape for name in items)

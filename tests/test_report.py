@@ -17,18 +17,19 @@ from navminer import load_corpus
 from navminer import navmodel as navmodel_mod
 from navminer import schema as schema_mod
 from navminer.cli import main
-from navminer.components import KINDS, CandidateComponent, extract_candidates
-from navminer.evaluate import EvaluationResult
-from navminer.navmodel import NavNode, NavTree, build_nav_tree, reduce_to_snp, refine_clusters
-from navminer.report import Config, ConfigError, emit_dot, emit_xml, run_pipeline
+from navminer.components import KINDS, CandidateComponent
+from navminer.evaluate import EvaluationResult, evaluate, load_reference
+from navminer.navmodel import NavNode, NavTree, collect_partition
+from navminer.report import (Config, ConfigError, PipelineResult, analyse, emit, emit_dot,
+                             emit_xml, run_pipeline)
 
 from conftest import DEMO_THRESHOLD, REPO_ROOT, random_mirror, write_mirror
 
 
-def snp_of(root, threshold=0.9, method="MMS", depth=10):
+def analysed(root, threshold=0.9, method="MMS", depth=10):
+    """The reduced tree and the components of the mirror at ``root``."""
     corpus = load_corpus(root, max_depth=depth, delay=0.0)
-    tree = build_nav_tree(corpus, threshold, method)
-    return reduce_to_snp(refine_clusters(tree))
+    return analyse(corpus, threshold, method)
 
 
 def _page(title, *targets):
@@ -39,7 +40,7 @@ def _page(title, *targets):
 
 def test_dot_single_node(tmp_path):
     root = write_mirror(tmp_path, {"index.html": "<html><body>x</body></html>"})
-    dot = emit_dot(snp_of(root))
+    dot = emit_dot(analysed(root)[0])
     assert dot.count("[label=") == 1
     assert "->" not in dot
 
@@ -50,7 +51,7 @@ def test_dot_chain_has_two_solid_edges(tmp_path):
         "b.html": _page("two", "c.html"),
         "c.html": _page("three"),
     })
-    dot = emit_dot(snp_of(root, threshold=1.0))
+    dot = emit_dot(analysed(root, threshold=1.0)[0])
     solid = [l for l in dot.splitlines() if "->" in l and "dashed" not in l]
     assert len(solid) == 2
     assert not [l for l in dot.splitlines() if "dashed" in l]
@@ -61,7 +62,7 @@ def test_dot_backref_is_one_dashed_edge(tmp_path):
         "index.html": _page("one", "a.html"),
         "a.html": _page("two", "index.html"),
     })
-    dot = emit_dot(snp_of(root))
+    dot = emit_dot(analysed(root)[0])
     dashed = [l for l in dot.splitlines() if "dashed" in l]
     assert len(dashed) == 1
     solid = [l for l in dot.splitlines() if "->" in l and "dashed" not in l]
@@ -70,8 +71,7 @@ def test_dot_backref_is_one_dashed_edge(tmp_path):
 
 def test_xml_empty_components_element_present(tmp_path):
     root = write_mirror(tmp_path, {"index.html": "<html><body>x</body></html>"})
-    snp = snp_of(root)
-    xml = emit_xml(snp, extract_candidates(snp))
+    xml = emit_xml(*analysed(root))
     parsed = ET.fromstring(xml)
     components = parsed.find("components")
     assert components is not None and len(components) == 0
@@ -83,8 +83,7 @@ def test_xml_inventory_counts(tmp_path):
         "b.html": ("<html><head><title>two</title></head><body><h1>two</h1>"
                    "<select><option>x</option></select></body></html>"),
     })
-    snp = snp_of(root)
-    xml = emit_xml(snp, extract_candidates(snp))
+    xml = emit_xml(*analysed(root))
     component = ET.fromstring(xml).find("components/component")
     inventory = component.find("inventory")
     assert inventory.get("select") == "1"
@@ -644,6 +643,39 @@ def test_benchmark_and_random_mirror_artifact_bytes_match_the_golden_digests(
     expected = GOLDEN_RUNS.read_text(encoding="utf-8").splitlines()
     assert got == expected, (f"artifacts differ from {GOLDEN_RUNS.name}; "
                              "the new digests:\n" + "\n".join(got))
+
+
+def test_analyses_of_one_load_write_the_bytes_of_separate_runs(demo_root, demo_reference,
+                                                               tmp_path):
+    """Stages as values: the demo mirror (with its reference) and three
+    random mirrors are each loaded once, then analysed and emitted at two
+    thresholds under both methods, verbose, the methods taking turns.
+    Each output directory holds the bytes of a separate run with that
+    configuration, so the load's shared ``Corpus.memo`` carries nothing
+    from one analysis into the next."""
+    rng = random.Random(3301)
+    roots = [demo_root] + [random_mirror(tmp_path / f"mirror{index}", rng,
+                                         rng.randint(6, 30), (1, 6)) for index in range(3)]
+    for index, root in enumerate(roots):
+        reference = str(demo_reference) if root == demo_root else None
+        corpus = load_corpus(root, max_depth=Config.max_depth, delay=0.0)
+        for threshold in (0.95, 0.8):
+            for method in ("STS", "MMS"):
+                name = f"{index}-{method}-{threshold}"
+                cfg = Config(root=str(root), threshold=threshold, method=method,
+                             reference=reference, verbose=True,
+                             out_dir=str(tmp_path / "run" / name))
+                run = run_pipeline(cfg)
+                tree, components = analyse(corpus, threshold, method)
+                evaluation = None
+                if reference is not None:
+                    evaluation = evaluate(collect_partition(tree), load_reference(reference))
+                staged = PipelineResult(corpus, tree, components, evaluation,
+                                        tmp_path / "staged" / name)
+                emit(cfg, staged)
+                assert _files(staged.out_dir) == _files(run.out_dir), name
+                assert [p.relative_to(staged.out_dir) for p in staged.files] == \
+                    [p.relative_to(run.out_dir) for p in run.files]
 
 
 @pytest.mark.parametrize("seed", ["0", "4242"])

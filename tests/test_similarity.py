@@ -8,7 +8,8 @@ from functools import lru_cache
 import pytest
 
 from navminer import load_corpus
-from navminer.navmodel import build_nav_tree, refine_clusters, token_seq
+from navminer.navmodel import token_seq
+from navminer.report import analyse
 from navminer.similarity import (PageId, clone_pair, levenshtein, shared_ends, similarity,
                                  spanning_clone_pairs, transclos)
 
@@ -182,7 +183,7 @@ def test_levenshtein_equals_dp_oracle_on_every_catalog_sts_comparison(tmp_path, 
         return levenshtein(a, b)
 
     monkeypatch.setattr(module, "levenshtein", recording)
-    refine_clusters(build_nav_tree(corpus, 0.8, "STS"))
+    analyse(corpus, 0.8, "STS")
     assert len(compared) == 49
     seqs = sorted({token_seq(corpus, page_id, "STS") for page_id in corpus.pages
                    if page_id != corpus.root})

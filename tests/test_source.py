@@ -238,3 +238,38 @@ def test_only_the_parser_reads_the_parts_and_builds_tags():
                 elements.add(path.stem)
     assert readers == builders == {"normalize"}
     assert elements == set()
+
+
+
+_STAGES = ("build_nav_tree", "refine_clusters", "reduce_to_snp", "extract_candidates")
+
+
+def _stage_reads(node, scope: str):
+    """``(scope, name, node)`` for each read of a stage function's name
+    under ``node``, a bare name or an attribute; ``scope`` is the dotted
+    name of the enclosing function."""
+    for child in ast.iter_child_nodes(node):
+        name = (child.id if isinstance(child, ast.Name) else
+                child.attr if isinstance(child, ast.Attribute) else None)
+        if name in _STAGES:
+            yield scope, name, child
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _stage_reads(child, f"{scope}.{child.name}")
+        else:
+            yield from _stage_reads(child, scope)
+
+
+def test_the_stage_chain_is_written_once():
+    """Only ``report.analyse`` calls ``build_nav_tree``,
+    ``refine_clusters``, ``reduce_to_snp`` and ``extract_candidates``,
+    each once, and nothing else in ``src/navminer`` reads those names:
+    the benchmark's tracer replaces each module's reference to them, and
+    a tuple or a default argument holding one would keep the unwrapped
+    function."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        found += [(scope, name, id(node) in called)
+                  for scope, name, node in _stage_reads(tree, path.stem)]
+    assert sorted(found) == sorted(("report.analyse", name, True) for name in _STAGES)
